@@ -3,8 +3,7 @@
 
 import argparse
 
-from blochspec import FiberTruncation, band_sweep
-from blochspec.assembly import branch_ranges
+from blochspec import FiberTruncation, band_structure, band_sweep, interior_gaps
 from blochspec.cli import parse_potential
 from blochspec.svgplot import render_bands_svg
 
@@ -19,15 +18,13 @@ def main():
     args = ap.parse_args()
 
     potential = parse_potential(args.potential)
-    ks, energies = band_sweep(potential, FiberTruncation(args.cutoff),
-                              args.bands, args.kpoints)
-    ranges = branch_ranges(energies)
-    for b, (lo, hi) in enumerate(ranges):
-        line = f"band {b}: [{lo:10.5f}, {hi:10.5f}] width {hi - lo:8.5f}"
-        if b + 1 < len(ranges):
-            gap = ranges[b + 1][0] - hi
-            line += f"   gap to next {max(gap, 0.0):8.5f}"
-        print(line)
+    trunc = FiberTruncation(args.cutoff)
+    ks, energies = band_sweep(potential, trunc, args.bands, args.kpoints)
+    bands = band_structure(potential, trunc, args.bands)
+    for b, (lo, hi) in enumerate(bands.intervals):
+        print(f"band {b}: [{lo:10.5f}, {hi:10.5f}] width {hi - lo:8.5f}")
+    for lo, hi in interior_gaps(bands):
+        print(f"gap [{lo:10.5f}, {hi:10.5f}] width {hi - lo:.3e}")
 
     with open(args.output, "w") as fh:
         fh.write(render_bands_svg(ks, energies, f"potential={args.potential}"))

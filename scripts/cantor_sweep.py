@@ -17,12 +17,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=8, help="number of approximants")
     ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    ap.add_argument("--kgrid", type=int, default=128)
     args = ap.parse_args()
 
-    rows = cantor_proxy(fibonacci_approximants(args.count), args.lam,
-                        (args.kgrid, args.kgrid))
-    print(f"lambda = {args.lam}, kgrid = {args.kgrid}x{args.kgrid}")
+    rows = cantor_proxy(fibonacci_approximants(args.count), args.lam)
+    print(f"lambda = {args.lam}")
     print(f"{'flux':>8} {'measure':>12} {'q * measure':>12}")
     for flux, measure in rows:
         print(f"{str(flux):>8} {measure:12.6f} {flux.q * measure:12.6f}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harper
+from . import assembly, harper
 from .model import RationalFlux
 
 UNITARITY_TOL = 1e-12
@@ -102,30 +102,32 @@ def canonical_trace(element) -> float:
     return float(traces.mean().real) / q
 
 
-def spectral_projection_trace(params: harper.HarperParams, energy: float,
-                              kgrid=harper.DEFAULT_KGRID) -> float:
-    """Normalized trace of the spectral projection below an energy in a gap.
+def spectral_projection_trace(params: harper.HarperParams, energies,
+                              kgrid=harper.DEFAULT_KGRID):
+    """Normalized traces of the spectral projections below energies in gaps.
 
-    The energy must avoid the bands (inside a gap, below, or above the whole
-    spectrum); inside a band the projection rank varies with k and the value
-    would be grid-dependent, so that input is rejected.  Inside a true gap
-    the per-k eigenvalue count is constant and the result lands on a multiple
-    of 1/q; a deviation beyond KADISON_TOL means the gap was misclassified
-    and is also rejected.
+    ``energies`` is a scalar or an array; one k-grid sweep serves them all.
+    Every energy must avoid the exact bands of ``harper_spectrum`` (inside a
+    gap, below, or above the whole spectrum); inside a band the projection
+    rank varies with k and the value would be grid-dependent, so that input
+    is rejected.  In a gap the per-k eigenvalue count is constant and the
+    result lands on a multiple of 1/q; a deviation beyond KADISON_TOL means
+    the sweep disagrees with the exact edges and is also rejected.
     """
-    evals = harper.eigenvalue_grid(params, kgrid)
-    bands = harper.spectrum_from_eigenvalues(evals)
-    if bands.contains(energy):
-        raise ValueError(f"energy {energy} lies inside a band; projection trace undefined there")
-    q = params.flux.q
-    counts = (evals <= energy).sum(axis=-1)
-    value = float(counts.mean()) / q
-    if abs(value * q - round(value * q)) > KADISON_TOL * q:
+    e = np.asarray(energies, dtype=float)
+    inside = e[assembly.distance_to_bands(harper.harper_spectrum(params), e) == 0.0]
+    if inside.size:
         raise ValueError(
-            f"projection trace {value} is not quantized in units of 1/{q}; "
-            "the requested energy does not sit in a genuine gap of the k-grid sweep"
+            f"energy {inside.flat[0]} lies inside a band; projection trace undefined there")
+    q = params.flux.q
+    pooled = np.sort(harper.eigenvalue_grid(params, kgrid), axis=None)
+    values = np.searchsorted(pooled, e, side="right") / pooled.size
+    if np.any(np.abs(values * q - np.round(values * q)) > KADISON_TOL * q):
+        raise ValueError(
+            f"projection traces {values} are not quantized in units of 1/{q}; "
+            "the k-grid sweep disagrees with the exact band edges"
         )
-    return value
+    return values if values.ndim else float(values)
 
 
 def kadison_band_bound(flux: RationalFlux) -> int:

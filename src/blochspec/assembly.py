@@ -1,8 +1,9 @@
 """Band sets, gap detection, spectral measure, and the integrated density of states.
 
-Sampled fiber spectra come in as per-quasimomentum eigenvalue branches; this
-module turns them into finite unions of disjoint closed intervals, finds the
-gaps, and evaluates the trace per unit volume of spectral projections.
+Band edges come in as the eigenvalues of the few fibers where the band
+functions are extremal; this module pairs them into finite unions of disjoint
+closed intervals, finds the gaps, and evaluates the trace per unit volume of
+spectral projections.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RationalFlux, SpectrumSample
+from .model import RationalFlux
 
-# Coarse grids fragment bands where branches touch at conical points; the
-# merge tolerance must swallow those fake gaps.  An adjacent-grid-point
-# eigenvalue jump is exactly that fragmentation scale.
-MERGE_EPS_FACTOR = 3.0
-MERGE_EPS_FLOOR = 1e-9
+# Bands that touch (the centre pair of Harper at even q, the free case in 1d)
+# show a "gap" of eigensolver roundoff: at most 150 eps*||H|| for Harper with
+# q <= 50 and lam in {1/2, 1, 2}.  Genuine Harper gaps at lam = 1 and q <= 25
+# are at least 3e4 eps*||H|| (flux 2/25), so a threshold between the two
+# tells them apart.  From q = 29 on some genuine gaps fall below float64
+# resolution and merge as well (e.g. at flux 2/35).
+TOUCH_ULPS = 2048.0
 
 IDS_DEFAULT_POINTS = 512
 IDS_HULL_PADDING = 0.05
@@ -101,6 +104,22 @@ def coalesce_intervals(intervals, eps: float) -> BandSet:
     return BandSet(tuple((a, b) for a, b in merged))
 
 
+def bands_from_edges(edges, scale: float | None = None) -> BandSet:
+    """Band set from 2n band edges: sorted and paired as [e0, e1], [e2, e3], ...
+
+    Adjacent bands whose gap is at most TOUCH_ULPS * eps * scale touch and
+    merge; ``scale`` is the norm of the fibers the edges came from and
+    defaults to the largest edge magnitude.
+    """
+    e = np.sort(np.asarray(edges, dtype=float), axis=None)
+    if e.size == 0 or e.size % 2:
+        raise ValueError(f"need a positive, even number of band edges, got {e.size}")
+    if scale is None:
+        scale = float(np.abs(e).max())
+    tol = TOUCH_ULPS * np.finfo(float).eps * max(scale, np.finfo(float).tiny)
+    return coalesce_intervals(zip(e[0::2], e[1::2]), tol)
+
+
 def branch_ranges(energies: np.ndarray) -> list:
     """Per-branch (min, max) over all sampled quasimomenta.
 
@@ -113,42 +132,6 @@ def branch_ranges(energies: np.ndarray) -> list:
     if flat.shape[0] == 0:
         raise ValueError("cannot assemble bands from an empty sweep")
     return list(zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist()))
-
-
-def sweep_merge_eps(energies: np.ndarray) -> float:
-    """Default merge tolerance for a sweep: 3x the largest adjacent-k jump.
-
-    The grid axes lead, the branch axis is last; jumps are taken along every
-    grid axis including the periodic wrap-around.
-    """
-    e = np.asarray(energies, dtype=float)
-    if e.ndim < 2:
-        raise ValueError("expected an array of eigenvalue branches over a k-grid")
-    jump = 0.0
-    for axis in range(e.ndim - 1):
-        if e.shape[axis] > 1:
-            jump = max(jump, float(np.abs(e - np.roll(e, 1, axis=axis)).max()))
-    return max(MERGE_EPS_FACTOR * jump, MERGE_EPS_FLOOR)
-
-
-def merge_intervals(samples, eps: float) -> BandSet:
-    """Union of sampled fiber spectra as a BandSet.
-
-    Each eigenvalue branch contributes the interval [min over k, max over k];
-    overlapping or eps-close branch intervals coalesce.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("cannot merge an empty list of spectrum samples")
-    arrays = []
-    for s in samples:
-        w = s.eigenvalues if isinstance(s, SpectrumSample) else np.asarray(s, dtype=float)
-        arrays.append(w)
-    sizes = {a.shape[0] for a in arrays}
-    if len(sizes) != 1:
-        raise ValueError("samples disagree on the number of eigenvalue branches")
-    stacked = np.stack(arrays)
-    return coalesce_intervals(branch_ranges(stacked), eps)
 
 
 def gaps(bands: BandSet, window) -> list:
@@ -203,7 +186,7 @@ def ids(params, egrid=None, kgrid=(64, 64), points: int = IDS_DEFAULT_POINTS) ->
     With ``egrid=None`` a uniform grid of ``points`` energies spans the band
     hull padded by IDS_HULL_PADDING on each side.
     """
-    from . import harper  # deferred: harper uses this module's merge helpers
+    from . import harper  # deferred: harper builds its band sets with this module
 
     evals = harper.eigenvalue_grid(params, kgrid)
     q = params.flux.q
@@ -218,7 +201,7 @@ def ids(params, egrid=None, kgrid=(64, 64), points: int = IDS_DEFAULT_POINTS) ->
     return IDSCurve(egrid, counts / (q * n_k))
 
 
-def cantor_proxy(approximants, lam: float = 1.0, kgrid=(128, 128)) -> list:
+def cantor_proxy(approximants, lam: float = 1.0) -> list:
     """Total band measure along a sequence of rational flux approximants.
 
     The approximants must come in order of increasing denominator; the
@@ -234,7 +217,7 @@ def cantor_proxy(approximants, lam: float = 1.0, kgrid=(128, 128)) -> list:
         raise ValueError("approximants must be ordered by strictly increasing denominator")
     out = []
     for flux in fluxes:
-        bands = harper.harper_spectrum(harper.HarperParams(flux=flux, lam=lam), kgrid)
+        bands = harper.harper_spectrum(harper.HarperParams(flux=flux, lam=lam))
         out.append((flux, lebesgue_measure(bands)))
     return out
 

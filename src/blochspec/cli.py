@@ -171,12 +171,9 @@ def _cmd_bands(config: RunConfig):
     potential = parse_potential(config.potential)
     trunc = fibering.FiberTruncation(config.cutoff)
     ks, energies = fibering.band_sweep(potential, trunc, config.bands, config.kpoints)
-    ranges = assembly.branch_ranges(energies)
-    gap_list = [
-        (float(hi), float(lo_next))
-        for (_, hi), (lo_next, _) in zip(ranges, ranges[1:])
-        if lo_next > hi
-    ]
+    bands = fibering.band_structure(potential, trunc, config.bands)
+    ranges = bands.intervals
+    gap_list = assembly.interior_gaps(bands)
     payload = {
         "k": ks,
         "band_energies": energies.T,  # one row per band
@@ -192,12 +189,14 @@ def _cmd_bands(config: RunConfig):
         rows.append(["interval", b, ""] + [""] * len(ecols) + [a, bb])
     for g, (a, bb) in enumerate(gap_list):
         rows.append(["gap", g, ""] + [""] * len(ecols) + [a, bb])
-    svg = svgplot.render_bands_svg(ks, energies, _svg_metadata(config))
+    svg = None
+    if config.fmt == "svg":
+        svg = svgplot.render_bands_svg(ks, energies, _svg_metadata(config))
     return payload, header, rows, svg
 
 
 def _cmd_butterfly(config: RunConfig):
-    data = harper.butterfly(config.max_q, config.lam, (config.kgrid, config.kgrid))
+    data = harper.butterfly(config.max_q, config.lam)
     payload_rows = []
     csv_rows = []
     for flux, bands in data.rows:
@@ -211,7 +210,9 @@ def _cmd_butterfly(config: RunConfig):
             csv_rows.append([flux.p, flux.q, flux.value, b, a, bb])
     payload = {"rows": payload_rows}
     header = ["p", "q", "flux", "band", "lo", "hi"]
-    svg = svgplot.render_butterfly_svg(data.rows, _svg_metadata(config))
+    svg = None
+    if config.fmt == "svg":
+        svg = svgplot.render_butterfly_svg(data.rows, _svg_metadata(config))
     return payload, header, csv_rows, svg
 
 
@@ -281,7 +282,7 @@ def _oracle_union(rng, trials: int) -> dict:
 def _oracle_direct_space(config: RunConfig) -> dict:
     params = harper.HarperParams(flux=parse_flux(config.flux), lam=config.lam,
                                  theta=config.theta)
-    bands = harper.harper_spectrum(params, (config.kgrid, config.kgrid))
+    bands = harper.harper_spectrum(params)
     bulk, edge = harper.direct_space_bulk(params, config.sites)
     dist = assembly.distance_to_bands(bands, bulk)
     frac = float((dist <= ORACLE_DISTANCE_TOL).mean()) if bulk.size else 0.0
@@ -318,7 +319,7 @@ def _cmd_oracle_check(config: RunConfig):
 def _cmd_cantor(config: RunConfig):
     fluxes = [parse_flux(t) for t in config.approximants.split(",")]
     try:
-        measures = assembly.cantor_proxy(fluxes, config.lam, (config.kgrid, config.kgrid))
+        measures = assembly.cantor_proxy(fluxes, config.lam)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {
@@ -395,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("butterfly", help="Hofstadter butterfly over all reduced fluxes")
     p.add_argument("--max-q", dest="max_q", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--kgrid", type=int, default=64, help="k-grid points per direction")
     common(p)
 
     p = sub.add_parser("ids", help="integrated density of states at rational flux")
@@ -416,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--sites", type=int, default=600)
-    p.add_argument("--kgrid", type=int, default=64)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--vectors", type=int, default=100)
     common(p)
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approximants", default=DEFAULT_APPROXIMANTS,
                    help="comma-separated reduced fractions, increasing denominator")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--kgrid", type=int, default=128)
     common(p)
 
     return parser

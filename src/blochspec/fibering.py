@@ -4,7 +4,9 @@ Two concrete settings share the same structure:
 
 * 1d continuum Schroedinger operators -d^2/dx^2 + V with V given by Fourier
   coefficients: each quasimomentum k yields a plane-wave fiber matrix whose
-  low eigenvalues are the band functions.
+  low eigenvalues are the band functions.  Band functions are monotone on
+  [0, pi], so the band edges are the eigenvalues of the periodic (k = 0) and
+  antiperiodic (k = pi) fibers.
 * period-q nearest-neighbor operators on Z with M cells and periodic
   boundary: a finite Bloch transform block-diagonalizes the q*M operator
   into M fibers of size q, exactly.
@@ -12,6 +14,7 @@ Two concrete settings share the same structure:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +101,17 @@ def build_fiber_matrix(potential: FourierPotential, k: QuasiMomentum,
     return HermitianMatrix(mat)
 
 
-def fiber_spectrum(potential: FourierPotential, k: QuasiMomentum,
-                   trunc: FiberTruncation, bands: int) -> SpectrumSample:
-    """The lowest ``bands`` eigenvalues of the fiber at k, ascending."""
+def _check_band_count(bands: int, trunc: FiberTruncation):
     if bands < 1:
         raise ValueError("need at least one band")
     if bands > trunc.dimension:
         raise ValueError(f"requested {bands} bands from a {trunc.dimension}-dimensional fiber")
+
+
+def fiber_spectrum(potential: FourierPotential, k: QuasiMomentum,
+                   trunc: FiberTruncation, bands: int) -> SpectrumSample:
+    """The lowest ``bands`` eigenvalues of the fiber at k, ascending."""
+    _check_band_count(bands, trunc)
     w = eig_hermitian(build_fiber_matrix(potential, k, trunc))
     return SpectrumSample(k, w[:bands])
 
@@ -124,13 +131,19 @@ def band_sweep(potential: FourierPotential, trunc: FiberTruncation,
 
 
 def band_structure(potential: FourierPotential, trunc: FiberTruncation,
-                   bands: int = DEFAULT_BANDS, kpoints: int = DEFAULT_KPOINTS,
-                   eps: float | None = None) -> assembly.BandSet:
-    """Assembled spectrum of the periodic operator: merged band intervals."""
-    _, energies = band_sweep(potential, trunc, bands, kpoints)
-    if eps is None:
-        eps = assembly.sweep_merge_eps(energies)
-    return assembly.coalesce_intervals(assembly.branch_ranges(energies), eps)
+                   bands: int = DEFAULT_BANDS) -> assembly.BandSet:
+    """Lowest ``bands`` bands of the periodic operator, touching bands merged.
+
+    Band b runs between the b-th eigenvalues of the fibers at k = 0 and
+    k = pi (Floquet/Hill theory); the roundoff scale is the fibers' norm.
+    """
+    _check_band_count(bands, trunc)
+    edges, scale = [], 0.0
+    for kval in (0.0, math.pi):
+        w = eig_hermitian(build_fiber_matrix(potential, QuasiMomentum((kval,)), trunc))
+        edges.append(w[:bands])
+        scale = max(scale, float(np.abs(w).max()))
+    return assembly.bands_from_edges(edges, scale)
 
 
 # ---------------------------------------------------------------------------

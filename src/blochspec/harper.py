@@ -1,15 +1,16 @@
 """Harper (almost-Mathieu) operators at rational flux and Hofstadter butterflies.
 
 At flux p/q the magnetic translations reduce the lattice operator to a q x q
-Bloch matrix over the magnetic Brillouin zone; sweeping the zone and merging
-the eigenvalue branches yields at most q bands.  A direct-space truncation on
-a long open chain provides an independent oracle for the fibered spectrum.
+Bloch matrix over the magnetic Brillouin zone.  By the Chambers relation the
+spectrum is exactly q bands (q - 1 for even q, where the centre pair touches)
+whose edges are the eigenvalues of two real Bloch matrices.  A direct-space
+truncation on a long open chain provides an independent oracle for the
+fibered spectrum; the k-grid sweep remains for the IDS and projection traces.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .model import (
 )
 
 DEFAULT_KGRID = (64, 64)
-THREADS_ENV_VAR = "BLOCHSPEC_THREADS"
 
 # direct-space eigenvectors with more than half their mass in the outer 2q
 # sites on either end are open-boundary artifacts, not bulk spectrum
@@ -47,8 +47,8 @@ class HarperParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("coupling lam must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"coupling lam must be positive and finite, got {self.lam}")
         if not (0.0 <= self.theta < TWO_PI):
             raise ValueError(f"phase offset {self.theta} outside [0, 2*pi)")
 
@@ -128,17 +128,28 @@ def eigenvalue_grid(params: HarperParams, kgrid=DEFAULT_KGRID) -> np.ndarray:
     return out
 
 
-def spectrum_from_eigenvalues(evals: np.ndarray, eps: float | None = None) -> assembly.BandSet:
-    """Merge sampled eigenvalue branches into a BandSet."""
-    if eps is None:
-        eps = assembly.sweep_merge_eps(evals)
-    return assembly.coalesce_intervals(assembly.branch_ranges(evals), eps)
+def band_edges(params: HarperParams) -> np.ndarray:
+    """All 2q band edges at rational flux, ascending.
+
+    Chambers: det(E - H(k)) = Delta(E) - c(k), where c(k) = 2 cos k1 +
+    2 lam^q cos(q k2) up to a sign, so every band edge solves Delta(E) = c
+    at an extremum of c.  The extrema are (k1, k2) = (0, 0) and (pi, pi/q),
+    where the Bloch matrices are real; each fiber contributes one edge per band.
+    """
+    q = params.flux.q
+    mats = np.concatenate([_bloch_batch(params, k1, np.array([k2]))
+                           for k1, k2 in ((0.0, 0.0), (math.pi, math.pi / q))]).real
+    try:
+        edges = np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed at flux {params.flux}: {exc}",
+                               flux=params.flux) from exc
+    return np.sort(edges, axis=None)
 
 
-def harper_spectrum(params: HarperParams, kgrid=DEFAULT_KGRID,
-                    eps: float | None = None) -> assembly.BandSet:
-    """Spectrum at rational flux: union of fiber spectra over the k-grid."""
-    return spectrum_from_eigenvalues(eigenvalue_grid(params, kgrid), eps)
+def harper_spectrum(params: HarperParams) -> assembly.BandSet:
+    """Spectrum at rational flux: the band edges paired into bands."""
+    return assembly.bands_from_edges(band_edges(params))
 
 
 def direct_space_harper(params: HarperParams, sites: int, theta: float | None = None) -> np.ndarray:
@@ -197,32 +208,7 @@ def farey_fractions(max_q: int) -> list:
         out.append(RationalFlux(a, b))
 
 
-def worker_count(workers: int | None = None) -> int:
-    """Resolve the sweep parallelism: explicit argument, else environment, else 1."""
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
-    return workers
-
-
-def butterfly(max_q: int, lam: float = 1.0, kgrid=DEFAULT_KGRID,
-              workers: int | None = None) -> ButterflyData:
-    """Hofstadter butterfly: merged band sets for every reduced flux q <= max_q.
-
-    Rows are independent; with workers > 1 they are computed in a thread pool
-    (the eigensolver releases the GIL).  Row order is by flux regardless of
-    completion order.
-    """
-    fluxes = farey_fractions(max_q)
-
-    def row(flux: RationalFlux):
-        return flux, harper_spectrum(HarperParams(flux=flux, lam=lam), kgrid)
-
-    n_workers = worker_count(workers)
-    if n_workers == 1:
-        rows = [row(f) for f in fluxes]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(row, fluxes))
-    return ButterflyData(tuple(rows))
+def butterfly(max_q: int, lam: float = 1.0) -> ButterflyData:
+    """Hofstadter butterfly: band sets for every reduced flux q <= max_q."""
+    return ButterflyData(tuple((flux, harper_spectrum(HarperParams(flux=flux, lam=lam)))
+                               for flux in farey_fractions(max_q)))

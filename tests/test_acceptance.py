@@ -66,10 +66,11 @@ def test_criterion_03_free_continuum_case():
         expected = np.sort((2 * np.pi * np.arange(-16, 17) + kval) ** 2)
         worst = max(worst, float(np.abs(w - expected).max() / np.abs(expected).max()))
         assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
-    bands = bs.band_structure(free, trunc, bands=8, kpoints=101)
+    bands = bs.band_structure(free, trunc, bands=8)
     no_gaps = bs.gaps(bands, (0.0, 40.0))
     elapsed = time.perf_counter() - start
     assert no_gaps == []
+    assert len(bands) == 1  # touching free bands merge; a spurious gap would split them
     assert elapsed < 1.0
     report(3, "free continuum case", elapsed, 1.0,
            f"max rel error {worst:.2e}, no gaps in [0, 40]")
@@ -83,8 +84,8 @@ def test_criterion_04_harper_closed_forms():
     assert abs(zero.intervals[0][1] - 4.0) <= 1e-8
     half_params = bs.HarperParams(flux=bs.RationalFlux(1, 2))
     half = bs.harper_spectrum(half_params)
-    assert abs(half.hull[0] + 2 * SQRT2) <= 1e-6
-    assert abs(half.hull[1] - 2 * SQRT2) <= 1e-6
+    assert abs(half.hull[0] + 2 * SQRT2) <= 1e-12
+    assert abs(half.hull[1] - 2 * SQRT2) <= 1e-12
     # the two branches really touch at 0 and the sampled eigenvalues match
     # the symbolic 2x2 formula +-sqrt(4 cos^2 k2 + 2 + 2 cos k1)
     evals = bs.eigenvalue_grid(half_params)
@@ -109,20 +110,21 @@ def test_criterion_05_kadison_quantization():
     checked = 0
     for flux in bs.farey_fractions(8):
         params = bs.HarperParams(flux=flux)
-        bands = bs.harper_spectrum(params, kgrid)
-        assert len(bands) <= bs.kadison_band_bound(flux)
-        for lo, hi in bs.interior_gaps(bands):
-            mid = 0.5 * (lo + hi)
-            value = bs.spectral_projection_trace(params, mid, kgrid)
-            nearest = round(value * flux.q) / flux.q
-            assert abs(value - nearest) <= 1e-6
-            curve = bs.ids(params, egrid=np.array([mid]), kgrid=kgrid)
-            assert abs(curve.values[0] - value) <= 1e-9
-            checked += 1
+        bands = bs.harper_spectrum(params)
+        assert len(bands) == (flux.q if flux.q % 2 else flux.q - 1)
+        mids = np.array([0.5 * (lo + hi) for lo, hi in bs.interior_gaps(bands)])
+        if not mids.size:
+            continue
+        values = bs.spectral_projection_trace(params, mids, kgrid)
+        assert np.abs(values - np.round(values * flux.q) / flux.q).max() <= 1e-6
+        curve = bs.ids(params, egrid=mids, kgrid=kgrid)
+        assert np.abs(curve.values - values).max() <= 1e-9
+        checked += mids.size
     elapsed = time.perf_counter() - start
+    assert checked == 92
     assert elapsed < 60.0
     report(5, "Kadison quantization", elapsed, 60.0,
-           f"{checked} gaps over all q <= 8 quantized in 1/q")
+           f"all {checked} gaps over q <= 8 quantized in 1/q")
 
 
 def test_criterion_06_cocycle_relations():
@@ -158,7 +160,7 @@ def test_criterion_07_direct_space_oracle():
 
 def test_criterion_08_cantor_proxy():
     start = time.perf_counter()
-    rows = bs.cantor_proxy(bs.fibonacci_approximants(6), lam=1.0, kgrid=(128, 128))
+    rows = bs.cantor_proxy(bs.fibonacci_approximants(6), lam=1.0)
     elapsed = time.perf_counter() - start
     fixture = json.load(open(DATA / "cantor_measures.json"))
     for (flux, measure), (p, q, frozen) in zip(rows, fixture["rows"]):
@@ -167,8 +169,8 @@ def test_criterion_08_cantor_proxy():
     measures = {(f.p, f.q): m for f, m in rows}
     margin = measures[(1, 2)] - measures[(13, 21)]
     assert margin >= 0.5
-    assert elapsed < 120.0
-    report(8, "Cantor proxy", elapsed, 120.0,
+    assert elapsed < 10.0
+    report(8, "Cantor proxy", elapsed, 10.0,
            f"measure 1/2 = {measures[(1, 2)]:.3f}, 13/21 = {measures[(13, 21)]:.3f}, "
            f"margin {margin:.3f} >= 0.5")
 
@@ -177,20 +179,20 @@ def test_criterion_09_butterfly_throughput_and_symmetries(tmp_path):
     out = tmp_path / "butterfly.json"
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "blochspec.cli", "butterfly", "--max-q", "20",
+        [sys.executable, "-m", "blochspec", "butterfly", "--max-q", "20",
          "--output", str(out)],
         capture_output=True,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr.decode()
-    assert elapsed < 60.0
+    assert proc.stderr == b""
+    assert elapsed < 10.0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == len(bs.farey_fractions(20))
     by_flux = {(r["p"], r["q"]): [tuple(iv) for iv in r["bands"]] for r in rows}
+    tol = 1e-9
     for (p, q), bands in by_flux.items():
-        assert len(bands) <= q
-        evals = bs.eigenvalue_grid(bs.HarperParams(flux=bs.RationalFlux(p, q)))
-        tol = bs.sweep_merge_eps(evals)
+        assert len(bands) == (q if q % 2 else q - 1)
         flipped = sorted((-b, -a) for a, b in bands)
         for (a, b), (fa, fb) in zip(bands, flipped):
             assert abs(a - fa) <= tol and abs(b - fb) <= tol
@@ -198,14 +200,14 @@ def test_criterion_09_butterfly_throughput_and_symmetries(tmp_path):
         assert len(partner) == len(bands)
         for (a, b), (pa, pb) in zip(bands, partner):
             assert abs(a - pa) <= tol and abs(b - pb) <= tol
-    report(9, "butterfly throughput and symmetries", elapsed, 60.0,
-           f"{len(rows)} rows at 64x64")
+    report(9, "butterfly throughput and symmetries", elapsed, 10.0,
+           f"{len(rows)} rows, exact band counts")
 
 
 def test_criterion_10_determinism(tmp_path):
     start = time.perf_counter()
     runs = [
-        ["butterfly", "--max-q", "3", "--kgrid", "16", "--seed", "3"],
+        ["butterfly", "--max-q", "3", "--seed", "3"],
         ["bands", "--potential", "1:1", "--cutoff", "8", "--kpoints", "21", "--bands", "3"],
         ["ids", "--flux", "1/2", "--kgrid", "16", "--epoints", "32"],
     ]

@@ -127,18 +127,32 @@ def test_kadison_band_bound():
     assert kadison_band_bound(RationalFlux(0, 1)) == 1
 
 
+def test_projection_trace_serves_an_array_of_energies():
+    s3 = math.sqrt(3.0)
+    energies = np.array([-5.0, 0.5 * (-2.0 + 1.0 - s3), 0.5 * (s3 - 1.0 + 2.0), 5.0])
+    values = spectral_projection_trace(params(1, 3), energies)
+    assert np.allclose(values, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], atol=1e-12)
+    with pytest.raises(ValueError):
+        spectral_projection_trace(params(1, 3), np.array([-5.0, 0.0]))
+
+
 def test_quantization_on_every_detected_gap_q_up_to_12():
+    # every exact interior gap, one sweep per flux for the trace and one for the IDS
     kgrid = (64, 64)
+    checked = 0
     for flux in farey_fractions(12):
         p, q = flux.p, flux.q
-        bands = harper_spectrum(params(p, q), kgrid)
-        assert len(bands) <= kadison_band_bound(flux)
-        for lo, hi in interior_gaps(bands):
-            mid = 0.5 * (lo + hi)
-            value = spectral_projection_trace(params(p, q), mid, kgrid)
-            nearest = round(value * q) / q
-            assert abs(value - nearest) <= KADISON_TOL
-            assert 0.0 < value < 1.0
-            # same quantity through the IDS code path
-            curve = ids(params(p, q), egrid=np.array([mid]), kgrid=kgrid)
-            assert abs(curve.values[0] - value) <= 1e-9
+        bands = harper_spectrum(params(p, q))
+        assert len(bands) == (q if q % 2 else q - 1)
+        mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
+        if not mids.size:
+            continue
+        values = spectral_projection_trace(params(p, q), mids, kgrid)
+        assert np.all(np.abs(values * q - np.round(values * q)) <= KADISON_TOL * q)
+        assert np.all((values > 0.0) & (values < 1.0))
+        assert np.all(np.diff(values) > 0)  # each gap carries its own label
+        # same quantity through the IDS code path
+        curve = ids(params(p, q), egrid=mids, kgrid=kgrid)
+        assert np.abs(curve.values - values).max() <= 1e-9
+        checked += mids.size
+    assert checked == 312

@@ -1,4 +1,4 @@
-"""Interval merging, gap detection, spectral measure, and the IDS."""
+"""Band edges into band sets, gap detection, spectral measure, and the IDS."""
 
 import math
 
@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochspec.assembly import (
+    TOUCH_ULPS,
     BandSet,
     IDSCurve,
+    bands_from_edges,
+    branch_ranges,
     cantor_proxy,
     coalesce_intervals,
     distance_to_bands,
@@ -18,15 +21,16 @@ from blochspec.assembly import (
     ids,
     interior_gaps,
     lebesgue_measure,
-    merge_intervals,
-    sweep_merge_eps,
 )
 from blochspec.harper import HarperParams
-from blochspec.model import QuasiMomentum, RationalFlux, SpectrumSample
+from blochspec.model import RationalFlux
+
+EPS = np.finfo(float).eps
 
 
-def sample(*eigenvalues):
-    return SpectrumSample(QuasiMomentum((0.0,)), np.array(eigenvalues, dtype=float))
+def merged_branches(*samples, eps):
+    """Branch ranges of eigenvalue samples (one row per k), coalesced at eps."""
+    return coalesce_intervals(branch_ranges(np.array(samples, dtype=float)), eps)
 
 
 # ---------------------------------------------------------------- band sets
@@ -40,28 +44,36 @@ def test_bandset_invariants():
 
 
 def test_merge_overlapping_branches():
-    merged = merge_intervals([sample(0.0, 0.5), sample(1.0, 2.0)], eps=1e-9)
+    merged = merged_branches((0.0, 0.5), (1.0, 2.0), eps=1e-9)
     assert merged.intervals == ((0.0, 2.0),)
 
 
 def test_merge_eps_close_branches():
     eps = 0.1
-    merged = merge_intervals([sample(0.0, 1.0 + eps / 2), sample(1.0, 2.0)], eps=eps)
+    merged = merged_branches((0.0, 1.0 + eps / 2), (1.0, 2.0), eps=eps)
     assert merged.intervals == ((0.0, 2.0),)
 
 
 def test_merge_keeps_separated_branches():
-    merged = merge_intervals([sample(0.0, 2.0), sample(1.0, 3.0)], eps=0.5)
+    merged = merged_branches((0.0, 2.0), (1.0, 3.0), eps=0.5)
     assert merged.intervals == ((0.0, 1.0), (2.0, 3.0))
 
 
 def test_merge_rejects_empty_and_ragged():
     with pytest.raises(ValueError):
-        merge_intervals([], eps=0.1)
+        bands_from_edges([])
     with pytest.raises(ValueError):
-        merge_intervals([sample(0.0), sample(0.0, 1.0)], eps=0.1)
+        bands_from_edges([0.0, 1.0, 2.0])  # an odd number of edges cannot pair
     with pytest.raises(ValueError):
-        merge_intervals([sample(0.0)], eps=0.0)
+        branch_ranges(np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        merged_branches((0.0,), eps=0.0)
+
+
+def test_edges_pair_in_sorted_order():
+    # edges arrive fiber by fiber; band b is [e_2b, e_2b+1] of the sorted list
+    bands = bands_from_edges([[-3.0, 0.5, 2.0], [-1.0, 1.0, 3.0]])
+    assert bands.intervals == ((-3.0, -1.0), (0.5, 1.0), (2.0, 3.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,11 +94,17 @@ def test_coalesce_is_idempotent(raw, eps):
         assert a1 - b0 > eps
 
 
-def test_sweep_merge_eps_scales_with_jumps():
-    energies = np.array([[0.0, 10.0], [1.0, 10.5], [2.0, 10.0], [1.0, 10.1]])
-    assert sweep_merge_eps(energies) == pytest.approx(3.0)
-    flat = np.zeros((5, 2))
-    assert sweep_merge_eps(flat) == 1e-9  # floor keeps degenerate sweeps stable
+def test_touch_tolerance_scales_with_fiber_norm():
+    scale = 1e3
+    tol = TOUCH_ULPS * EPS * scale
+    touching = bands_from_edges([-1.0, 0.0, 0.5 * tol, 1.0], scale)
+    assert touching.intervals == ((-1.0, 1.0),)
+    apart = bands_from_edges([-1.0, 0.0, 2.0 * tol, 1.0], scale)
+    assert len(apart) == 2
+    # the default scale is the largest edge magnitude
+    assert len(bands_from_edges([-1.0, 0.0, 2.0 * TOUCH_ULPS * EPS, 1.0])) == 2
+    # roundoff may order touching edges the wrong way round: still one band
+    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0])) == 1
 
 
 # ---------------------------------------------------------------- gaps and measure
@@ -108,8 +126,8 @@ def test_gaps_empty_window_rejected():
 
 
 def test_merged_touching_bands_leave_no_gap():
-    # two branches meeting at 0 coalesce, so no gap is reported there
-    merged = merge_intervals([sample(-2.0, 0.0), sample(0.0, 2.0)], eps=1e-9)
+    # two bands meeting at 0 coalesce, so no gap is reported there
+    merged = bands_from_edges([-2.0, 0.0, 0.0, 2.0])
     assert merged.intervals == ((-2.0, 2.0),)
     assert interior_gaps(merged) == []
 
@@ -172,21 +190,21 @@ def test_ids_constant_across_gap():
 # ---------------------------------------------------------------- cantor proxy
 
 def test_cantor_proxy_single_flux():
-    rows = cantor_proxy([RationalFlux(0, 1)], kgrid=(32, 32))
+    rows = cantor_proxy([RationalFlux(0, 1)])
     assert rows[0][1] == pytest.approx(8.0, abs=1e-8)
 
 
 def test_cantor_proxy_requires_increasing_q():
     with pytest.raises(ValueError):
-        cantor_proxy([RationalFlux(1, 3), RationalFlux(1, 2)], kgrid=(8, 8))
+        cantor_proxy([RationalFlux(1, 3), RationalFlux(1, 2)])
 
 
 def test_larger_coupling_widens_flux_half_spectrum():
-    rows = cantor_proxy([RationalFlux(1, 2)], lam=1.0, kgrid=(64, 64))
-    rows2 = cantor_proxy([RationalFlux(1, 2)], lam=2.0, kgrid=(64, 64))
+    rows = cantor_proxy([RationalFlux(1, 2)], lam=1.0)
+    rows2 = cantor_proxy([RationalFlux(1, 2)], lam=2.0)
     m1, m2 = rows[0][1], rows2[0][1]
-    assert m1 == pytest.approx(4 * math.sqrt(2.0), abs=1e-5)
-    assert m2 == pytest.approx(4 * math.sqrt(5.0), abs=1e-5)
+    assert m1 == pytest.approx(4 * math.sqrt(2.0), abs=1e-12)
+    assert m2 == pytest.approx(4 * math.sqrt(5.0), abs=1e-12)
     assert m2 > m1
 
 

@@ -31,8 +31,7 @@ def last_stderr_record(capsys):
 # ---------------------------------------------------------------- happy paths
 
 def test_butterfly_json_closed_forms(tmp_path):
-    code, text = run_cli(["butterfly", "--max-q", "2", "--lambda", "1", "--kgrid", "32"],
-                         tmp_path)
+    code, text = run_cli(["butterfly", "--max-q", "2", "--lambda", "1"], tmp_path)
     assert code == 0
     doc = json.loads(text)
     assert doc["schema"] == 1 and "version" in doc and doc["config"]["max_q"] == 2
@@ -41,7 +40,7 @@ def test_butterfly_json_closed_forms(tmp_path):
     assert rows[0]["bands"] == [[-4.0, 4.0]]
     # flux 1/2: bands touch at 0, emitted as the single merged interval
     (lo, hi), = rows[1]["bands"]
-    assert abs(lo + 2 * math.sqrt(2)) <= 1e-6 and abs(hi - 2 * math.sqrt(2)) <= 1e-6
+    assert abs(lo + 2 * math.sqrt(2)) <= 1e-12 and abs(hi - 2 * math.sqrt(2)) <= 1e-12
 
 
 def test_algebra_check_report(tmp_path):
@@ -84,7 +83,7 @@ def test_ids_output(tmp_path):
 
 def test_cantor_output(tmp_path):
     code, text = run_cli(
-        ["cantor", "--approximants", "1/2,2/3", "--kgrid", "16", "--format", "csv"],
+        ["cantor", "--approximants", "1/2,2/3", "--format", "csv"],
         tmp_path,
     )
     assert code == 0
@@ -97,7 +96,7 @@ def test_cantor_output(tmp_path):
 def test_oracle_check_all(tmp_path):
     code, text = run_cli(
         ["oracle-check", "--vectors", "10", "--trials", "5", "--sites", "200",
-         "--kgrid", "32", "--seed", "1"],
+         "--seed", "1"],
         tmp_path,
     )
     assert code == 0
@@ -133,7 +132,7 @@ def test_run_config_programmatic_surface(tmp_path):
 # ---------------------------------------------------------------- formats
 
 def test_csv_and_json_carry_identical_numbers(tmp_path):
-    args = ["butterfly", "--max-q", "2", "--kgrid", "32"]
+    args = ["butterfly", "--max-q", "2"]
     _, json_text = run_cli(args + ["--format", "json"], tmp_path, "out.json")
     _, csv_text = run_cli(args + ["--format", "csv"], tmp_path, "out.csv")
     doc = json.loads(json_text)
@@ -152,7 +151,7 @@ def test_csv_and_json_carry_identical_numbers(tmp_path):
 
 
 def test_svg_outputs_are_well_formed(tmp_path):
-    _, svg = run_cli(["butterfly", "--max-q", "3", "--kgrid", "16", "--format", "svg"],
+    _, svg = run_cli(["butterfly", "--max-q", "3", "--format", "svg"],
                      tmp_path, "b.svg")
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
@@ -172,18 +171,24 @@ def test_svg_rejected_where_undefined(capsys):
 
 def test_reruns_are_byte_identical(tmp_path):
     for fmt in ("json", "csv"):
-        args = ["butterfly", "--max-q", "3", "--kgrid", "16", "--format", fmt, "--seed", "7"]
+        args = ["butterfly", "--max-q", "3", "--format", fmt, "--seed", "7"]
         _, first = run_cli(args, tmp_path, f"a.{fmt}")
         _, second = run_cli(args, tmp_path, f"b.{fmt}")
         assert first == second
 
 
-def test_thread_override_keeps_output_identical(tmp_path, monkeypatch):
-    args = ["butterfly", "--max-q", "4", "--kgrid", "16"]
-    _, serial = run_cli(args, tmp_path, "serial.json")
-    monkeypatch.setenv("BLOCHSPEC_THREADS", "4")
-    _, threaded = run_cli(args, tmp_path, "threaded.json")
-    assert serial == threaded
+def test_svg_is_rendered_only_on_request(tmp_path, monkeypatch):
+    import blochspec.svgplot as svgplot
+
+    def boom(*args, **kwargs):
+        raise AssertionError("svg rendered for a non-svg format")
+
+    monkeypatch.setattr(svgplot, "render_bands_svg", boom)
+    monkeypatch.setattr(svgplot, "render_butterfly_svg", boom)
+    for fmt in ("json", "csv"):
+        assert run_cli(["butterfly", "--max-q", "3", "--format", fmt], tmp_path)[0] == 0
+        assert run_cli(["bands", "--potential", "1:1", "--cutoff", "8", "--kpoints", "11",
+                        "--format", fmt], tmp_path)[0] == 0
 
 
 # ---------------------------------------------------------------- error records
@@ -207,6 +212,29 @@ def test_unknown_command_is_usage_error(capsys):
 def test_bad_potential_spec_is_usage_error(capsys):
     assert main(["bands", "--potential", "nonsense"]) == 2
     assert last_stderr_record(capsys)["error"] == "usage"
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--kgrid"])
+def test_removed_or_non_finite_butterfly_inputs_are_usage_errors(capsys, flag):
+    assert main(["butterfly", "--max-q", "3", flag, "inf"]) == 2
+    assert last_stderr_record(capsys)["error"] == "usage"
+
+
+def test_non_finite_lambda_is_usage_error_everywhere(capsys):
+    for args in (["cantor", "--lambda", "nan"], ["ids", "--flux", "1/3", "--lambda", "inf"],
+                 ["oracle-check", "--which", "direct-space", "--lambda", "inf"]):
+        assert main(args) == 2
+        assert last_stderr_record(capsys)["error"] == "usage"
+
+
+def test_exact_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
+    def boom(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    assert main(["butterfly", "--max-q", "3"]) == 3
+    record = last_stderr_record(capsys)
+    assert record["error"] == "numerical" and record["flux"] == "0/1"
 
 
 def test_eigensolver_failure_maps_to_exit_3(capsys, monkeypatch):

@@ -105,8 +105,26 @@ def test_monotone_convergence_in_cutoff():
 
 
 def test_free_band_structure_has_no_gaps_up_to_40():
-    bands = band_structure(FourierPotential.zero(), FiberTruncation(16), bands=8, kpoints=101)
+    bands = band_structure(FourierPotential.zero(), FiberTruncation(16), bands=8)
     assert assembly.gaps(bands, (0.0, 40.0)) == []
+    # free bands [(b pi)^2, ((b+1) pi)^2] touch end to end: one interval
+    assert len(bands) == 1
+    assert abs(bands.hull[1] - 64 * np.pi**2) <= 1e-9
+
+
+def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
+    bands = band_structure(COSINE, FiberTruncation(32), bands=4)
+    assert len(bands) == 4
+    first_gap = assembly.interior_gaps(bands)[0]
+    assert first_gap[1] - first_gap[0] == pytest.approx(2.0, abs=0.01)
+    # the k-grid samples never leave the exact bands, even on odd grids
+    for kpoints in (101, 400):
+        _, energies = band_sweep(COSINE, FiberTruncation(32), bands=4, kpoints=kpoints)
+        assert assembly.distance_to_bands(bands, energies).max() <= 1e-9
+    # a grid through k = pi reaches every band edge
+    _, energies = band_sweep(COSINE, FiberTruncation(32), bands=4, kpoints=100)
+    got = np.sort(np.array(assembly.branch_ranges(energies)), axis=None)
+    assert np.abs(got - np.sort(np.array(bands.intervals), axis=None)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------- Bloch transform

@@ -1,5 +1,5 @@
-"""Harper operators at rational flux: Bloch matrices, merged spectra,
-the direct-space oracle, and butterfly sweeps."""
+"""Harper operators at rational flux: Bloch matrices, exact band sets,
+the direct-space oracle, and butterflies."""
 
 import math
 
@@ -20,7 +20,7 @@ from blochspec.harper import (
     harper_bloch_matrix,
     harper_spectrum,
 )
-from blochspec.model import QuasiMomentum, RationalFlux, eig_hermitian
+from blochspec.model import EigensolverError, QuasiMomentum, RationalFlux, eig_hermitian
 
 SQRT2 = math.sqrt(2.0)
 
@@ -65,7 +65,24 @@ def test_lambda_must_be_positive():
         HarperParams(flux=RationalFlux(1, 2), lam=0.0)
 
 
-# ---------------------------------------------------------------- merged spectra
+@pytest.mark.parametrize("lam, theta", [(math.inf, 0.0), (math.nan, 0.0),
+                                        (1.0, math.inf), (1.0, math.nan)])
+def test_non_finite_parameters_are_rejected(lam, theta):
+    with pytest.raises(ValueError):
+        HarperParams(flux=RationalFlux(1, 2), lam=lam, theta=theta)
+
+
+def test_lapack_failure_carries_the_flux(monkeypatch):
+    def boom(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    with pytest.raises(EigensolverError) as info:
+        harper_spectrum(params(2, 5))
+    assert info.value.flux == RationalFlux(2, 5)
+
+
+# ---------------------------------------------------------------- exact spectra
 
 def test_flux_zero_band():
     bands = harper_spectrum(params(0, 1))
@@ -77,7 +94,7 @@ def test_flux_zero_band():
 def test_flux_half_bands_touch_at_zero():
     bands = harper_spectrum(params(1, 2))
     lo, hi = bands.hull
-    assert abs(lo + 2 * SQRT2) <= 1e-6 and abs(hi - 2 * SQRT2) <= 1e-6
+    assert abs(lo + 2 * SQRT2) <= 1e-12 and abs(hi - 2 * SQRT2) <= 1e-12
     # branches touch at E = 0, so the merged set has no gap there
     assert bands.contains(0.0)
     assert assembly.interior_gaps(bands) == []
@@ -94,10 +111,10 @@ def test_flux_third_bands_match_cubic_closed_form():
     assert len(bands) == 3
     expected = [(-1 - s3, -2.0), (1 - s3, s3 - 1), (2.0, 1 + s3)]
     for (a, b), (ea, eb) in zip(bands.intervals, expected):
-        assert abs(a - ea) <= 1e-6 and abs(b - eb) <= 1e-6
+        assert abs(a - ea) <= 1e-12 and abs(b - eb) <= 1e-12
     # symmetric about zero
     for (a, b), (a2, b2) in zip(bands.intervals, reversed(bands.intervals)):
-        assert abs(a + b2) <= 1e-6 and abs(b + a2) <= 1e-6
+        assert abs(a + b2) <= 1e-12 and abs(b + a2) <= 1e-12
 
 
 def test_flux_quarter_central_touching_gives_three_bands():
@@ -172,7 +189,7 @@ def test_farey_rejects_bad_bound():
 # ---------------------------------------------------------------- butterflies
 
 def test_butterfly_single_row():
-    data = butterfly(1, kgrid=(32, 32))
+    data = butterfly(1)
     assert len(data) == 1
     flux, bands = data.rows[0]
     assert (flux.p, flux.q) == (0, 1)
@@ -181,27 +198,25 @@ def test_butterfly_single_row():
 
 
 def test_butterfly_two_rows_closed_forms():
-    data = butterfly(2, kgrid=(32, 32))
+    data = butterfly(2)
     assert [(f.p, f.q) for f, _ in data.rows] == [(0, 1), (1, 2)]
     half = data.rows[1][1]
-    assert abs(half.hull[0] + 2 * SQRT2) <= 1e-6
-    assert abs(half.hull[1] - 2 * SQRT2) <= 1e-6
+    assert abs(half.hull[0] + 2 * SQRT2) <= 1e-12
+    assert abs(half.hull[1] - 2 * SQRT2) <= 1e-12
 
 
 def test_butterfly_rows_must_increase():
-    b01 = harper_spectrum(params(0, 1), (8, 8))
+    b01 = harper_spectrum(params(0, 1))
     with pytest.raises(ValueError):
         ButterflyData(((RationalFlux(1, 2), b01), (RationalFlux(1, 3), b01)))
 
 
 def test_butterfly_symmetries_moderate_q():
-    kgrid = (32, 32)
-    data = butterfly(8, kgrid=kgrid)
+    tol = 1e-9
+    data = butterfly(8)
     by_flux = {(f.p, f.q): bands for f, bands in data.rows}
     for (p, q), bands in by_flux.items():
-        assert len(bands) <= q
-        evals = eigenvalue_grid(params(p, q), kgrid)
-        tol = max(assembly.sweep_merge_eps(evals), 1e-9)
+        assert len(bands) == (q if q % 2 else q - 1)
         # spectral symmetry under E -> -E at lambda = 1
         flipped = sorted((-b, -a) for a, b in bands.intervals)
         for (a, b), (fa, fb) in zip(bands.intervals, flipped):
@@ -211,11 +226,3 @@ def test_butterfly_symmetries_moderate_q():
         assert len(partner) == len(bands)
         for (a, b), (pa, pb) in zip(bands.intervals, partner.intervals):
             assert abs(a - pa) <= tol and abs(b - pb) <= tol
-
-
-def test_butterfly_thread_pool_matches_serial():
-    serial = butterfly(5, kgrid=(16, 16), workers=1)
-    threaded = butterfly(5, kgrid=(16, 16), workers=4)
-    for (f1, b1), (f2, b2) in zip(serial.rows, threaded.rows):
-        assert f1 == f2
-        assert b1.intervals == b2.intervals

@@ -1,0 +1,93 @@
+"""Independent oracles for the exact band edges: band counts, Aubry duality,
+Thouless' bandwidth limit, the k-grid sweep, and random quasimomenta."""
+
+import math
+
+import numpy as np
+import pytest
+
+from blochspec.assembly import branch_ranges, distance_to_bands, lebesgue_measure
+from blochspec.harper import (
+    HarperParams,
+    band_edges,
+    eigenvalue_grid,
+    farey_fractions,
+    harper_spectrum,
+)
+from blochspec.model import RationalFlux
+
+# q*|sigma| -> 32 G / pi along Fibonacci fractions at lam = 1 (Thouless,
+# PRB 28, 4272 (1983)); G is Catalan's constant.
+CATALAN = 0.915965594177219015054603514932384110774
+THOULESS_LIMIT = 32.0 * CATALAN / math.pi
+
+
+def params(p, q, lam=1.0):
+    return HarperParams(flux=RationalFlux(p, q), lam=lam)
+
+
+def expected_bands(q):
+    """q bands for odd q, q - 1 for even q where the centre pair touches
+    (van Mouche, CMP 1989; Choi-Elliott-Yui, Invent. Math. 1990)."""
+    return q if q % 2 else q - 1
+
+
+def test_band_count_is_exact_up_to_q_25():
+    # beyond q ~ 30 genuine gaps fall below float64 resolution and merge
+    for flux in farey_fractions(25):
+        assert len(harper_spectrum(HarperParams(flux=flux))) == expected_bands(flux.q), flux
+
+
+def test_aubry_duality_up_to_q_15():
+    # sigma(lam) = lam * sigma(1/lam) as sets, so every band edge scales by 2
+    worst = 0.0
+    for flux in farey_fractions(15):
+        strong = harper_spectrum(HarperParams(flux=flux, lam=2.0))
+        weak = harper_spectrum(HarperParams(flux=flux, lam=0.5))
+        assert len(strong) == len(weak)
+        worst = max(worst, float(np.abs(np.array(strong.intervals)
+                                        - 2.0 * np.array(weak.intervals)).max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("p, q", [(233, 377), (377, 610)])
+def test_thouless_bandwidth_limit(p, q):
+    measure = lebesgue_measure(harper_spectrum(params(p, q)))
+    assert abs(q * measure - THOULESS_LIMIT) <= 1e-3
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (1, 4), (3, 7), (1, 6)])
+def test_grid_through_the_extremal_points_reaches_the_exact_edges(p, q):
+    # a grid divisible by 2q contains (0, 0) and (pi, pi/q)
+    n = 2 * q * 4
+    grid = np.array(branch_ranges(eigenvalue_grid(params(p, q), (n, n))))
+    assert np.abs(np.sort(grid, axis=None) - band_edges(params(p, q))).max() <= 1e-12
+
+
+def random_fiber_eigenvalues(p, q, rng, count):
+    """Eigenvalues of the Harper Bloch matrix at random (k1, k2), built here
+    independently of the package: diagonal 2 cos(k2 + 2 pi j p / q), unit
+    hopping, and the corner phase exp(i k1) closing the cycle."""
+    k1 = rng.uniform(0.0, 2 * math.pi, count)
+    k2 = rng.uniform(0.0, 2 * math.pi, count)
+    mats = np.zeros((count, q, q), dtype=complex)
+    j = np.arange(q)
+    mats[:, j, j] = 2.0 * np.cos(k2[:, None] + 2 * math.pi * p * j / q)
+    mats[:, j[:-1], j[:-1] + 1] += 1.0
+    mats[:, j[:-1] + 1, j[:-1]] += 1.0
+    mats[:, q - 1, 0] += np.exp(1j * k1)
+    mats[:, 0, q - 1] += np.exp(-1j * k1)
+    return np.linalg.eigvalsh(mats)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (1, 4), (3, 7)])
+def test_random_quasimomenta_stay_inside_the_exact_bands(p, q):
+    rng = np.random.default_rng(1000 * q + p)
+    bands = harper_spectrum(params(p, q))
+    w = random_fiber_eigenvalues(p, q, rng, 4000)
+    assert distance_to_bands(bands, w).max() <= 1e-12
+    # the samples reach close to every edge: the bands are not loose
+    for a, b in bands.intervals:
+        inside = w[(w >= a) & (w <= b)]
+        slack = 0.1 * (b - a)
+        assert inside.min() - a <= slack and b - inside.max() <= slack
