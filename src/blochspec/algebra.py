@@ -18,7 +18,6 @@ from .model import RationalFlux
 
 UNITARITY_TOL = 1e-12
 COCYCLE_TOL = 1e-12
-KADISON_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,31 +101,22 @@ def canonical_trace(element) -> float:
     return float(traces.mean().real) / q
 
 
-def spectral_projection_trace(params: harper.HarperParams, energies,
-                              kgrid=harper.DEFAULT_KGRID):
+def spectral_projection_trace(params: harper.HarperParams, energies):
     """Normalized traces of the spectral projections below energies in gaps.
 
-    ``energies`` is a scalar or an array; one k-grid sweep serves them all.
-    Every energy must avoid the exact bands of ``harper_spectrum`` (inside a
-    gap, below, or above the whole spectrum); inside a band the projection
-    rank varies with k and the value would be grid-dependent, so that input
-    is rejected.  In a gap the per-k eigenvalue count is constant and the
-    result lands on a multiple of 1/q; a deviation beyond KADISON_TOL means
-    the sweep disagrees with the exact edges and is also rejected.
+    ``energies`` is a scalar or an array.  Every energy must avoid the exact
+    bands of ``harper_spectrum`` (inside a gap, below, or above the whole
+    spectrum); inside a band the projection rank varies with k, so that input
+    is rejected.  In gap j the rank is j at every k, so the trace is exactly
+    j/q, where 2j is the number of band edges below the energy.
     """
     e = np.asarray(energies, dtype=float)
-    inside = e[assembly.distance_to_bands(harper.harper_spectrum(params), e) == 0.0]
+    edges = harper.band_edges(params)
+    inside = e[assembly.distance_to_bands(assembly.bands_from_edges(edges), e) == 0.0]
     if inside.size:
         raise ValueError(
             f"energy {inside.flat[0]} lies inside a band; projection trace undefined there")
-    q = params.flux.q
-    pooled = np.sort(harper.eigenvalue_grid(params, kgrid), axis=None)
-    values = np.searchsorted(pooled, e, side="right") / pooled.size
-    if np.any(np.abs(values * q - np.round(values * q)) > KADISON_TOL * q):
-        raise ValueError(
-            f"projection traces {values} are not quantized in units of 1/{q}; "
-            "the k-grid sweep disagrees with the exact band edges"
-        )
+    values = (np.searchsorted(edges, e, side="right") // 2) / params.flux.q
     return values if values.ndim else float(values)
 
 

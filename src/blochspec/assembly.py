@@ -8,6 +8,7 @@ spectral projections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .model import RationalFlux
 TOUCH_ULPS = 2048.0
 
 IDS_DEFAULT_POINTS = 512
+IDS_DEFAULT_NODES = 64
 IDS_HULL_PADDING = 0.05
 
 
@@ -178,27 +180,57 @@ def distance_to_bands(bands: BandSet, values) -> np.ndarray:
     return d
 
 
-def ids(params, egrid=None, kgrid=(64, 64), points: int = IDS_DEFAULT_POINTS) -> IDSCurve:
+def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
+    """F(y) = P(cos u + rho cos v <= y) for (u, v) uniform on the torus, rho <= 1.
+
+    The u integral is closed form, 1 - arccos(clip(y - rho cos v))/pi; the v
+    integral is the mean over ``nodes`` midpoint nodes.  Non-decreasing in y.
+    """
+    total = np.zeros_like(y)
+    for c in rho * np.cos(np.pi * (2 * np.arange(nodes) + 1) / nodes):
+        total += np.arccos(np.clip(c - y, -1.0, 1.0))
+    return np.minimum(total / (np.pi * nodes), 1.0)  # a sum of pi's may round above n*pi
+
+
+def ids(params, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
+        points: int = IDS_DEFAULT_POINTS) -> IDSCurve:
     """Integrated density of states for a Harper family at rational flux.
 
-    IDS(E) is the normalized trace of the spectral projection below E:
-    the k-averaged eigenvalue count up to E divided by the fiber dimension q.
-    With ``egrid=None`` a uniform grid of ``points`` energies spans the band
-    hull padded by IDS_HULL_PADDING on each side.
+    IDS(E) is the normalized trace of the spectral projection below E: the
+    k-averaged number of Bloch eigenvalues up to E, divided by q.  By the
+    Chambers relation E is an eigenvalue at (k1, k2) exactly when Delta(E) =
+    2 cos k1 +- 2 lam^q cos(q k2), and Delta is monotone on each branch
+    [e_2j, e_2j+1] of the sorted band edges, increasing on the top one.  So
+    inside branch j, IDS(E) = (j + F(s_j Delta(E))) / q with s_j =
+    (-1)^(q-1-j) and F the distribution function of 2 cos k1 + 2 lam^q cos k2
+    (``_torus_fraction``, with the larger of the two amplitudes integrated in
+    closed form and ``kgrid`` nodes for the other), and in gap j it is
+    exactly j/q.  With ``egrid=None`` a uniform grid of ``points`` energies
+    spans the band hull padded by IDS_HULL_PADDING on each side.
     """
     from . import harper  # deferred: harper builds its band sets with this module
 
-    evals = harper.eigenvalue_grid(params, kgrid)
+    if kgrid < 1:
+        raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
+    if egrid is None and points < 2:
+        raise ValueError(f"need at least two energies, got points={points}")
+    edges = harper.band_edges(params)
     q = params.flux.q
-    pooled = np.sort(evals.reshape(-1))
-    n_k = pooled.size // q
     if egrid is None:
-        lo, hi = float(pooled[0]), float(pooled[-1])
+        lo, hi = float(edges[0]), float(edges[-1])
         pad = IDS_HULL_PADDING * (hi - lo if hi > lo else 1.0)
         egrid = np.linspace(lo - pad, hi + pad, points)
     egrid = np.asarray(egrid, dtype=float)
-    counts = np.searchsorted(pooled, egrid, side="right")
-    return IDSCurve(egrid, counts / (q * n_k))
+    below = np.searchsorted(edges, egrid, side="right")
+    values = (below // 2) / q
+    inside = below % 2 == 1
+    if inside.any():
+        j = below[inside] // 2
+        sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
+        y = sign * harper.scaled_discriminant(params, egrid[inside])
+        rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
+        values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
+    return IDSCurve(egrid, values)
 
 
 def cantor_proxy(approximants, lam: float = 1.0) -> list:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import algebra, assembly, fibering, harper, svgplot
 from .model import EigensolverError, FourierPotential, RationalFlux
 
-VERSION = "0.1.0"
 SCHEMA = 1
 
 DEFAULT_APPROXIMANTS = "1/2,2/3,3/5,5/8,8/13,13/21"
@@ -218,7 +218,7 @@ def _cmd_butterfly(config: RunConfig):
 
 def _cmd_ids(config: RunConfig):
     params = harper.HarperParams(flux=parse_flux(config.flux), lam=config.lam)
-    curve = assembly.ids(params, kgrid=(config.kgrid, config.kgrid), points=config.epoints)
+    curve = assembly.ids(params, kgrid=config.kgrid, points=config.epoints)
     payload = {
         "flux": str(params.flux),
         "lam": params.lam,
@@ -401,8 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ids", help="integrated density of states at rational flux")
     p.add_argument("--flux", required=True, help="reduced fraction p/q")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--kgrid", type=int, default=64)
-    p.add_argument("--epoints", type=int, default=assembly.IDS_DEFAULT_POINTS)
+    p.add_argument("--kgrid", type=int, default=assembly.IDS_DEFAULT_NODES,
+                   help="quadrature nodes for the one quasimomentum not integrated "
+                        "in closed form (at least 1)")
+    p.add_argument("--epoints", type=int, default=assembly.IDS_DEFAULT_POINTS,
+                   help="energies on the padded band hull (at least 2)")
     common(p)
 
     p = sub.add_parser("algebra-check", help="clock/shift commutation relation report")

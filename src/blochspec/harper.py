@@ -3,9 +3,10 @@
 At flux p/q the magnetic translations reduce the lattice operator to a q x q
 Bloch matrix over the magnetic Brillouin zone.  By the Chambers relation the
 spectrum is exactly q bands (q - 1 for even q, where the centre pair touches)
-whose edges are the eigenvalues of two real Bloch matrices.  A direct-space
-truncation on a long open chain provides an independent oracle for the
-fibered spectrum; the k-grid sweep remains for the IDS and projection traces.
+whose edges are the eigenvalues of two real Bloch matrices, and the same
+relation gives the IDS through the discriminant Delta(E).  A direct-space
+truncation on a long open chain and the k-grid sweep ``eigenvalue_grid`` are
+independent oracles for both; no production path diagonalises a k-grid.
 """
 
 from __future__ import annotations
@@ -145,6 +146,35 @@ def band_edges(params: HarperParams) -> np.ndarray:
         raise EigensolverError(f"eigensolver failed at flux {params.flux}: {exc}",
                                flux=params.flux) from exc
     return np.sort(edges, axis=None)
+
+
+def scaled_discriminant(params: HarperParams, energies) -> np.ndarray:
+    """Chambers' discriminant Delta(E) in units of 2 * max(1, lam^q).
+
+    det(E - H(k1, k2)) = D(E, k2) - 2 cos k1, where D is the trace of the
+    period-q transfer-matrix product prod_n [[E - d_n(k2), -1], [1, 0]] and
+    D(E, k2) = Delta(E) +- 2 lam^q cos(q k2); the mean over k2 = 0 and pi/q
+    is Delta.  The product is rescaled by a power of two after every step, so
+    neither it nor lam^q overflows at large q.  Inside the bands the result
+    lies in [-2, 2].
+    """
+    p, q, lam = params.flux.p, params.flux.q, params.lam
+    e = np.asarray(energies, dtype=float)[..., None]
+    k2 = np.array([0.0, math.pi / q])
+    diag = 2.0 * lam * np.cos(k2 + TWO_PI * p * np.arange(q)[:, None] / q)
+    # columns (a, c) and (b, d) of the product, started at the identity
+    a, b = np.ones(e.shape[:-1] + (2,)), np.zeros(e.shape[:-1] + (2,))
+    c, d = b.copy(), a.copy()
+    log2_scale = np.zeros(e.shape)
+    for dn in diag:
+        x = e - dn
+        a, b, c, d = x * a - c, x * b - d, a, b
+        big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+        exp2 = np.frexp(big.max(axis=-1, keepdims=True))[1]
+        a, b, c, d = (np.ldexp(v, -exp2) for v in (a, b, c, d))
+        log2_scale += exp2
+    trace = (a + d).sum(axis=-1, keepdims=True) / 4.0
+    return (trace * np.exp2(log2_scale - max(q * math.log2(lam), 0.0)))[..., 0]
 
 
 def harper_spectrum(params: HarperParams) -> assembly.BandSet:

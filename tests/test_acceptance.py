@@ -105,8 +105,9 @@ def test_criterion_04_harper_closed_forms():
 
 
 def test_criterion_05_kadison_quantization():
+    # in a gap every fiber has the same eigenvalue count, so the exact lookup,
+    # the IDS and an 8 x 8 k-grid count must agree exactly
     start = time.perf_counter()
-    kgrid = (64, 64)
     checked = 0
     for flux in bs.farey_fractions(8):
         params = bs.HarperParams(flux=flux)
@@ -115,10 +116,11 @@ def test_criterion_05_kadison_quantization():
         mids = np.array([0.5 * (lo + hi) for lo, hi in bs.interior_gaps(bands)])
         if not mids.size:
             continue
-        values = bs.spectral_projection_trace(params, mids, kgrid)
-        assert np.abs(values - np.round(values * flux.q) / flux.q).max() <= 1e-6
-        curve = bs.ids(params, egrid=mids, kgrid=kgrid)
-        assert np.abs(curve.values - values).max() <= 1e-9
+        values = bs.spectral_projection_trace(params, mids)
+        assert np.array_equal(values, np.round(values * flux.q) / flux.q)
+        pooled = np.sort(bs.eigenvalue_grid(params, (8, 8)), axis=None)
+        assert np.array_equal(values, np.searchsorted(pooled, mids, side="right") / pooled.size)
+        assert np.array_equal(bs.ids(params, egrid=mids).values, values)
         checked += mids.size
     elapsed = time.perf_counter() - start
     assert checked == 92

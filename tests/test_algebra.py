@@ -1,12 +1,12 @@
 """Clock/shift cocycle relations, the canonical trace, and trace quantization."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from blochspec.algebra import (
-    KADISON_TOL,
     ProjectivePair,
     canonical_trace,
     clock_shift,
@@ -15,7 +15,13 @@ from blochspec.algebra import (
     spectral_projection_trace,
 )
 from blochspec.assembly import ids, interior_gaps
-from blochspec.harper import HarperParams, bloch_matrix_family, farey_fractions, harper_spectrum
+from blochspec.harper import (
+    HarperParams,
+    bloch_matrix_family,
+    eigenvalue_grid,
+    farey_fractions,
+    harper_spectrum,
+)
 from blochspec.model import RationalFlux
 
 
@@ -107,13 +113,12 @@ def test_trace_accepts_mapping_input():
 
 def test_projection_trace_in_lowest_flux_third_gap():
     e_in_gap = 0.5 * (-2.0 + (1.0 - math.sqrt(3.0)))
-    value = spectral_projection_trace(params(1, 3), e_in_gap)
-    assert abs(value - 1.0 / 3.0) <= 1e-6
+    assert spectral_projection_trace(params(1, 3), e_in_gap) == 1.0 / 3.0
 
 
 def test_projection_trace_above_and_below_spectrum():
-    assert spectral_projection_trace(params(0, 1), 5.0) == pytest.approx(1.0)
-    assert spectral_projection_trace(params(1, 2), -3.0) == pytest.approx(0.0)
+    assert spectral_projection_trace(params(0, 1), 5.0) == 1.0
+    assert spectral_projection_trace(params(1, 2), -3.0) == 0.0
 
 
 def test_projection_trace_rejects_energy_inside_band():
@@ -131,14 +136,15 @@ def test_projection_trace_serves_an_array_of_energies():
     s3 = math.sqrt(3.0)
     energies = np.array([-5.0, 0.5 * (-2.0 + 1.0 - s3), 0.5 * (s3 - 1.0 + 2.0), 5.0])
     values = spectral_projection_trace(params(1, 3), energies)
-    assert np.allclose(values, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], atol=1e-12)
+    assert np.array_equal(values, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     with pytest.raises(ValueError):
         spectral_projection_trace(params(1, 3), np.array([-5.0, 0.0]))
 
 
 def test_quantization_on_every_detected_gap_q_up_to_12():
-    # every exact interior gap, one sweep per flux for the trace and one for the IDS
-    kgrid = (64, 64)
+    # every exact interior gap: the lookup, the IDS and an 8 x 8 grid count agree
+    # exactly, since in a gap every fiber has the same number of eigenvalues below
+    start = time.perf_counter()
     checked = 0
     for flux in farey_fractions(12):
         p, q = flux.p, flux.q
@@ -147,12 +153,12 @@ def test_quantization_on_every_detected_gap_q_up_to_12():
         mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
         if not mids.size:
             continue
-        values = spectral_projection_trace(params(p, q), mids, kgrid)
-        assert np.all(np.abs(values * q - np.round(values * q)) <= KADISON_TOL * q)
-        assert np.all((values > 0.0) & (values < 1.0))
-        assert np.all(np.diff(values) > 0)  # each gap carries its own label
-        # same quantity through the IDS code path
-        curve = ids(params(p, q), egrid=mids, kgrid=kgrid)
-        assert np.abs(curve.values - values).max() <= 1e-9
+        values = spectral_projection_trace(params(p, q), mids)
+        labels = [j for j in range(1, q) if 2 * j != q]  # the even-q centre gap is closed
+        assert np.array_equal(values, np.array(labels) / q)
+        pooled = np.sort(eigenvalue_grid(params(p, q), (8, 8)), axis=None)
+        assert np.array_equal(values, np.searchsorted(pooled, mids, side="right") / pooled.size)
+        assert np.array_equal(ids(params(p, q), egrid=mids).values, values)
         checked += mids.size
     assert checked == 312
+    assert time.perf_counter() - start < 1.0

@@ -157,21 +157,22 @@ def test_ids_curve_invariants():
 
 def test_ids_above_and_below_spectrum():
     params = HarperParams(flux=RationalFlux(0, 1))
-    curve = ids(params, egrid=np.array([-4.5, 4.0 + 1e-6]), kgrid=(32, 32))
+    curve = ids(params, egrid=np.array([-4.5, 4.0 + 1e-6]), kgrid=32)
     assert curve.values[0] == 0.0
     assert curve.values[1] == 1.0
 
 
 def test_ids_half_filling_at_flux_half_touching_point():
-    # odd grid: no sampled fiber is exactly gapless, so symmetry pins the value
+    # the two bands touch at 0 (up to a roundoff-sized gap), where symmetry pins
+    # the value whichever side of that gap 0 falls on
     params = HarperParams(flux=RationalFlux(1, 2))
-    curve = ids(params, egrid=np.array([0.0]), kgrid=(63, 63))
+    curve = ids(params, egrid=np.array([0.0]), kgrid=63)
     assert abs(curve.values[0] - 0.5) <= 1e-6
 
 
 def test_ids_default_grid_spans_padded_hull():
     params = HarperParams(flux=RationalFlux(1, 2))
-    curve = ids(params, kgrid=(16, 16), points=128)
+    curve = ids(params, kgrid=16, points=128)
     assert curve.energies.size == 128
     assert curve.values[0] == 0.0 and curve.values[-1] == 1.0
     assert np.all(np.diff(curve.values) >= 0)
@@ -182,9 +183,8 @@ def test_ids_constant_across_gap():
     # lowest gap of the flux-1/3 spectrum is (-2, 1 - sqrt(3))
     lo, hi = -2.0, 1.0 - math.sqrt(3.0)
     probes = np.array([lo + 0.05, 0.5 * (lo + hi), hi - 0.05])
-    curve = ids(params, egrid=probes, kgrid=(32, 32))
-    assert curve.values[0] == curve.values[1] == curve.values[2]
-    assert abs(curve.values[1] - 1.0 / 3.0) <= 1e-6
+    curve = ids(params, egrid=probes, kgrid=32)
+    assert curve.values[0] == curve.values[1] == curve.values[2] == 1.0 / 3.0
 
 
 # ---------------------------------------------------------------- cantor proxy

@@ -2,17 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import blochspec.harper
+from blochspec.assembly import ids
 from blochspec.cli import main, parse_potential
-from blochspec.model import EigensolverError, RationalFlux
+from blochspec.harper import HarperParams
+from blochspec.model import RationalFlux
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(args, tmp_path=None, name="out"):
@@ -238,14 +243,46 @@ def test_exact_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_eigensolver_failure_maps_to_exit_3(capsys, monkeypatch):
-    def boom(params, kgrid):
-        raise EigensolverError("no convergence", flux=RationalFlux(1, 3), k=0.5)
+    # ids diagonalises only the two band-edge fibers; LAPACK failing there exits 3
+    def boom(a):
+        raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(blochspec.harper, "eigenvalue_grid", boom)
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     assert main(["ids", "--flux", "1/3"]) == 3
     record = last_stderr_record(capsys)
-    assert record["error"] == "numerical"
-    assert record["flux"] == "1/3" and record["k"] == 0.5
+    assert record["error"] == "numerical" and record["flux"] == "1/3"
+
+
+@pytest.mark.parametrize("flag, value", [("--epoints", "0"), ("--epoints", "1"),
+                                         ("--kgrid", "0"), ("--kgrid", "-3")])
+def test_too_few_ids_energies_or_nodes_are_usage_errors(capsys, flag, value):
+    assert main(["ids", "--flux", "1/3", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+def test_ids_where_lambda_to_the_q_overflows(tmp_path):
+    # 4^610 overflows float64; the curve must still be finite and, by Aubry
+    # duality, equal the lam = 1/4 curve at E/4
+    code, text = run_cli(["ids", "--flux", "377/610", "--lambda", "4", "--epoints", "256"],
+                         tmp_path)
+    assert code == 0
+    assert "NaN" not in text and "Infinity" not in text
+    doc = json.loads(text)
+    e, v = np.array(doc["energies"]), np.array(doc["values"])
+    assert v[0] == 0.0 and v[-1] == 1.0 and np.all(np.diff(v) >= 0)
+    dual = ids(HarperParams(flux=RationalFlux(377, 610), lam=0.25), egrid=e / 4.0)
+    assert np.abs(dual.values - v).max() <= 1e-6
+
+
+def test_python_m_cli_leaves_stderr_empty():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "blochspec.cli", "algebra-check", "--flux", "1/2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["q"] == 2
 
 
 # ---------------------------------------------------------------- potential parser
