@@ -102,17 +102,7 @@ def parse_potential(text: str) -> FourierPotential:
     for n in list(coeffs):
         if -n not in coeffs:
             coeffs[-n] = coeffs[n].conjugate()
-    try:
-        return FourierPotential(coeffs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def parse_flux(text: str) -> RationalFlux:
-    try:
-        return RationalFlux.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return FourierPotential(coeffs)
 
 
 def _fmt_cell(value) -> str:
@@ -217,7 +207,7 @@ def _cmd_butterfly(config: RunConfig):
 
 
 def _cmd_ids(config: RunConfig):
-    params = harper.HarperParams(flux=parse_flux(config.flux), lam=config.lam)
+    params = harper.HarperParams(flux=RationalFlux.parse(config.flux), lam=config.lam)
     curve = assembly.ids(params, kgrid=config.kgrid, points=config.epoints)
     payload = {
         "flux": str(params.flux),
@@ -231,7 +221,7 @@ def _cmd_ids(config: RunConfig):
 
 
 def _cmd_algebra_check(config: RunConfig):
-    flux = parse_flux(config.flux)
+    flux = RationalFlux.parse(config.flux)
     pair = algebra.clock_shift(flux)
     eye = np.eye(pair.dimension)
     res_u = float(np.linalg.norm(pair.U @ pair.U.conj().T - eye))
@@ -280,7 +270,7 @@ def _oracle_union(rng, trials: int) -> dict:
 
 
 def _oracle_direct_space(config: RunConfig) -> dict:
-    params = harper.HarperParams(flux=parse_flux(config.flux), lam=config.lam,
+    params = harper.HarperParams(flux=RationalFlux.parse(config.flux), lam=config.lam,
                                  theta=config.theta)
     bands = harper.harper_spectrum(params)
     bulk, edge = harper.direct_space_bulk(params, config.sites)
@@ -317,11 +307,8 @@ def _cmd_oracle_check(config: RunConfig):
 
 
 def _cmd_cantor(config: RunConfig):
-    fluxes = [parse_flux(t) for t in config.approximants.split(",")]
-    try:
-        measures = assembly.cantor_proxy(fluxes, config.lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    fluxes = [RationalFlux.parse(t) for t in config.approximants.split(",")]
+    measures = assembly.cantor_proxy(fluxes, config.lam)
     payload = {
         "rows": [{"p": f.p, "q": f.q, "flux": f.value, "measure": m} for f, m in measures]
     }

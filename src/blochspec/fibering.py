@@ -22,11 +22,13 @@ import numpy as np
 from . import assembly
 from .model import (
     TWO_PI,
+    EigensolverError,
     FourierPotential,
     HermitianMatrix,
     QuasiMomentum,
     SpectrumSample,
     eig_hermitian,
+    require_hermitian,
     uniform_k_grid,
 )
 
@@ -77,43 +79,64 @@ def _require_1d_k(k: QuasiMomentum) -> float:
     return k.k1
 
 
-def build_fiber_matrix(potential: FourierPotential, k: QuasiMomentum,
-                       trunc: FiberTruncation) -> HermitianMatrix:
-    """Fiber operator at quasimomentum k in the plane-wave basis.
+def _fibers(potential: FourierPotential, trunc: FiberTruncation, ks):
+    """Plane-wave fiber at each k in ``ks``, written into one reused array.
 
-    Entry (m, n) = delta_mn (2*pi*m + k)^2 + v(m - n) for m, n in -N..N.
-    The cutoff must cover every stored potential frequency.
+    Entry (m, n) = delta_mn (2*pi*m + k)^2 + v(m - n) for m, n in -N..N.  The
+    Toeplitz part v(m - n) is built once and is real when every coefficient
+    is; only the diagonal changes with k.  The cutoff must cover every stored
+    potential frequency, and Hermiticity is checked once, on the k = 0 fiber.
     """
-    kval = _require_1d_k(k)
     N = trunc.N
     if N < potential.max_frequency:
-        raise ValueError(
-            f"cutoff N={N} cannot represent the potential (max frequency "
-            f"{potential.max_frequency})"
-        )
-    freqs = np.arange(-N, N + 1)
+        raise ValueError(f"cutoff N={N} cannot represent the potential "
+                         f"(max frequency {potential.max_frequency})")
     # v-lookup table indexed by frequency difference m - n in [-2N, 2N]
     table = np.zeros(4 * N + 1, dtype=complex)
     for n, v in potential.coefficients.items():
         table[n + 2 * N] = v
-    diff = freqs[:, None] - freqs[None, :]
-    mat = table[diff + 2 * N] + np.diag((TWO_PI * freqs + kval) ** 2).astype(complex)
-    return HermitianMatrix(mat)
+    table = table if table.imag.any() else table.real
+    freqs = TWO_PI * np.arange(-N, N + 1)
+    idx = np.arange(2 * N + 1)
+    fiber = table[idx[:, None] - idx[None, :] + 2 * N]
+    np.fill_diagonal(fiber, table[2 * N] + freqs ** 2)
+    require_hermitian(fiber)
+    for kval in ks:
+        np.fill_diagonal(fiber, table[2 * N] + (freqs + kval) ** 2)
+        yield fiber
 
 
-def _check_band_count(bands: int, trunc: FiberTruncation):
+def _fiber_eigenvalues(potential: FourierPotential, trunc: FiberTruncation, ks, bands: int):
+    """Lowest ``bands`` fiber eigenvalues at each k in ``ks``, shape (len(ks), bands),
+    and the largest eigenvalue magnitude over all of them (the fibers' norm)."""
     if bands < 1:
         raise ValueError("need at least one band")
     if bands > trunc.dimension:
         raise ValueError(f"requested {bands} bands from a {trunc.dimension}-dimensional fiber")
+    energies, scale = np.empty((len(ks), bands)), 0.0
+    for i, (kval, fiber) in enumerate(zip(ks, _fibers(potential, trunc, ks))):
+        try:
+            w = np.linalg.eigvalsh(fiber)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver failed on the fiber at k={float(kval)!r}: "
+                                   f"{exc}", k=float(kval)) from exc
+        energies[i] = w[:bands]
+        scale = max(scale, abs(w[0]), abs(w[-1]))
+    return energies, float(scale)
+
+
+def build_fiber_matrix(potential: FourierPotential, k: QuasiMomentum,
+                       trunc: FiberTruncation) -> HermitianMatrix:
+    """Fiber operator at quasimomentum k in the plane-wave basis (see ``_fibers``)."""
+    fiber, = _fibers(potential, trunc, [_require_1d_k(k)])
+    return HermitianMatrix(fiber)
 
 
 def fiber_spectrum(potential: FourierPotential, k: QuasiMomentum,
                    trunc: FiberTruncation, bands: int) -> SpectrumSample:
     """The lowest ``bands`` eigenvalues of the fiber at k, ascending."""
-    _check_band_count(bands, trunc)
-    w = eig_hermitian(build_fiber_matrix(potential, k, trunc))
-    return SpectrumSample(k, w[:bands])
+    energies, _ = _fiber_eigenvalues(potential, trunc, [_require_1d_k(k)], bands)
+    return SpectrumSample(k, energies[0])
 
 
 def band_sweep(potential: FourierPotential, trunc: FiberTruncation,
@@ -123,10 +146,7 @@ def band_sweep(potential: FourierPotential, trunc: FiberTruncation,
     Returns (ks, energies) with energies[i, b] the b-th band at ks[i].
     """
     ks = uniform_k_grid(kpoints)
-    energies = np.empty((kpoints, bands))
-    for i, kval in enumerate(ks):
-        sample = fiber_spectrum(potential, QuasiMomentum((kval,)), trunc, bands)
-        energies[i] = sample.eigenvalues
+    energies, _ = _fiber_eigenvalues(potential, trunc, ks, bands)
     return ks, energies
 
 
@@ -136,13 +156,9 @@ def band_structure(potential: FourierPotential, trunc: FiberTruncation,
 
     Band b runs between the b-th eigenvalues of the fibers at k = 0 and
     k = pi (Floquet/Hill theory); the roundoff scale is the fibers' norm.
+    These come from the same builder as the ``band_sweep`` samples.
     """
-    _check_band_count(bands, trunc)
-    edges, scale = [], 0.0
-    for kval in (0.0, math.pi):
-        w = eig_hermitian(build_fiber_matrix(potential, QuasiMomentum((kval,)), trunc))
-        edges.append(w[:bands])
-        scale = max(scale, float(np.abs(w).max()))
+    edges, scale = _fiber_eigenvalues(potential, trunc, (0.0, math.pi), bands)
     return assembly.bands_from_edges(edges, scale)
 
 

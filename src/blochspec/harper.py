@@ -29,6 +29,10 @@ from .model import (
 
 DEFAULT_KGRID = (64, 64)
 
+# largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
+# stay finite with room for eigensolver roundoff in the band edges
+LAM_MAX = float(np.finfo(float).max) / 8
+
 # direct-space eigenvectors with more than half their mass in the outer 2q
 # sites on either end are open-boundary artifacts, not bulk spectrum
 EDGE_MASS_THRESHOLD = 0.5
@@ -48,8 +52,8 @@ class HarperParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"coupling lam must be positive and finite, got {self.lam}")
+        if not 0 < self.lam <= LAM_MAX:
+            raise ValueError(f"coupling lam must lie in (0, {LAM_MAX!r}], got {self.lam}")
         if not (0.0 <= self.theta < TWO_PI):
             raise ValueError(f"phase offset {self.theta} outside [0, 2*pi)")
 
@@ -80,15 +84,7 @@ def harper_bloch_matrix(params: HarperParams, k: QuasiMomentum) -> HermitianMatr
     """
     if k.dimension != 2:
         raise ValueError("Harper Bloch matrices live on a 2d Brillouin zone")
-    p, q = params.flux.p, params.flux.q
-    j = np.arange(q)
-    mat = np.diag(2.0 * params.lam * np.cos(k.k2 + TWO_PI * p * j / q)).astype(complex)
-    for i in range(q - 1):
-        mat[i, i + 1] += 1.0
-        mat[i + 1, i] += 1.0
-    mat[q - 1, 0] += np.exp(1j * k.k1)
-    mat[0, q - 1] += np.exp(-1j * k.k1)
-    return HermitianMatrix(mat)
+    return HermitianMatrix(_bloch_batch(params, k.k1, np.array([k.k2]))[0])
 
 
 def _bloch_batch(params: HarperParams, k1: float, k2s: np.ndarray) -> np.ndarray:
@@ -199,11 +195,10 @@ def _direct_space_eigh(params: HarperParams, sites: int, theta: float | None):
         theta = params.theta
     n = np.arange(sites)
     diag = 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + theta)
-    mat = np.diag(diag).astype(complex)
+    mat = np.diag(diag)
     off = np.arange(sites - 1)
-    mat[off, off + 1] = 1.0
-    mat[off + 1, off] = 1.0
-    return eig_hermitian(HermitianMatrix(mat), vectors=True)
+    mat[off, off + 1] = mat[off + 1, off] = 1.0
+    return eig_hermitian(mat, vectors=True)
 
 
 def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = None):

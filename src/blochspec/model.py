@@ -7,6 +7,7 @@ to diagonalizing dense Hermitian matrices, so the tolerances that define
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -57,6 +58,8 @@ class FourierPotential:
             if n != int(n):
                 raise ValueError(f"frequency {n!r} is not an integer")
             v = complex(v)
+            if not cmath.isfinite(v):
+                raise ValueError(f"coefficient v({n}) = {v} is not finite")
             if v != 0:
                 clean[int(n)] = v
         for n, v in clean.items():
@@ -169,8 +172,9 @@ class RationalFlux:
         return f"{self.p}/{self.q}"
 
 
-def _as_square_complex(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+def _as_square(a) -> np.ndarray:
+    """Square float or complex array; real input stays real."""
+    m = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -178,11 +182,20 @@ def _as_square_complex(a) -> np.ndarray:
 
 def hermiticity_defect(a) -> float:
     """max |A - A*| relative to the largest entry magnitude (0 for A = 0)."""
-    m = _as_square_complex(a)
+    m = _as_square(a)
     scale = np.abs(m).max()
     if scale == 0.0:
         return 0.0
     return float(np.abs(m - m.conj().T).max() / scale)
+
+
+def require_hermitian(a) -> np.ndarray:
+    """``a`` as a square array, if its hermiticity defect is within tolerance."""
+    m = _as_square(a)
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: relative defect {defect:.3e}")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,19 +205,9 @@ class HermitianMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.data).copy()
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: relative defect {defect:.3e}")
+        m = require_hermitian(np.array(self.data, dtype=complex))
         m.setflags(write=False)
         object.__setattr__(self, "data", m)
-
-    @property
-    def dimension(self) -> int:
-        return self.data.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,17 +231,12 @@ def eig_hermitian(a, vectors: bool = False):
     """Eigenvalues (ascending) of a Hermitian matrix, optionally with vectors.
 
     Accepts a HermitianMatrix or a raw array; raw input is validated against
-    the same hermiticity tolerance.  Backed by LAPACK via numpy.linalg; the
-    contract (residual and orthonormality within EIG_TOL * ||A||) is what the
-    rest of the package relies on, not the algorithm.
+    the same hermiticity tolerance, and a real symmetric array stays real.
+    Backed by LAPACK via numpy.linalg; the contract (residual and
+    orthonormality within EIG_TOL * ||A||) is what the rest of the package
+    relies on, not the algorithm.
     """
-    if isinstance(a, HermitianMatrix):
-        m = a.data
-    else:
-        m = _as_square_complex(a)
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: relative defect {defect:.3e}")
+    m = a.data if isinstance(a, HermitianMatrix) else require_hermitian(a)
     try:
         if vectors:
             w, v = np.linalg.eigh(m)

@@ -13,7 +13,7 @@ import pytest
 
 from blochspec.assembly import ids
 from blochspec.cli import main, parse_potential
-from blochspec.harper import HarperParams
+from blochspec.harper import LAM_MAX, HarperParams
 from blochspec.model import RationalFlux
 
 DATA = Path(__file__).parent / "data"
@@ -230,6 +230,37 @@ def test_non_finite_lambda_is_usage_error_everywhere(capsys):
                  ["oracle-check", "--which", "direct-space", "--lambda", "inf"]):
         assert main(args) == 2
         assert last_stderr_record(capsys)["error"] == "usage"
+
+
+def test_non_finite_potential_is_usage_error_with_a_clean_stderr():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for spec in ("1:inf", "1:1,nan", "0:-inf"):
+        argv = [sys.executable, "-m", "blochspec", "bands", "--potential", spec]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        record, = (json.loads(line) for line in proc.stderr.splitlines())
+        assert record["error"] == "usage"
+
+
+@pytest.mark.parametrize("lam", ["1e308", repr(float(np.nextafter(LAM_MAX, np.inf)))])
+def test_lambda_whose_band_hull_overflows_is_usage_error(capsys, lam):
+    for args in (["butterfly", "--max-q", "2"], ["ids", "--flux", "1/3"]):
+        assert main(args + ["--lambda", lam]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+def test_largest_accepted_lambda_gives_finite_edges(tmp_path):
+    code, text = run_cli(["butterfly", "--max-q", "2", "--lambda", repr(LAM_MAX)], tmp_path)
+    assert code == 0 and "NaN" not in text and "Infinity" not in text
+    edges = [e for row in json.loads(text)["rows"] for band in row["bands"] for e in band]
+    assert len(edges) == 4 and all(math.isfinite(e) for e in edges)
+    code, text = run_cli(["ids", "--flux", "1/3", "--lambda", repr(LAM_MAX), "--epoints", "64"],
+                         tmp_path)
+    assert code == 0 and "NaN" not in text and "Infinity" not in text
+    v = np.array(json.loads(text)["values"])
+    assert v[0] == 0.0 and v[-1] == 1.0 and np.all(np.diff(v) >= 0)
 
 
 def test_exact_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):

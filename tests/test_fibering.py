@@ -1,6 +1,9 @@
 """Bloch fibering: plane-wave fiber matrices, the finite Bloch transform,
 and the periodic-truncation (union of fibers) oracle."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from blochspec import assembly
 from blochspec.fibering import (
     DiscreteCell,
     FiberTruncation,
+    _fibers,
     band_structure,
     band_sweep,
     build_fiber_matrix,
@@ -20,7 +24,14 @@ from blochspec.fibering import (
     fiber_union_spectrum,
     periodic_truncation_spectrum,
 )
-from blochspec.model import FourierPotential, QuasiMomentum, eig_hermitian
+from blochspec.model import (
+    EigensolverError,
+    FourierPotential,
+    HermitianMatrix,
+    QuasiMomentum,
+    eig_hermitian,
+    uniform_k_grid,
+)
 
 # Lowest eigenvalue of -u'' + 2 cos(2 pi x) u at k = 0, frozen from an
 # independent N=256 plane-wave run before the build.
@@ -125,6 +136,85 @@ def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
     _, energies = band_sweep(COSINE, FiberTruncation(32), bands=4, kpoints=100)
     got = np.sort(np.array(assembly.branch_ranges(energies)), axis=None)
     assert np.abs(got - np.sort(np.array(bands.intervals), axis=None)).max() <= 1e-9
+
+
+# ---------------------------------------------------------------- real fibers, one builder
+
+# the seeded three-term potentials of the continuum benchmark (seeds 901, 902)
+CONTINUUM = [FourierPotential.from_positive({0: -0.1376, 1: 0.7946, 2: 1.0835}),
+             FourierPotential.from_positive({0: 0.9707, 1: 1.1469, 2: 0.9005})]
+COMPLEX = FourierPotential.from_positive({1: 1.0 - 0.5j})
+
+
+def oracle_sweep(potential, cutoff, bands, ks):
+    """Per-k complex fibers written entry by entry, each one validated and
+    diagonalised on its own: the path the shared builder replaced."""
+    freqs = np.arange(-cutoff, cutoff + 1)
+    base = np.array([[potential.coefficient(m - n) for n in freqs] for m in freqs], dtype=complex)
+    energies, scale = np.empty((len(ks), bands)), 0.0
+    for i, kval in enumerate(ks):
+        w = eig_hermitian(HermitianMatrix(base + np.diag((2 * np.pi * freqs + kval) ** 2)))
+        energies[i] = w[:bands]
+        scale = max(scale, np.abs(w).max())
+    return energies, scale
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    assert np.shape(got) == want.shape
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("potential, cutoff, bands", [(CONTINUUM[0], 64, 16),
+                                                      (CONTINUUM[1], 64, 16),
+                                                      (COSINE, 32, 8),
+                                                      (COMPLEX, 32, 8)])
+def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
+    trunc = FiberTruncation(cutoff)
+    ks, energies = band_sweep(potential, trunc, bands, kpoints=1001)
+    want, _ = oracle_sweep(potential, cutoff, bands, ks)
+    assert_close(energies, want)
+    bandset = band_structure(potential, trunc, bands)
+    edges, scale = oracle_sweep(potential, cutoff, bands, (0.0, math.pi))
+    oracle = assembly.bands_from_edges(edges, scale)
+    assert len(bandset) == len(oracle)
+    assert_close(bandset.intervals, oracle.intervals)
+    # the samples never leave the band intervals built from the same arithmetic
+    assert assembly.distance_to_bands(bandset, energies).max() <= 1e-9 * np.abs(energies).max()
+
+
+def test_fibers_are_real_exactly_when_every_coefficient_is():
+    freqs = np.arange(-4, 5)
+    for potential, dtype in ((COSINE, float), (CONTINUUM[0], float), (COMPLEX, complex),
+                             (FourierPotential.zero(), float)):
+        fiber, = _fibers(potential, FiberTruncation(4), [1.0])
+        assert fiber.dtype == dtype
+        want = np.array([[potential.coefficient(m - n) + (m == n) * (2 * np.pi * m + 1.0) ** 2
+                          for n in freqs] for m in freqs])
+        assert np.abs(fiber - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_band_sweep_never_stacks_the_fibers():
+    # one (1001, 129, 129) float stack is 133 MB; the per-k loop needs a few
+    trunc = FiberTruncation(64)
+    band_sweep(CONTINUUM[0], trunc, 16, kpoints=3)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        band_sweep(CONTINUUM[0], trunc, 16, kpoints=1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_fiber_lapack_failure_carries_k(monkeypatch):
+    def boom(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    with pytest.raises(EigensolverError) as info:
+        band_sweep(COSINE, FiberTruncation(4), bands=2, kpoints=4)
+    assert info.value.k == uniform_k_grid(4)[0]
 
 
 # ---------------------------------------------------------------- Bloch transform

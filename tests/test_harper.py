@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blochspec import assembly
 from blochspec.harper import (
+    LAM_MAX,
     ButterflyData,
     HarperParams,
     butterfly,
@@ -70,6 +71,16 @@ def test_lambda_must_be_positive():
 def test_non_finite_parameters_are_rejected(lam, theta):
     with pytest.raises(ValueError):
         HarperParams(flux=RationalFlux(1, 2), lam=lam, theta=theta)
+
+
+def test_lambda_is_capped_where_the_band_hull_stays_finite():
+    # the padded IDS grid spans 1.1 * (4 + 4 lam); at LAM_MAX it is finite
+    for q in range(1, 9):
+        bands = harper_spectrum(params(1 % q, q, lam=LAM_MAX))
+        assert np.isfinite(np.array(bands.intervals)).all()
+    for lam in (np.nextafter(LAM_MAX, np.inf), 1e308):
+        with pytest.raises(ValueError):
+            params(1, 3, lam=lam)
 
 
 def test_lapack_failure_carries_the_flux(monkeypatch):

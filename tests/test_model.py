@@ -82,12 +82,30 @@ def test_eigenvalues_invariant_under_householder_conjugation(seed, n):
     assert np.abs(w_a - w_b).max() <= n * EIG_TOL * scale
 
 
+def test_real_symmetric_input_stays_real():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 6))
+    a = a + a.T
+    w, v = eig_hermitian(a, vectors=True)
+    assert v.dtype == np.float64
+    assert np.abs(w - eig_hermitian(HermitianMatrix(a))).max() <= EIG_TOL * np.abs(w).max()
+    a[0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        eig_hermitian(a)
+
+
 # ---------------------------------------------------------------- domain types
 
 def test_potential_from_positive_fills_conjugates():
     v = FourierPotential.from_positive({1: 1 + 2j})
     assert v.coefficient(-1) == 1 - 2j
     assert v.max_frequency == 1
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+def test_potential_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="not finite"):
+        FourierPotential.from_positive({1: value})
 
 
 def test_potential_rejects_broken_symmetry():
