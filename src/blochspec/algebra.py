@@ -71,10 +71,7 @@ def clock_shift(flux: RationalFlux) -> ProjectivePair:
 
 def _family_as_array(element) -> np.ndarray:
     """Normalize a k-indexed operator family to an array (..., q, q)."""
-    if hasattr(element, "values") and callable(element.values):
-        mats = list(element.values())
-    else:
-        mats = list(element)
+    mats = list(element)
     if not mats:
         raise ValueError("empty operator family")
     arrays = []
@@ -92,8 +89,8 @@ def _family_as_array(element) -> np.ndarray:
 def canonical_trace(element) -> float:
     """Normalized trace of a k-indexed family: (1/q) * k-average of tr.
 
-    Equals 1 on the identity family.  ``element`` may be a mapping from k to
-    matrices, a sequence of matrices, or a stacked array (..., q, q).
+    Equals 1 on the identity family.  ``element`` may be a sequence of
+    matrices or a stacked array (..., q, q).
     """
     fam = _family_as_array(element)
     q = fam.shape[-1]
@@ -108,9 +105,12 @@ def spectral_projection_trace(params: harper.HarperParams, energies):
     bands of ``harper_spectrum`` (inside a gap, below, or above the whole
     spectrum); inside a band the projection rank varies with k, so that input
     is rejected.  In gap j the rank is j at every k, so the trace is exactly
-    j/q, where 2j is the number of band edges below the energy.
+    j/q, where 2j is the number of band edges below the energy.  A NaN
+    energy is rejected; -inf and +inf give 0 and 1.
     """
     e = np.asarray(energies, dtype=float)
+    if np.isnan(e).any():
+        raise ValueError("projection trace requested at a NaN energy")
     edges = harper.band_edges(params)
     inside = e[assembly.distance_to_bands(assembly.bands_from_edges(edges), e) == 0.0]
     if inside.size:
@@ -119,11 +119,3 @@ def spectral_projection_trace(params: harper.HarperParams, energies):
     values = (np.searchsorted(edges, e, side="right") // 2) / params.flux.q
     return values if values.ndim else float(values)
 
-
-def kadison_band_bound(flux: RationalFlux) -> int:
-    """Upper bound on the number of spectral bands at flux p/q: exactly q.
-
-    Spectral projections have normalized trace at least 1/q, and traces of
-    the projections onto the bands must sum to 1.
-    """
-    return flux.q

@@ -1,14 +1,13 @@
-"""Band sets, gap detection, spectral measure, and the integrated density of states.
+"""Band sets, gap detection, spectral measure, and IDS curves: interval algebra.
 
 Band edges come in as the eigenvalues of the few fibers where the band
 functions are extremal; this module pairs them into finite unions of disjoint
-closed intervals, finds the gaps, and evaluates the trace per unit volume of
-spectral projections.
+closed intervals, finds the gaps and measures them.  The operators that
+produce the edges and IDS values live in ``harper`` and ``fibering``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,6 @@ from .model import RationalFlux
 # tells them apart.  From q = 29 on some genuine gaps fall below float64
 # resolution and merge as well (e.g. at flux 2/35).
 TOUCH_ULPS = 2048.0
-
-IDS_DEFAULT_POINTS = 512
-IDS_DEFAULT_NODES = 64
-IDS_HULL_PADDING = 0.05
 
 
 @dataclass(frozen=True)
@@ -178,80 +173,6 @@ def distance_to_bands(bands: BandSet, values) -> np.ndarray:
     for a, b in bands.intervals:
         d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, np.minimum(np.abs(x - a), np.abs(x - b))))
     return d
-
-
-def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
-    """F(y) = P(cos u + rho cos v <= y) for (u, v) uniform on the torus, rho <= 1.
-
-    The u integral is closed form, 1 - arccos(clip(y - rho cos v))/pi; the v
-    integral is the mean over ``nodes`` midpoint nodes.  Non-decreasing in y.
-    """
-    total = np.zeros_like(y)
-    for c in rho * np.cos(np.pi * (2 * np.arange(nodes) + 1) / nodes):
-        total += np.arccos(np.clip(c - y, -1.0, 1.0))
-    return np.minimum(total / (np.pi * nodes), 1.0)  # a sum of pi's may round above n*pi
-
-
-def ids(params, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
-        points: int = IDS_DEFAULT_POINTS) -> IDSCurve:
-    """Integrated density of states for a Harper family at rational flux.
-
-    IDS(E) is the normalized trace of the spectral projection below E: the
-    k-averaged number of Bloch eigenvalues up to E, divided by q.  By the
-    Chambers relation E is an eigenvalue at (k1, k2) exactly when Delta(E) =
-    2 cos k1 +- 2 lam^q cos(q k2), and Delta is monotone on each branch
-    [e_2j, e_2j+1] of the sorted band edges, increasing on the top one.  So
-    inside branch j, IDS(E) = (j + F(s_j Delta(E))) / q with s_j =
-    (-1)^(q-1-j) and F the distribution function of 2 cos k1 + 2 lam^q cos k2
-    (``_torus_fraction``, with the larger of the two amplitudes integrated in
-    closed form and ``kgrid`` nodes for the other), and in gap j it is
-    exactly j/q.  With ``egrid=None`` a uniform grid of ``points`` energies
-    spans the band hull padded by IDS_HULL_PADDING on each side.
-    """
-    from . import harper  # deferred: harper builds its band sets with this module
-
-    if kgrid < 1:
-        raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
-    if egrid is None and points < 2:
-        raise ValueError(f"need at least two energies, got points={points}")
-    edges = harper.band_edges(params)
-    q = params.flux.q
-    if egrid is None:
-        lo, hi = float(edges[0]), float(edges[-1])
-        pad = IDS_HULL_PADDING * (hi - lo if hi > lo else 1.0)
-        egrid = np.linspace(lo - pad, hi + pad, points)
-    egrid = np.asarray(egrid, dtype=float)
-    below = np.searchsorted(edges, egrid, side="right")
-    values = (below // 2) / q
-    inside = below % 2 == 1
-    if inside.any():
-        j = below[inside] // 2
-        sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
-        y = sign * harper.scaled_discriminant(params, egrid[inside])
-        rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
-        values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
-    return IDSCurve(egrid, values)
-
-
-def cantor_proxy(approximants, lam: float = 1.0) -> list:
-    """Total band measure along a sequence of rational flux approximants.
-
-    The approximants must come in order of increasing denominator; the
-    returned list pairs each flux with the Lebesgue measure of its spectrum.
-    No monotonicity of the sequence is implied, only the overall shrinking
-    that a measure-zero limiting spectrum would force.
-    """
-    from . import harper
-
-    fluxes = list(approximants)
-    qs = [f.q for f in fluxes]
-    if any(q1 >= q2 for q1, q2 in zip(qs, qs[1:])):
-        raise ValueError("approximants must be ordered by strictly increasing denominator")
-    out = []
-    for flux in fluxes:
-        bands = harper.harper_spectrum(harper.HarperParams(flux=flux, lam=lam))
-        out.append((flux, lebesgue_measure(bands)))
-    return out
 
 
 def fibonacci_approximants(count: int = 6) -> list:

@@ -208,7 +208,7 @@ def _cmd_butterfly(config: RunConfig):
 
 def _cmd_ids(config: RunConfig):
     params = harper.HarperParams(flux=RationalFlux.parse(config.flux), lam=config.lam)
-    curve = assembly.ids(params, kgrid=config.kgrid, points=config.epoints)
+    curve = harper.ids(params, kgrid=config.kgrid, points=config.epoints)
     payload = {
         "flux": str(params.flux),
         "lam": params.lam,
@@ -235,7 +235,7 @@ def _cmd_algebra_check(config: RunConfig):
         "unitarity_residual_u": res_u,
         "unitarity_residual_v": res_v,
         "cocycle_residual": res_c,
-        "band_count_bound": algebra.kadison_band_bound(flux),
+        "band_count_bound": flux.q,
     }
     header = ["key", "value"]
     rows = [[k, v] for k, v in payload.items()]
@@ -288,6 +288,9 @@ def _oracle_direct_space(config: RunConfig) -> dict:
 
 
 def _cmd_oracle_check(config: RunConfig):
+    for name in ("trials", "vectors"):
+        if getattr(config, name) < 1:
+            raise UsageError(f"--{name} must be at least 1, got {getattr(config, name)}")
     rng = np.random.default_rng(config.seed)
     checks = {}
     if config.which in ("all", "unitarity"):
@@ -308,7 +311,7 @@ def _cmd_oracle_check(config: RunConfig):
 
 def _cmd_cantor(config: RunConfig):
     fluxes = [RationalFlux.parse(t) for t in config.approximants.split(",")]
-    measures = assembly.cantor_proxy(fluxes, config.lam)
+    measures = harper.cantor_proxy(fluxes, config.lam)
     payload = {
         "rows": [{"p": f.p, "q": f.q, "flux": f.value, "measure": m} for f, m in measures]
     }
@@ -388,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ids", help="integrated density of states at rational flux")
     p.add_argument("--flux", required=True, help="reduced fraction p/q")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--kgrid", type=int, default=assembly.IDS_DEFAULT_NODES,
+    p.add_argument("--kgrid", type=int, default=harper.IDS_DEFAULT_NODES,
                    help="quadrature nodes for the one quasimomentum not integrated "
                         "in closed form (at least 1)")
-    p.add_argument("--epoints", type=int, default=assembly.IDS_DEFAULT_POINTS,
+    p.add_argument("--epoints", type=int, default=harper.IDS_DEFAULT_POINTS,
                    help="energies on the padded band hull (at least 2)")
     common(p)
 

@@ -29,6 +29,7 @@ from .model import (
     SpectrumSample,
     eig_hermitian,
     require_hermitian,
+    tridiagonal,
     uniform_k_grid,
 )
 
@@ -170,20 +171,11 @@ def discrete_fiber_matrix(cell: DiscreteCell, k: float) -> HermitianMatrix:
     """q x q fiber of the periodic nearest-neighbor operator at phase k.
 
     Onsite energies on the diagonal, unit hopping on the off-diagonals, and
-    the cell-wrapping bond carries the Bloch phase exp(+-ik).  Contributions
-    add up, so small q (where the corner coincides with a bond or the
-    diagonal) comes out right automatically.
+    the cell-wrapping bond carries the Bloch phase exp(+-ik) (``tridiagonal``).
     """
     if not (0.0 <= k < TWO_PI):
         raise ValueError(f"fiber phase {k} outside [0, 2*pi)")
-    q = cell.q
-    mat = np.diag(np.asarray(cell.onsite, dtype=complex))
-    for j in range(q - 1):
-        mat[j, j + 1] += 1.0
-        mat[j + 1, j] += 1.0
-    mat[q - 1, 0] += np.exp(1j * k)
-    mat[0, q - 1] += np.exp(-1j * k)
-    return HermitianMatrix(mat)
+    return HermitianMatrix(tridiagonal(cell.onsite, np.exp(1j * k)))
 
 
 def discrete_bloch_transform(f, cell: DiscreteCell) -> np.ndarray:
@@ -205,7 +197,11 @@ def discrete_bloch_transform(f, cell: DiscreteCell) -> np.ndarray:
 
 
 def dense_periodic_matrix(cell: DiscreteCell) -> np.ndarray:
-    """Real-space q*M operator with periodic boundary, built bond by bond."""
+    """Real-space q*M operator with periodic boundary, built bond by bond.
+
+    Deliberately not built with ``tridiagonal``: it is the independent
+    reference that the union-of-fibers oracle checks the fibers against.
+    """
     n = cell.sites
     mat = np.diag(np.tile(np.asarray(cell.onsite, dtype=complex), cell.M))
     for x in range(n):
@@ -230,25 +226,16 @@ def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
     return big
 
 
-def periodic_truncation_spectrum(cell: DiscreteCell, fiber_matrix_builder=None) -> np.ndarray:
-    """Ascending spectrum of the q*M periodic operator.
-
-    With no builder the operator is assembled directly in real space.  With a
-    builder (phase -> HermitianMatrix) the block circulant with that Bloch
-    symbol is synthesized instead, so any finite fiber family can be checked
-    against the union of its fiber spectra.
-    """
-    if fiber_matrix_builder is None:
-        big = dense_periodic_matrix(cell)
-    else:
-        ks = uniform_k_grid(cell.M)
-        fibers = np.stack([fiber_matrix_builder(cell, float(k)).data for k in ks])
-        big = block_circulant_from_fibers(fibers)
-    return eig_hermitian(HermitianMatrix(big))
+def periodic_truncation_spectrum(cell: DiscreteCell) -> np.ndarray:
+    """Ascending spectrum of the q*M periodic operator, assembled in real space."""
+    return eig_hermitian(dense_periodic_matrix(cell))
 
 
 def fiber_union_spectrum(cell: DiscreteCell) -> np.ndarray:
     """Sorted multiset union of fiber spectra over the M-point phase grid."""
-    ks = uniform_k_grid(cell.M)
-    all_w = [eig_hermitian(discrete_fiber_matrix(cell, float(k))) for k in ks]
-    return np.sort(np.concatenate(all_w))
+    fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
+    try:
+        w = np.linalg.eigvalsh(fibers)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed on the fibers of {cell}: {exc}") from exc
+    return np.sort(w, axis=None)

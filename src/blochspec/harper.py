@@ -4,9 +4,11 @@ At flux p/q the magnetic translations reduce the lattice operator to a q x q
 Bloch matrix over the magnetic Brillouin zone.  By the Chambers relation the
 spectrum is exactly q bands (q - 1 for even q, where the centre pair touches)
 whose edges are the eigenvalues of two real Bloch matrices, and the same
-relation gives the IDS through the discriminant Delta(E).  A direct-space
-truncation on a long open chain and the k-grid sweep ``eigenvalue_grid`` are
-independent oracles for both; no production path diagonalises a k-grid.
+relation gives the IDS through the discriminant Delta(E) (``ids``);
+``cantor_proxy`` follows the band measure along rational approximants.  A
+direct-space truncation on a long open chain and the k-grid sweep
+``eigenvalue_grid`` are independent oracles for both; no production path
+diagonalises a k-grid.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .model import (
     QuasiMomentum,
     RationalFlux,
     eig_hermitian,
+    tridiagonal,
     uniform_k_grid,
 )
 
@@ -32,6 +35,10 @@ DEFAULT_KGRID = (64, 64)
 # largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
 # stay finite with room for eigensolver roundoff in the band edges
 LAM_MAX = float(np.finfo(float).max) / 8
+
+IDS_DEFAULT_POINTS = 512
+IDS_DEFAULT_NODES = 64
+IDS_HULL_PADDING = 0.05
 
 # direct-space eigenvectors with more than half their mass in the outer 2q
 # sites on either end are open-boundary artifacts, not bulk spectrum
@@ -84,38 +91,32 @@ def harper_bloch_matrix(params: HarperParams, k: QuasiMomentum) -> HermitianMatr
     """
     if k.dimension != 2:
         raise ValueError("Harper Bloch matrices live on a 2d Brillouin zone")
-    return HermitianMatrix(_bloch_batch(params, k.k1, np.array([k.k2]))[0])
+    return HermitianMatrix(tridiagonal(_onsite(params, k.k2), np.exp(1j * k.k1)))
 
 
-def _bloch_batch(params: HarperParams, k1: float, k2s: np.ndarray) -> np.ndarray:
-    """Stack of Bloch matrices at fixed k1 over a row of k2 values."""
+def _onsite(params: HarperParams, k2) -> np.ndarray:
+    """Bloch onsite energies 2*lam*cos(k2 + 2*pi*p*j/q), shape (..., q) for k2 of shape (...)."""
     p, q = params.flux.p, params.flux.q
-    j = np.arange(q)
-    batch = np.zeros((k2s.size, q, q), dtype=complex)
-    batch[:, j, j] = 2.0 * params.lam * np.cos(k2s[:, None] + TWO_PI * p * j[None, :] / q)
-    for i in range(q - 1):
-        batch[:, i, i + 1] += 1.0
-        batch[:, i + 1, i] += 1.0
-    batch[:, q - 1, 0] += np.exp(1j * k1)
-    batch[:, 0, q - 1] += np.exp(-1j * k1)
-    return batch
+    return 2.0 * params.lam * np.cos(np.asarray(k2, dtype=float)[..., None]
+                                     + TWO_PI * p * np.arange(q) / q)
 
 
 def bloch_matrix_family(params: HarperParams, kgrid=DEFAULT_KGRID) -> np.ndarray:
     """All Bloch matrices on the k-grid, shape (n1, n2, q, q)."""
     n1, n2 = kgrid
     k1s, k2s = uniform_k_grid(n1), uniform_k_grid(n2)
-    return np.stack([_bloch_batch(params, float(a), k2s) for a in k1s])
+    return tridiagonal(_onsite(params, k2s), np.exp(1j * k1s)[:, None])
 
 
 def eigenvalue_grid(params: HarperParams, kgrid=DEFAULT_KGRID) -> np.ndarray:
     """Eigenvalue branches over the k-grid, shape (n1, n2, q), ascending in q."""
     n1, n2 = kgrid
     k1s, k2s = uniform_k_grid(n1), uniform_k_grid(n2)
+    diag = _onsite(params, k2s)
     out = np.empty((n1, n2, params.flux.q))
     for i, a in enumerate(k1s):
         try:
-            out[i] = np.linalg.eigvalsh(_bloch_batch(params, float(a), k2s))
+            out[i] = np.linalg.eigvalsh(tridiagonal(diag, np.exp(1j * a)))
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(
                 f"eigensolver failed at flux {params.flux}, k1={float(a)!r}: {exc}",
@@ -128,14 +129,13 @@ def eigenvalue_grid(params: HarperParams, kgrid=DEFAULT_KGRID) -> np.ndarray:
 def band_edges(params: HarperParams) -> np.ndarray:
     """All 2q band edges at rational flux, ascending.
 
-    Chambers: det(E - H(k)) = Delta(E) - c(k), where c(k) = 2 cos k1 +
-    2 lam^q cos(q k2) up to a sign, so every band edge solves Delta(E) = c
-    at an extremum of c.  The extrema are (k1, k2) = (0, 0) and (pi, pi/q),
-    where the Bloch matrices are real; each fiber contributes one edge per band.
+    Chambers (Phys. Rev. 140, A135, 1965): det(E - H(k)) = Delta(E) - c(k),
+    where c(k) = 2 cos k1 + 2 lam^q cos(q k2) up to a sign, so every band
+    edge solves Delta(E) = c at an extremum of c.  The extrema are (k1, k2) =
+    (0, 0) and (pi, pi/q), where the Bloch matrices are real (corner phases
+    +1 and -1); each fiber contributes one edge per band.
     """
-    q = params.flux.q
-    mats = np.concatenate([_bloch_batch(params, k1, np.array([k2]))
-                           for k1, k2 in ((0.0, 0.0), (math.pi, math.pi / q))]).real
+    mats = tridiagonal(_onsite(params, [0.0, math.pi / params.flux.q]), [1.0, -1.0])
     try:
         edges = np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
@@ -154,10 +154,9 @@ def scaled_discriminant(params: HarperParams, energies) -> np.ndarray:
     neither it nor lam^q overflows at large q.  Inside the bands the result
     lies in [-2, 2].
     """
-    p, q, lam = params.flux.p, params.flux.q, params.lam
+    q, lam = params.flux.q, params.lam
     e = np.asarray(energies, dtype=float)[..., None]
-    k2 = np.array([0.0, math.pi / q])
-    diag = 2.0 * lam * np.cos(k2 + TWO_PI * p * np.arange(q)[:, None] / q)
+    diag = _onsite(params, [0.0, math.pi / q]).T
     # columns (a, c) and (b, d) of the product, started at the identity
     a, b = np.ones(e.shape[:-1] + (2,)), np.zeros(e.shape[:-1] + (2,))
     c, d = b.copy(), a.copy()
@@ -171,6 +170,60 @@ def scaled_discriminant(params: HarperParams, energies) -> np.ndarray:
         log2_scale += exp2
     trace = (a + d).sum(axis=-1, keepdims=True) / 4.0
     return (trace * np.exp2(log2_scale - max(q * math.log2(lam), 0.0)))[..., 0]
+
+
+def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
+    """F(y) = P(cos u + rho cos v <= y) for (u, v) uniform on the torus, rho <= 1.
+
+    The u integral is closed form, 1 - arccos(clip(y - rho cos v))/pi; the v
+    integral is the mean over ``nodes`` midpoint nodes.  Non-decreasing in y.
+    """
+    total = np.zeros_like(y)
+    for c in rho * np.cos(np.pi * (2 * np.arange(nodes) + 1) / nodes):
+        total += np.arccos(np.clip(c - y, -1.0, 1.0))
+    return np.minimum(total / (np.pi * nodes), 1.0)  # a sum of pi's may round above n*pi
+
+
+def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
+        points: int = IDS_DEFAULT_POINTS) -> assembly.IDSCurve:
+    """Integrated density of states for a Harper family at rational flux.
+
+    IDS(E) is the normalized trace of the spectral projection below E: the
+    k-averaged number of Bloch eigenvalues up to E, divided by q.  By the
+    Chambers relation E is an eigenvalue at (k1, k2) exactly when Delta(E) =
+    2 cos k1 +- 2 lam^q cos(q k2), and Delta is monotone on each branch
+    [e_2j, e_2j+1] of the sorted band edges, increasing on the top one.  So
+    inside branch j, IDS(E) = (j + F(s_j Delta(E))) / q with s_j =
+    (-1)^(q-1-j) and F the distribution function of 2 cos k1 + 2 lam^q cos k2
+    (``_torus_fraction``, with the larger of the two amplitudes integrated in
+    closed form and ``kgrid`` nodes for the other), and in gap j it is
+    exactly j/q.  With ``egrid=None`` a uniform grid of ``points`` energies
+    spans the band hull padded by IDS_HULL_PADDING on each side.  A NaN
+    energy is rejected; -inf and +inf give 0 and 1.
+    """
+    if kgrid < 1:
+        raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
+    if egrid is None and points < 2:
+        raise ValueError(f"need at least two energies, got points={points}")
+    edges = band_edges(params)
+    q = params.flux.q
+    if egrid is None:
+        lo, hi = float(edges[0]), float(edges[-1])
+        pad = IDS_HULL_PADDING * (hi - lo if hi > lo else 1.0)
+        egrid = np.linspace(lo - pad, hi + pad, points)
+    egrid = np.asarray(egrid, dtype=float)
+    if np.isnan(egrid).any():
+        raise ValueError("IDS energy grid contains NaN")
+    below = np.searchsorted(edges, egrid, side="right")
+    values = (below // 2) / q
+    inside = below % 2 == 1
+    if inside.any():
+        j = below[inside] // 2
+        sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
+        y = sign * scaled_discriminant(params, egrid[inside])
+        rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
+        values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
+    return assembly.IDSCurve(egrid, values)
 
 
 def harper_spectrum(params: HarperParams) -> assembly.BandSet:
@@ -193,12 +246,11 @@ def _direct_space_eigh(params: HarperParams, sites: int, theta: float | None):
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
     if theta is None:
         theta = params.theta
+    # the onsite term is written out here, not taken from ``_onsite``, so the
+    # direct-space oracle stays an independent definition of the operator
     n = np.arange(sites)
     diag = 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + theta)
-    mat = np.diag(diag)
-    off = np.arange(sites - 1)
-    mat[off, off + 1] = mat[off + 1, off] = 1.0
-    return eig_hermitian(mat, vectors=True)
+    return eig_hermitian(tridiagonal(diag), vectors=True)
 
 
 def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = None):
@@ -237,3 +289,22 @@ def butterfly(max_q: int, lam: float = 1.0) -> ButterflyData:
     """Hofstadter butterfly: band sets for every reduced flux q <= max_q."""
     return ButterflyData(tuple((flux, harper_spectrum(HarperParams(flux=flux, lam=lam)))
                                for flux in farey_fractions(max_q)))
+
+
+def cantor_proxy(approximants, lam: float = 1.0) -> list:
+    """Total band measure along a sequence of rational flux approximants.
+
+    The approximants must come in order of increasing denominator; the
+    returned list pairs each flux with the Lebesgue measure of its spectrum.
+    No monotonicity of the sequence is implied, only the overall shrinking
+    that a measure-zero limiting spectrum would force.
+    """
+    fluxes = list(approximants)
+    qs = [f.q for f in fluxes]
+    if any(q1 >= q2 for q1, q2 in zip(qs, qs[1:])):
+        raise ValueError("approximants must be ordered by strictly increasing denominator")
+    out = []
+    for flux in fluxes:
+        bands = harper_spectrum(HarperParams(flux=flux, lam=lam))
+        out.append((flux, assembly.lebesgue_measure(bands)))
+    return out

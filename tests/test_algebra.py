@@ -11,16 +11,16 @@ from blochspec.algebra import (
     canonical_trace,
     clock_shift,
     commutation_residual,
-    kadison_band_bound,
     spectral_projection_trace,
 )
-from blochspec.assembly import ids, interior_gaps
+from blochspec.assembly import interior_gaps
 from blochspec.harper import (
     HarperParams,
     bloch_matrix_family,
     eigenvalue_grid,
     farey_fractions,
     harper_spectrum,
+    ids,
 )
 from blochspec.model import RationalFlux
 
@@ -104,11 +104,6 @@ def test_trace_rejects_mixed_dimensions_and_empty():
         canonical_trace([])
 
 
-def test_trace_accepts_mapping_input():
-    fam = {(0.0, 0.0): np.eye(2), (0.0, 1.0): np.eye(2)}
-    assert canonical_trace(fam) == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------- projection traces
 
 def test_projection_trace_in_lowest_flux_third_gap():
@@ -126,10 +121,13 @@ def test_projection_trace_rejects_energy_inside_band():
         spectral_projection_trace(params(0, 1), 0.0)
 
 
-def test_kadison_band_bound():
-    assert kadison_band_bound(RationalFlux(1, 2)) == 2
-    assert kadison_band_bound(RationalFlux(3, 7)) == 7
-    assert kadison_band_bound(RationalFlux(0, 1)) == 1
+def test_projection_trace_rejects_nan_and_takes_infinities():
+    with pytest.raises(ValueError):
+        spectral_projection_trace(params(1, 3), float("nan"))
+    with pytest.raises(ValueError):
+        spectral_projection_trace(params(1, 3), [-3.0, float("nan")])
+    assert spectral_projection_trace(params(1, 3), float("inf")) == 1.0
+    assert spectral_projection_trace(params(1, 3), -float("inf")) == 0.0
 
 
 def test_projection_trace_serves_an_array_of_energies():

@@ -13,16 +13,14 @@ from blochspec.assembly import (
     IDSCurve,
     bands_from_edges,
     branch_ranges,
-    cantor_proxy,
     coalesce_intervals,
     distance_to_bands,
     fibonacci_approximants,
     gaps,
-    ids,
     interior_gaps,
     lebesgue_measure,
 )
-from blochspec.harper import HarperParams
+from blochspec.harper import HarperParams, cantor_proxy, ids
 from blochspec.model import RationalFlux
 
 EPS = np.finfo(float).eps
@@ -160,6 +158,14 @@ def test_ids_above_and_below_spectrum():
     curve = ids(params, egrid=np.array([-4.5, 4.0 + 1e-6]), kgrid=32)
     assert curve.values[0] == 0.0
     assert curve.values[1] == 1.0
+
+
+def test_ids_rejects_nan_energy_and_takes_infinities():
+    params = HarperParams(flux=RationalFlux(1, 3))
+    with pytest.raises(ValueError):
+        ids(params, egrid=np.array([0.0, np.nan]))
+    curve = ids(params, egrid=np.array([-np.inf, np.inf]))
+    assert curve.values.tolist() == [0.0, 1.0]
 
 
 def test_ids_half_filling_at_flux_half_touching_point():

@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochspec.assembly import ids
 from blochspec.cli import main, parse_potential
-from blochspec.harper import LAM_MAX, HarperParams
+from blochspec.harper import LAM_MAX, HarperParams, ids
 from blochspec.model import RationalFlux
 
 DATA = Path(__file__).parent / "data"
@@ -288,6 +287,17 @@ def test_eigensolver_failure_maps_to_exit_3(capsys, monkeypatch):
                                          ("--kgrid", "0"), ("--kgrid", "-3")])
 def test_too_few_ids_energies_or_nodes_are_usage_errors(capsys, flag, value):
     assert main(["ids", "--flux", "1/3", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+@pytest.mark.parametrize("flags", [["--trials", "-3", "--vectors", "-1"], ["--trials", "0"],
+                                   ["--vectors", "0"], ["--which", "direct-space",
+                                                        "--trials", "0"]])
+def test_oracle_check_that_would_check_nothing_is_usage_error(capsys, flags):
+    # an empty union or unitarity check must not report "pass": true
+    assert main(["oracle-check"] + flags) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"

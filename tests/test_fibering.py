@@ -16,6 +16,7 @@ from blochspec.fibering import (
     _fibers,
     band_structure,
     band_sweep,
+    block_circulant_from_fibers,
     build_fiber_matrix,
     dense_periodic_matrix,
     discrete_bloch_transform,
@@ -30,6 +31,7 @@ from blochspec.model import (
     HermitianMatrix,
     QuasiMomentum,
     eig_hermitian,
+    tridiagonal,
     uniform_k_grid,
 )
 
@@ -284,9 +286,30 @@ def test_two_site_cell_matches_fiber_union(a, m):
     assert np.abs(direct - union).max() <= 1e-10
 
 
+def test_tridiagonal_builder_reproduces_bond_by_bond_periodic_matrix():
+    # one closing bond of phase 1 is the periodic chain, entry for entry, down to
+    # q*M = 1 and 2, where the bonds land on the diagonal or on each other
+    rng = np.random.default_rng(17)
+    for q in range(1, 5):
+        for m in range(1, 7):
+            cell = DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+            built = tridiagonal(np.tile(cell.onsite, m), 1.0)
+            assert np.array_equal(built, dense_periodic_matrix(cell))
+
+
+def test_batched_fiber_union_equals_the_per_fiber_loop():
+    rng = np.random.default_rng(23)
+    for q in range(1, 5):
+        for m in range(1, 7):
+            cell = DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+            loop = [eig_hermitian(discrete_fiber_matrix(cell, k)) for k in uniform_k_grid(m)]
+            assert np.array_equal(fiber_union_spectrum(cell), np.sort(np.concatenate(loop)))
+
+
 def test_block_circulant_synthesis_agrees_with_real_space():
     cell = DiscreteCell(q=3, M=5, onsite=(0.4, -0.2, 1.1))
     direct = periodic_truncation_spectrum(cell)
-    synthesized = periodic_truncation_spectrum(cell, fiber_matrix_builder=discrete_fiber_matrix)
+    fibers = np.stack([discrete_fiber_matrix(cell, k).data for k in uniform_k_grid(cell.M)])
+    synthesized = eig_hermitian(block_circulant_from_fibers(fibers))
     assert np.abs(direct - synthesized).max() <= 1e-10
     assert np.abs(direct - fiber_union_spectrum(cell)).max() <= 1e-10

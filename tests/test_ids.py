@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from blochspec.assembly import ids, interior_gaps
+from blochspec.assembly import interior_gaps
 from blochspec.cli import main
 from blochspec.harper import (
     HarperParams,
@@ -16,6 +16,7 @@ from blochspec.harper import (
     eigenvalue_grid,
     farey_fractions,
     harper_spectrum,
+    ids,
 )
 from blochspec.model import RationalFlux
 

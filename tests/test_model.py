@@ -14,6 +14,7 @@ from blochspec.model import (
     SpectrumSample,
     eig_hermitian,
     hermiticity_defect,
+    tridiagonal,
     uniform_k_grid,
 )
 
@@ -92,6 +93,42 @@ def test_real_symmetric_input_stays_real():
     a[0, 1] += 1e-6
     with pytest.raises(ValueError):
         eig_hermitian(a)
+
+
+# ---------------------------------------------------------------- tridiagonal builder
+
+def test_tridiagonal_entries_and_dtype():
+    d = np.array([0.5, -1.0, 2.0, 0.25])
+    open_chain = tridiagonal(d)
+    assert open_chain.dtype == np.float64
+    assert np.array_equal(open_chain, np.diag(d) + np.eye(4, k=1) + np.eye(4, k=-1))
+    assert tridiagonal(d, -1.0).dtype == np.float64
+    phase = np.exp(0.7j)
+    cyclic = tridiagonal(d, phase)
+    assert cyclic.dtype == np.complex128
+    assert cyclic[3, 0] == phase and cyclic[0, 3] == phase.conjugate()
+    assert np.array_equal(cyclic[1:3], open_chain[1:3])
+    assert tridiagonal(d.astype(complex)).dtype == np.complex128
+
+
+def test_tridiagonal_terms_add_for_one_and_two_sites():
+    # n = 1: the corner bond is the diagonal; n = 2: it doubles the hopping bond
+    phase = np.exp(0.3j)
+    assert tridiagonal([0.5], phase)[0, 0] == 0.5 + phase + phase.conjugate()
+    two = tridiagonal([0.0, 0.0], phase)
+    assert two[1, 0] == 1.0 + phase and two[0, 1] == 1.0 + phase.conjugate()
+    assert hermiticity_defect(two) == 0.0
+
+
+def test_tridiagonal_phase_broadcasts_against_batch_axes():
+    diag = np.arange(15.0).reshape(5, 3)          # batch (5,), n = 3
+    phases = np.exp(1j * np.arange(4.0))[:, None]  # batch (4, 1)
+    mats = tridiagonal(diag, phases)
+    assert mats.shape == (4, 5, 3, 3)
+    for a in range(4):
+        for b in range(5):
+            assert np.array_equal(mats[a, b], tridiagonal(diag[b], phases[a, 0]))
+    assert tridiagonal(diag[0], np.ones(7)).shape == (7, 3, 3)
 
 
 # ---------------------------------------------------------------- domain types
