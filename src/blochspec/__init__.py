@@ -30,10 +30,7 @@ from .fibering import (
     FiberTruncation,
     band_structure,
     band_sweep,
-    build_fiber_matrix,
     discrete_bloch_transform,
-    discrete_fiber_matrix,
-    fiber_spectrum,
     fiber_union_spectrum,
     periodic_truncation_spectrum,
 )
@@ -44,9 +41,7 @@ from .harper import (
     cantor_proxy,
     direct_space_bulk,
     direct_space_harper,
-    eigenvalue_grid,
     farey_fractions,
-    harper_bloch_matrix,
     harper_spectrum,
     ids,
 )
@@ -54,10 +49,7 @@ from .model import (
     EIG_TOL,
     EigensolverError,
     FourierPotential,
-    HermitianMatrix,
-    QuasiMomentum,
     RationalFlux,
-    SpectrumSample,
     eig_hermitian,
     uniform_k_grid,
 )
@@ -72,15 +64,11 @@ __all__ = [
     "FiberTruncation",
     "FourierPotential",
     "HarperParams",
-    "HermitianMatrix",
     "IDSCurve",
     "ProjectivePair",
-    "QuasiMomentum",
     "RationalFlux",
-    "SpectrumSample",
     "band_structure",
     "band_sweep",
-    "build_fiber_matrix",
     "butterfly",
     "canonical_trace",
     "cantor_proxy",
@@ -90,16 +78,12 @@ __all__ = [
     "direct_space_bulk",
     "direct_space_harper",
     "discrete_bloch_transform",
-    "discrete_fiber_matrix",
     "distance_to_bands",
     "eig_hermitian",
-    "eigenvalue_grid",
     "farey_fractions",
-    "fiber_spectrum",
     "fiber_union_spectrum",
     "fibonacci_approximants",
     "gaps",
-    "harper_bloch_matrix",
     "harper_spectrum",
     "ids",
     "interior_gaps",

@@ -69,33 +69,19 @@ def clock_shift(flux: RationalFlux) -> ProjectivePair:
     return ProjectivePair(U, V, omega)
 
 
-def _family_as_array(element) -> np.ndarray:
-    """Normalize a k-indexed operator family to an array (..., q, q)."""
-    mats = list(element)
-    if not mats:
-        raise ValueError("empty operator family")
-    arrays = []
-    for m in mats:
-        a = np.asarray(getattr(m, "data", m), dtype=complex)
-        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-            raise ValueError("family entries must be square matrices")
-        arrays.append(a)
-    dims = {a.shape[-1] for a in arrays}
-    if len(dims) != 1:
-        raise ValueError("family entries disagree on matrix dimension")
-    return np.concatenate([a.reshape(-1, a.shape[-1], a.shape[-1]) for a in arrays])
-
-
 def canonical_trace(element) -> float:
     """Normalized trace of a k-indexed family: (1/q) * k-average of tr.
 
-    Equals 1 on the identity family.  ``element`` may be a sequence of
-    matrices or a stacked array (..., q, q).
+    Equals 1 on the identity family.  ``element`` is an array of shape
+    (..., q, q); ragged, empty and non-square input is rejected.
     """
-    fam = _family_as_array(element)
-    q = fam.shape[-1]
+    fam = np.asarray(element, dtype=complex)  # raises ValueError when ragged
+    if fam.size == 0:
+        raise ValueError("empty operator family")
+    if fam.ndim < 2 or fam.shape[-1] != fam.shape[-2]:
+        raise ValueError(f"expected matrices of shape (..., q, q), got {fam.shape}")
     traces = np.trace(fam, axis1=-2, axis2=-1)
-    return float(traces.mean().real) / q
+    return float(traces.mean().real) / fam.shape[-1]
 
 
 def spectral_projection_trace(params: harper.HarperParams, energies):

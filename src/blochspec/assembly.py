@@ -79,14 +79,6 @@ class IDSCurve:
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
 
-    def at(self, energy: float) -> float:
-        """Value of the step curve at an energy inside the grid range."""
-        i = int(np.searchsorted(self.energies, energy, side="right")) - 1
-        if i < 0:
-            return 0.0
-        return float(self.values[i])
-
-
 def coalesce_intervals(intervals, eps: float) -> BandSet:
     """Merge overlapping or eps-close closed intervals into a BandSet."""
     if eps <= 0:
@@ -115,20 +107,6 @@ def bands_from_edges(edges, scale: float | None = None) -> BandSet:
         scale = float(np.abs(e).max())
     tol = TOUCH_ULPS * np.finfo(float).eps * max(scale, np.finfo(float).tiny)
     return coalesce_intervals(zip(e[0::2], e[1::2]), tol)
-
-
-def branch_ranges(energies: np.ndarray) -> list:
-    """Per-branch (min, max) over all sampled quasimomenta.
-
-    ``energies`` has branch index last; any leading axes enumerate the k-grid.
-    """
-    e = np.asarray(energies, dtype=float)
-    if e.ndim < 2:
-        raise ValueError("expected an array of eigenvalue branches over a k-grid")
-    flat = e.reshape(-1, e.shape[-1])
-    if flat.shape[0] == 0:
-        raise ValueError("cannot assemble bands from an empty sweep")
-    return list(zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist()))
 
 
 def gaps(bands: BandSet, window) -> list:

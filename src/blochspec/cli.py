@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,46 +27,15 @@ ORACLE_BULK_FRACTION = 0.99
 ORACLE_UNITARITY_TOL = 1e-12
 ORACLE_UNION_TOL = 1e-10
 
+# Largest dense matrix dimension a command may build: 2*cutoff + 1 for
+# ``bands``, --sites, and every flux denominator.  ``butterfly`` output grows
+# like max_q^3, so --max-q has its own cap.
+MAX_DIM = 2048
+MAX_Q = 200
+
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus its numeric parameters."""
-
-    command: str
-    potential: str | None = None
-    cutoff: int | None = None
-    kpoints: int | None = None
-    bands: int | None = None
-    max_q: int | None = None
-    lam: float | None = None
-    kgrid: int | None = None
-    flux: str | None = None
-    epoints: int | None = None
-    which: str | None = None
-    sites: int | None = None
-    theta: float | None = None
-    trials: int | None = None
-    vectors: int | None = None
-    approximants: str | None = None
-    fmt: str = "json"
-    output: str | None = None
-    seed: int = 0
-
-    def echo(self) -> dict:
-        """Config as echoed into output headers; the output path is omitted
-        so identical computations produce identical bytes anywhere."""
-        out = {}
-        for f in fields(self):
-            if f.name == "output":
-                continue
-            value = getattr(self, f.name)
-            if value is not None:
-                out[f.name] = value
-        return out
 
 
 def parse_potential(text: str) -> FourierPotential:
@@ -106,6 +74,8 @@ def parse_potential(text: str) -> FourierPotential:
 
 
 def _fmt_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -132,36 +102,50 @@ def _plain(value):
     return value
 
 
-def render_json(config: RunConfig, payload: dict) -> str:
-    doc = {"schema": SCHEMA, "version": VERSION, "config": config.echo()}
+def _echo(ns: argparse.Namespace) -> dict:
+    """Config as echoed into output headers, in the parser's argument order; the
+    output path is omitted so identical computations produce identical bytes anywhere."""
+    return {k: v for k, v in vars(ns).items() if k != "output"}
+
+
+def render_json(ns: argparse.Namespace, payload: dict) -> str:
+    doc = {"schema": SCHEMA, "version": VERSION, "config": _echo(ns)}
     doc.update(_plain(payload))
     return json.dumps(doc, indent=2) + "\n"
 
 
-def render_csv(config: RunConfig, header: list, rows: list) -> str:
+def render_csv(ns: argparse.Namespace, header: list, rows: list) -> str:
     lines = [
         f"# schema={SCHEMA}",
         f"# version={VERSION}",
-        f"# config={json.dumps(_plain(config.echo()))}",
+        f"# config={json.dumps(_plain(_echo(ns)))}",
         ",".join(header),
     ]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _svg_metadata(config: RunConfig) -> str:
-    return f"schema={SCHEMA} version={VERSION} config={json.dumps(_plain(config.echo()))}"
+def _svg_metadata(ns: argparse.Namespace) -> str:
+    return f"schema={SCHEMA} version={VERSION} config={json.dumps(_plain(_echo(ns)))}"
+
+
+def _flux(text: str) -> RationalFlux:
+    """Parse a reduced fraction p/q whose q x q matrices stay within MAX_DIM."""
+    flux = RationalFlux.parse(text)
+    if flux.q > MAX_DIM:
+        raise UsageError(f"flux denominator {flux.q} exceeds the cap of {MAX_DIM}")
+    return flux
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_bands(config: RunConfig):
-    potential = parse_potential(config.potential)
-    trunc = fibering.FiberTruncation(config.cutoff)
-    ks, energies = fibering.band_sweep(potential, trunc, config.bands, config.kpoints)
-    bands = fibering.band_structure(potential, trunc, config.bands)
+def _cmd_bands(ns: argparse.Namespace):
+    potential = parse_potential(ns.potential)
+    trunc = fibering.FiberTruncation(ns.cutoff)
+    ks, energies = fibering.band_sweep(potential, trunc, ns.bands, ns.kpoints)
+    bands = fibering.band_structure(potential, trunc, ns.bands)
     ranges = bands.intervals
     gap_list = assembly.interior_gaps(bands)
     payload = {
@@ -180,13 +164,13 @@ def _cmd_bands(config: RunConfig):
     for g, (a, bb) in enumerate(gap_list):
         rows.append(["gap", g, ""] + [""] * len(ecols) + [a, bb])
     svg = None
-    if config.fmt == "svg":
-        svg = svgplot.render_bands_svg(ks, energies, _svg_metadata(config))
+    if ns.fmt == "svg":
+        svg = svgplot.render_bands_svg(ks, energies, _svg_metadata(ns))
     return payload, header, rows, svg
 
 
-def _cmd_butterfly(config: RunConfig):
-    data = harper.butterfly(config.max_q, config.lam)
+def _cmd_butterfly(ns: argparse.Namespace):
+    data = harper.butterfly(ns.max_q, ns.lam)
     payload_rows = []
     csv_rows = []
     for flux, bands in data.rows:
@@ -201,14 +185,14 @@ def _cmd_butterfly(config: RunConfig):
     payload = {"rows": payload_rows}
     header = ["p", "q", "flux", "band", "lo", "hi"]
     svg = None
-    if config.fmt == "svg":
-        svg = svgplot.render_butterfly_svg(data.rows, _svg_metadata(config))
+    if ns.fmt == "svg":
+        svg = svgplot.render_butterfly_svg(data.rows, _svg_metadata(ns))
     return payload, header, csv_rows, svg
 
 
-def _cmd_ids(config: RunConfig):
-    params = harper.HarperParams(flux=RationalFlux.parse(config.flux), lam=config.lam)
-    curve = harper.ids(params, kgrid=config.kgrid, points=config.epoints)
+def _cmd_ids(ns: argparse.Namespace):
+    params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam)
+    curve = harper.ids(params, kgrid=ns.kgrid, points=ns.epoints)
     payload = {
         "flux": str(params.flux),
         "lam": params.lam,
@@ -220,8 +204,8 @@ def _cmd_ids(config: RunConfig):
     return payload, header, rows, None
 
 
-def _cmd_algebra_check(config: RunConfig):
-    flux = RationalFlux.parse(config.flux)
+def _cmd_algebra_check(ns: argparse.Namespace):
+    flux = _flux(ns.flux)
     pair = algebra.clock_shift(flux)
     eye = np.eye(pair.dimension)
     res_u = float(np.linalg.norm(pair.U @ pair.U.conj().T - eye))
@@ -269,36 +253,34 @@ def _oracle_union(rng, trials: int) -> dict:
     return {"trials": trials, "max_deviation": worst, "pass": worst <= ORACLE_UNION_TOL}
 
 
-def _oracle_direct_space(config: RunConfig) -> dict:
-    params = harper.HarperParams(flux=RationalFlux.parse(config.flux), lam=config.lam,
-                                 theta=config.theta)
+def _oracle_direct_space(ns: argparse.Namespace, flux: RationalFlux) -> dict:
+    params = harper.HarperParams(flux=flux, lam=ns.lam, theta=ns.theta)
     bands = harper.harper_spectrum(params)
-    bulk, edge = harper.direct_space_bulk(params, config.sites)
+    bulk, edge = harper.direct_space_bulk(params, ns.sites)
     dist = assembly.distance_to_bands(bands, bulk)
     frac = float((dist <= ORACLE_DISTANCE_TOL).mean()) if bulk.size else 0.0
     return {
         "flux": str(params.flux),
-        "sites": config.sites,
+        "sites": ns.sites,
         "bulk_states": int(bulk.size),
         "edge_states": int(edge.size),
-        "max_distance": float(dist.max()) if bulk.size else float("nan"),
+        "max_distance": float(dist.max()) if bulk.size else None,
         "fraction_within_tol": frac,
         "pass": frac >= ORACLE_BULK_FRACTION,
     }
 
 
-def _cmd_oracle_check(config: RunConfig):
-    for name in ("trials", "vectors"):
-        if getattr(config, name) < 1:
-            raise UsageError(f"--{name} must be at least 1, got {getattr(config, name)}")
-    rng = np.random.default_rng(config.seed)
+def _cmd_oracle_check(ns: argparse.Namespace):
+    direct_space = ns.which in ("all", "direct-space")
+    flux = _flux(ns.flux) if direct_space else None  # reject before any check runs
+    rng = np.random.default_rng(ns.seed)
     checks = {}
-    if config.which in ("all", "unitarity"):
-        checks["unitarity"] = _oracle_unitarity(rng, config.vectors)
-    if config.which in ("all", "union"):
-        checks["union"] = _oracle_union(rng, config.trials)
-    if config.which in ("all", "direct-space"):
-        checks["direct_space"] = _oracle_direct_space(config)
+    if ns.which in ("all", "unitarity"):
+        checks["unitarity"] = _oracle_unitarity(rng, ns.vectors)
+    if ns.which in ("all", "union"):
+        checks["union"] = _oracle_union(rng, ns.trials)
+    if direct_space:
+        checks["direct_space"] = _oracle_direct_space(ns, flux)
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
     header = ["check", "key", "value"]
     rows = []
@@ -309,9 +291,9 @@ def _cmd_oracle_check(config: RunConfig):
     return payload, header, rows, None
 
 
-def _cmd_cantor(config: RunConfig):
-    fluxes = [RationalFlux.parse(t) for t in config.approximants.split(",")]
-    measures = harper.cantor_proxy(fluxes, config.lam)
+def _cmd_cantor(ns: argparse.Namespace):
+    fluxes = [_flux(t) for t in ns.approximants.split(",")]
+    measures = harper.cantor_proxy(fluxes, ns.lam)
     payload = {
         "rows": [{"p": f.p, "q": f.q, "flux": f.value, "measure": m} for f, m in measures]
     }
@@ -329,30 +311,22 @@ _COMMANDS = {
     "cantor": _cmd_cantor,
 }
 
-_SVG_COMMANDS = {"bands", "butterfly"}
 
-
-def run(config: RunConfig) -> int:
-    """Execute a validated config: compute, then write the report in one shot."""
-    if config.command not in _COMMANDS:
-        raise UsageError(f"unknown command {config.command!r}")
-    if config.fmt == "svg" and config.command not in _SVG_COMMANDS:
-        raise UsageError(f"svg output is not defined for {config.command!r}")
-    payload, header, rows, svg = _COMMANDS[config.command](config)
-    if config.fmt == "json":
-        text = render_json(config, payload)
-    elif config.fmt == "csv":
-        text = render_csv(config, header, rows)
-    elif config.fmt == "svg":
-        text = svg
+def run(ns: argparse.Namespace) -> int:
+    """Execute parsed arguments: compute, then write the report in one shot."""
+    payload, header, rows, svg = _COMMANDS[ns.command](ns)
+    if ns.fmt == "json":
+        text = render_json(ns, payload)
+    elif ns.fmt == "csv":
+        text = render_csv(ns, header, rows)
     else:
-        raise UsageError(f"unknown format {config.fmt!r}")
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+        text = svg
+    if ns.output:
+        with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if config.command == "oracle-check" and not payload["pass"]:
+    if ns.command == "oracle-check" and not payload["pass"]:
         _emit_error("verification", "one or more oracle checks failed")
         return 1
     return 0
@@ -363,37 +337,53 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer of at least ``lo`` and, if given, at most ``hi``."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < lo or (hi is not None and n > hi):
+            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
+        return n
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="blochspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command adds its arguments in the order that the config echo in every
+    # output header lists them, so reordering them changes the output bytes.
 
-    def common(p):
+    def common(p, formats=("csv", "json")):
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", dest="fmt", default="json",
-                       choices=["csv", "json", "svg"], help="output format")
+                       choices=formats, help="output format")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized property checks")
 
     p = sub.add_parser("bands", help="1d periodic band structure from Fourier coefficients")
     p.add_argument("--potential", required=True,
                    help="Fourier coefficients as n:re[,im] pairs, e.g. '1:1' or '0:0.5,1:1'")
-    p.add_argument("--cutoff", type=int, default=fibering.DEFAULT_CUTOFF,
-                   help="plane-wave cutoff N")
+    p.add_argument("--cutoff", type=_int_in(0, (MAX_DIM - 1) // 2),
+                   default=fibering.DEFAULT_CUTOFF, help="plane-wave cutoff N")
     p.add_argument("--kpoints", type=int, default=fibering.DEFAULT_KPOINTS)
     p.add_argument("--bands", type=int, default=fibering.DEFAULT_BANDS)
-    common(p)
+    common(p, ("csv", "json", "svg"))
 
     p = sub.add_parser("butterfly", help="Hofstadter butterfly over all reduced fluxes")
-    p.add_argument("--max-q", dest="max_q", type=int, required=True)
+    p.add_argument("--max-q", dest="max_q", type=_int_in(1, MAX_Q), required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    common(p)
+    common(p, ("csv", "json", "svg"))
 
     p = sub.add_parser("ids", help="integrated density of states at rational flux")
-    p.add_argument("--flux", required=True, help="reduced fraction p/q")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--kgrid", type=int, default=harper.IDS_DEFAULT_NODES,
                    help="quadrature nodes for the one quasimomentum not integrated "
                         "in closed form (at least 1)")
+    p.add_argument("--flux", required=True, help="reduced fraction p/q")
     p.add_argument("--epoints", type=int, default=harper.IDS_DEFAULT_POINTS,
                    help="energies on the padded band hull (at least 2)")
     common(p)
@@ -403,30 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("oracle-check", help="independent verification oracles")
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--flux", default="1/3")
     p.add_argument("--which", default="all",
                    choices=["all", "unitarity", "union", "direct-space"])
-    p.add_argument("--flux", default="1/3")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--sites", type=_int_in(1, MAX_DIM), default=600)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--sites", type=int, default=600)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--vectors", type=int, default=100)
+    p.add_argument("--trials", type=_int_in(1), default=20)
+    p.add_argument("--vectors", type=_int_in(1), default=100)
     common(p)
 
     p = sub.add_parser("cantor", help="band measure along rational approximants")
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--approximants", default=DEFAULT_APPROXIMANTS,
                    help="comma-separated reduced fractions, increasing denominator")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     common(p)
 
     return parser
-
-
-def parse_config(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    known = {f.name for f in fields(RunConfig)}
-    values = {k: v for k, v in vars(ns).items() if k in known}
-    return RunConfig(**values)
 
 
 def _emit_error(kind: str, message: str, **context):
@@ -437,12 +420,12 @@ def _emit_error(kind: str, message: str, **context):
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
+        ns = build_parser().parse_args(argv)
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
     try:
-        return run(config)
+        return run(ns)
     except EigensolverError as exc:
         _emit_error("numerical", str(exc),
                     flux=str(exc.flux) if exc.flux is not None else None, k=exc.k)

@@ -24,9 +24,6 @@ from .model import (
     TWO_PI,
     EigensolverError,
     FourierPotential,
-    HermitianMatrix,
-    QuasiMomentum,
-    SpectrumSample,
     eig_hermitian,
     require_hermitian,
     tridiagonal,
@@ -67,17 +64,13 @@ class DiscreteCell:
         onsite = tuple(float(v) for v in self.onsite)
         if len(onsite) != self.q:
             raise ValueError(f"expected {self.q} onsite energies, got {len(onsite)}")
+        if not all(math.isfinite(v) for v in onsite):
+            raise ValueError(f"onsite energies {onsite} are not all finite")
         object.__setattr__(self, "onsite", onsite)
 
     @property
     def sites(self) -> int:
         return self.q * self.M
-
-
-def _require_1d_k(k: QuasiMomentum) -> float:
-    if k.dimension != 1:
-        raise ValueError("continuum fibering is one-dimensional; pass a 1d quasimomentum")
-    return k.k1
 
 
 def _fibers(potential: FourierPotential, trunc: FiberTruncation, ks):
@@ -126,20 +119,6 @@ def _fiber_eigenvalues(potential: FourierPotential, trunc: FiberTruncation, ks, 
     return energies, float(scale)
 
 
-def build_fiber_matrix(potential: FourierPotential, k: QuasiMomentum,
-                       trunc: FiberTruncation) -> HermitianMatrix:
-    """Fiber operator at quasimomentum k in the plane-wave basis (see ``_fibers``)."""
-    fiber, = _fibers(potential, trunc, [_require_1d_k(k)])
-    return HermitianMatrix(fiber)
-
-
-def fiber_spectrum(potential: FourierPotential, k: QuasiMomentum,
-                   trunc: FiberTruncation, bands: int) -> SpectrumSample:
-    """The lowest ``bands`` eigenvalues of the fiber at k, ascending."""
-    energies, _ = _fiber_eigenvalues(potential, trunc, [_require_1d_k(k)], bands)
-    return SpectrumSample(k, energies[0])
-
-
 def band_sweep(potential: FourierPotential, trunc: FiberTruncation,
                bands: int = DEFAULT_BANDS, kpoints: int = DEFAULT_KPOINTS):
     """Band functions on the uniform k-grid.
@@ -166,17 +145,6 @@ def band_structure(potential: FourierPotential, trunc: FiberTruncation,
 # ---------------------------------------------------------------------------
 # discrete lattice: finite Bloch transform and the periodic-truncation oracle
 # ---------------------------------------------------------------------------
-
-def discrete_fiber_matrix(cell: DiscreteCell, k: float) -> HermitianMatrix:
-    """q x q fiber of the periodic nearest-neighbor operator at phase k.
-
-    Onsite energies on the diagonal, unit hopping on the off-diagonals, and
-    the cell-wrapping bond carries the Bloch phase exp(+-ik) (``tridiagonal``).
-    """
-    if not (0.0 <= k < TWO_PI):
-        raise ValueError(f"fiber phase {k} outside [0, 2*pi)")
-    return HermitianMatrix(tridiagonal(cell.onsite, np.exp(1j * k)))
-
 
 def discrete_bloch_transform(f, cell: DiscreteCell) -> np.ndarray:
     """Finite Bloch transform: M blocks of length q, unitarily.
@@ -211,28 +179,17 @@ def dense_periodic_matrix(cell: DiscreteCell) -> np.ndarray:
     return mat
 
 
-def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
-    """Assemble the q*M block-circulant whose Bloch symbol is the fiber family.
-
-    ``fibers[m]`` is the q x q fiber at phase 2*pi*m/M; the hopping blocks are
-    its inverse discrete Fourier transform.
-    """
-    M, q = fibers.shape[0], fibers.shape[1]
-    hop = np.fft.fft(fibers, axis=0) / M  # hop[d] = (1/M) sum_m e^{-2pi i m d / M} H_m
-    big = np.zeros((q * M, q * M), dtype=complex)
-    for g in range(M):
-        for d in range(M):
-            big[g * q:(g + 1) * q, ((g + d) % M) * q:((g + d) % M + 1) * q] += hop[d]
-    return big
-
-
 def periodic_truncation_spectrum(cell: DiscreteCell) -> np.ndarray:
     """Ascending spectrum of the q*M periodic operator, assembled in real space."""
     return eig_hermitian(dense_periodic_matrix(cell))
 
 
 def fiber_union_spectrum(cell: DiscreteCell) -> np.ndarray:
-    """Sorted multiset union of fiber spectra over the M-point phase grid."""
+    """Sorted multiset union of fiber spectra over the M-point phase grid.
+
+    Fiber m is the q x q cell operator whose wrapping bond carries the Bloch
+    phase exp(2*pi*i*m/M) (``tridiagonal``).
+    """
     fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
     try:
         w = np.linalg.eigvalsh(fibers)

@@ -6,9 +6,8 @@ spectrum is exactly q bands (q - 1 for even q, where the centre pair touches)
 whose edges are the eigenvalues of two real Bloch matrices, and the same
 relation gives the IDS through the discriminant Delta(E) (``ids``);
 ``cantor_proxy`` follows the band measure along rational approximants.  A
-direct-space truncation on a long open chain and the k-grid sweep
-``eigenvalue_grid`` are independent oracles for both; no production path
-diagonalises a k-grid.
+direct-space truncation on a long open chain is an independent oracle for
+both; no path here diagonalises a k-grid.
 """
 
 from __future__ import annotations
@@ -22,15 +21,10 @@ from . import assembly
 from .model import (
     TWO_PI,
     EigensolverError,
-    HermitianMatrix,
-    QuasiMomentum,
     RationalFlux,
     eig_hermitian,
     tridiagonal,
-    uniform_k_grid,
 )
-
-DEFAULT_KGRID = (64, 64)
 
 # largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
 # stay finite with room for eigensolver roundoff in the band edges
@@ -82,48 +76,14 @@ class ButterflyData:
         return len(self.rows)
 
 
-def harper_bloch_matrix(params: HarperParams, k: QuasiMomentum) -> HermitianMatrix:
-    """q x q Bloch matrix at 2d quasimomentum (k1, k2).
-
-    Diagonal 2*lam*cos(k2 + 2*pi*j*p/q), unit super/sub-diagonal, and corner
-    phases exp(+-i*k1) closing the cycle.  Terms add, so q = 1 collapses to
-    the scalar 2*cos(k1) + 2*lam*cos(k2).
-    """
-    if k.dimension != 2:
-        raise ValueError("Harper Bloch matrices live on a 2d Brillouin zone")
-    return HermitianMatrix(tridiagonal(_onsite(params, k.k2), np.exp(1j * k.k1)))
-
-
 def _onsite(params: HarperParams, k2) -> np.ndarray:
-    """Bloch onsite energies 2*lam*cos(k2 + 2*pi*p*j/q), shape (..., q) for k2 of shape (...)."""
+    """Bloch onsite energies 2*lam*cos(k2 + 2*pi*p*j/q), shape (..., q) for k2 of shape (...).
+
+    The Bloch matrix at (k1, k2) is ``tridiagonal(_onsite(params, k2), exp(i*k1))``.
+    """
     p, q = params.flux.p, params.flux.q
     return 2.0 * params.lam * np.cos(np.asarray(k2, dtype=float)[..., None]
                                      + TWO_PI * p * np.arange(q) / q)
-
-
-def bloch_matrix_family(params: HarperParams, kgrid=DEFAULT_KGRID) -> np.ndarray:
-    """All Bloch matrices on the k-grid, shape (n1, n2, q, q)."""
-    n1, n2 = kgrid
-    k1s, k2s = uniform_k_grid(n1), uniform_k_grid(n2)
-    return tridiagonal(_onsite(params, k2s), np.exp(1j * k1s)[:, None])
-
-
-def eigenvalue_grid(params: HarperParams, kgrid=DEFAULT_KGRID) -> np.ndarray:
-    """Eigenvalue branches over the k-grid, shape (n1, n2, q), ascending in q."""
-    n1, n2 = kgrid
-    k1s, k2s = uniform_k_grid(n1), uniform_k_grid(n2)
-    diag = _onsite(params, k2s)
-    out = np.empty((n1, n2, params.flux.q))
-    for i, a in enumerate(k1s):
-        try:
-            out[i] = np.linalg.eigvalsh(tridiagonal(diag, np.exp(1j * a)))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"eigensolver failed at flux {params.flux}, k1={float(a)!r}: {exc}",
-                flux=params.flux,
-                k=float(a),
-            ) from exc
-    return out
 
 
 def band_edges(params: HarperParams) -> np.ndarray:

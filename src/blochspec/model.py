@@ -128,36 +128,6 @@ class FourierPotential:
         return total.real
 
 
-@dataclass(frozen=True)
-class QuasiMomentum:
-    """Point of the Brillouin zone: d phases in [0, 2*pi), d in {1, 2}."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(float(c) for c in np.atleast_1d(self.components))
-        if len(comps) not in (1, 2):
-            raise ValueError(f"quasimomentum must have 1 or 2 components, got {len(comps)}")
-        for c in comps:
-            if not (0.0 <= c < TWO_PI):
-                raise ValueError(f"quasimomentum component {c} outside [0, 2*pi)")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    @property
-    def k1(self) -> float:
-        return self.components[0]
-
-    @property
-    def k2(self) -> float:
-        if self.dimension < 2:
-            raise ValueError("k2 requested from a 1d quasimomentum")
-        return self.components[1]
-
-
 @dataclass(frozen=True, order=True)
 class RationalFlux:
     """Reduced fraction p/q: magnetic flux quanta per unit cell, mod 1."""
@@ -222,45 +192,15 @@ def require_hermitian(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """Dense complex Hermitian matrix, validated on construction."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        m = require_hermitian(np.array(self.data, dtype=complex))
-        m.setflags(write=False)
-        object.__setattr__(self, "data", m)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumSample:
-    """Eigenvalues of one fiber: quasimomentum plus an ascending spectrum."""
-
-    k: QuasiMomentum
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float).copy()
-        if w.ndim != 1:
-            raise ValueError("eigenvalues must be a flat list")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        w.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-
-
 def eig_hermitian(a, vectors: bool = False):
     """Eigenvalues (ascending) of a Hermitian matrix, optionally with vectors.
 
-    Accepts a HermitianMatrix or a raw array; raw input is validated against
-    the same hermiticity tolerance, and a real symmetric array stays real.
-    Backed by LAPACK via numpy.linalg; the contract (residual and
-    orthonormality within EIG_TOL * ||A||) is what the rest of the package
-    relies on, not the algorithm.
+    The input is validated against the hermiticity tolerance, and a real
+    symmetric array stays real.  Backed by LAPACK via numpy.linalg; the
+    contract (residual and orthonormality within EIG_TOL * ||A||) is what the
+    rest of the package relies on, not the algorithm.
     """
-    m = a.data if isinstance(a, HermitianMatrix) else require_hermitian(a)
+    m = require_hermitian(a)
     try:
         if vectors:
             w, v = np.linalg.eigh(m)

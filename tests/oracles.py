@@ -1,0 +1,73 @@
+"""Test oracles that no production path calls: k-grid sweeps of the Harper
+Bloch matrices, per-branch ranges of such a sweep, and block-circulant synthesis.
+
+The Bloch matrices are written here entry by entry, so these oracles share no
+code with ``harper.band_edges`` or ``model.tridiagonal``.
+"""
+
+import numpy as np
+
+DEFAULT_KGRID = (64, 64)
+
+
+def k_grid(n: int) -> np.ndarray:
+    """n equally spaced quasimomenta in [0, 2*pi), endpoint excluded."""
+    return 2 * np.pi * np.arange(n) / n
+
+
+def bloch_matrices(params, k1, k2) -> np.ndarray:
+    """Harper Bloch matrices at quasimomenta (k1, k2), shape (..., q, q).
+
+    Diagonal 2 lam cos(k2 + 2 pi j p / q), unit hopping, and the corner phase
+    exp(i k1) closing the cycle; the arrays k1 and k2 broadcast together.
+    """
+    p, q = params.flux.p, params.flux.q
+    k1, k2 = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+    mats = np.zeros(k1.shape + (q, q), dtype=complex)
+    j = np.arange(q)
+    mats[..., j, j] = 2.0 * params.lam * np.cos(k2[..., None] + 2 * np.pi * p * j / q)
+    mats[..., j[:-1], j[:-1] + 1] += 1.0
+    mats[..., j[:-1] + 1, j[:-1]] += 1.0
+    mats[..., q - 1, 0] += np.exp(1j * k1)
+    mats[..., 0, q - 1] += np.exp(-1j * k1)
+    return mats
+
+
+def bloch_matrix_family(params, kgrid=DEFAULT_KGRID) -> np.ndarray:
+    """All Bloch matrices on the n1 x n2 k-grid, shape (n1, n2, q, q)."""
+    n1, n2 = kgrid
+    return bloch_matrices(params, k_grid(n1)[:, None], k_grid(n2)[None, :])
+
+
+def eigenvalue_grid(params, kgrid=DEFAULT_KGRID) -> np.ndarray:
+    """Eigenvalue branches over the k-grid, shape (n1, n2, q), ascending in q."""
+    return np.linalg.eigvalsh(bloch_matrix_family(params, kgrid))
+
+
+def branch_ranges(energies) -> list:
+    """Per-branch (min, max) over all sampled quasimomenta.
+
+    ``energies`` has branch index last; any leading axes enumerate the k-grid.
+    """
+    e = np.asarray(energies, dtype=float)
+    if e.ndim < 2:
+        raise ValueError("expected an array of eigenvalue branches over a k-grid")
+    flat = e.reshape(-1, e.shape[-1])
+    if flat.shape[0] == 0:
+        raise ValueError("cannot assemble bands from an empty sweep")
+    return list(zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist()))
+
+
+def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
+    """Assemble the q*M block-circulant whose Bloch symbol is the fiber family.
+
+    ``fibers[m]`` is the q x q fiber at phase 2*pi*m/M; the hopping blocks are
+    its inverse discrete Fourier transform.
+    """
+    M, q = fibers.shape[0], fibers.shape[1]
+    hop = np.fft.fft(fibers, axis=0) / M  # hop[d] = (1/M) sum_m e^{-2pi i m d / M} H_m
+    big = np.zeros((q * M, q * M), dtype=complex)
+    for g in range(M):
+        for d in range(M):
+            big[g * q:(g + 1) * q, ((g + d) % M) * q:((g + d) % M + 1) * q] += hop[d]
+    return big

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import eigenvalue_grid
+
 import blochspec as bs
 from blochspec.cli import main
 
@@ -61,8 +63,8 @@ def test_criterion_03_free_continuum_case():
     free = bs.FourierPotential.zero()
     trunc = bs.FiberTruncation(16)
     worst = 0.0
-    for kval in np.linspace(0.0, 2 * np.pi, 17, endpoint=False):
-        w = bs.eig_hermitian(bs.build_fiber_matrix(free, bs.QuasiMomentum((kval,)), trunc))
+    ks, energies = bs.band_sweep(free, trunc, bands=trunc.dimension, kpoints=17)
+    for kval, w in zip(ks, energies):
         expected = np.sort((2 * np.pi * np.arange(-16, 17) + kval) ** 2)
         worst = max(worst, float(np.abs(w - expected).max() / np.abs(expected).max()))
         assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
@@ -88,7 +90,7 @@ def test_criterion_04_harper_closed_forms():
     assert abs(half.hull[1] - 2 * SQRT2) <= 1e-12
     # the two branches really touch at 0 and the sampled eigenvalues match
     # the symbolic 2x2 formula +-sqrt(4 cos^2 k2 + 2 + 2 cos k1)
-    evals = bs.eigenvalue_grid(half_params)
+    evals = eigenvalue_grid(half_params)
     assert abs(evals[:, :, 0].max()) <= 1e-6 and abs(evals[:, :, 1].min()) <= 1e-6
     assert half.contains(0.0)
     k1s = bs.uniform_k_grid(64)[:, None]
@@ -118,7 +120,7 @@ def test_criterion_05_kadison_quantization():
             continue
         values = bs.spectral_projection_trace(params, mids)
         assert np.array_equal(values, np.round(values * flux.q) / flux.q)
-        pooled = np.sort(bs.eigenvalue_grid(params, (8, 8)), axis=None)
+        pooled = np.sort(eigenvalue_grid(params, (8, 8)), axis=None)
         assert np.array_equal(values, np.searchsorted(pooled, mids, side="right") / pooled.size)
         assert np.array_equal(bs.ids(params, egrid=mids).values, values)
         checked += mids.size

@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import bloch_matrix_family, eigenvalue_grid
+
 from blochspec.algebra import (
     ProjectivePair,
     canonical_trace,
@@ -16,8 +18,6 @@ from blochspec.algebra import (
 from blochspec.assembly import interior_gaps
 from blochspec.harper import (
     HarperParams,
-    bloch_matrix_family,
-    eigenvalue_grid,
     farey_fractions,
     harper_spectrum,
     ids,

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import branch_ranges
+
 from blochspec.assembly import (
     TOUCH_ULPS,
     BandSet,
     IDSCurve,
     bands_from_edges,
-    branch_ranges,
     coalesce_intervals,
     distance_to_bands,
     fibonacci_approximants,

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochspec.cli import main, parse_potential
+from blochspec import algebra, fibering, harper
+from blochspec.cli import MAX_DIM, MAX_Q, main, parse_potential
 from blochspec.harper import LAM_MAX, HarperParams, ids
 from blochspec.model import RationalFlux
 
@@ -120,17 +121,37 @@ def test_failed_oracle_check_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert last_stderr_record(capsys)["error"] == "verification"
 
 
-def test_run_config_programmatic_surface(tmp_path):
-    from blochspec.cli import RunConfig, run
-
+def test_main_writes_the_output_file_without_echoing_its_path(tmp_path, capsys):
     out = tmp_path / "direct.json"
-    config = RunConfig(command="algebra-check", flux="1/3", output=str(out))
-    assert run(config) == 0
+    assert main(["algebra-check", "--flux", "1/3", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
     doc = json.loads(out.read_text())
     assert doc["q"] == 3
     assert "output" not in doc["config"]  # path excluded from the echo
-    with pytest.raises(ValueError):
-        run(RunConfig(command="nonsense"))
+    assert main(["nonsense"]) == 2
+
+
+# the config echo opens every output; its keys and their order are part of the bytes
+ECHOES = [
+    (["bands", "--potential", "1:1", "--cutoff", "4", "--kpoints", "3", "--bands", "2"],
+     ["command", "potential", "cutoff", "kpoints", "bands", "fmt", "seed"]),
+    (["butterfly", "--max-q", "2"], ["command", "max_q", "lam", "fmt", "seed"]),
+    (["ids", "--flux", "1/3", "--epoints", "8"],
+     ["command", "lam", "kgrid", "flux", "epoints", "fmt", "seed"]),
+    (["algebra-check", "--flux", "1/2"], ["command", "flux", "fmt", "seed"]),
+    (["oracle-check", "--vectors", "1", "--trials", "1", "--sites", "30"],
+     ["command", "lam", "flux", "which", "sites", "theta", "trials", "vectors", "fmt", "seed"]),
+    (["cantor", "--approximants", "1/2"], ["command", "lam", "approximants", "fmt", "seed"]),
+]
+
+
+@pytest.mark.parametrize("argv, keys", ECHOES, ids=[argv[0] for argv, _ in ECHOES])
+def test_config_echo_keeps_its_keys_in_order(tmp_path, argv, keys):
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    config = json.loads(text)["config"]
+    assert list(config) == keys
+    assert config["command"] == argv[0]
 
 
 # ---------------------------------------------------------------- formats
@@ -298,6 +319,58 @@ def test_too_few_ids_energies_or_nodes_are_usage_errors(capsys, flag, value):
 def test_oracle_check_that_would_check_nothing_is_usage_error(capsys, flags):
     # an empty union or unitarity check must not report "pass": true
     assert main(["oracle-check"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+def test_empty_direct_space_bulk_writes_null_not_nan(capsys):
+    # with 3 sites at flux 1/3 every state is an edge state, so no distance exists
+    def reject(name):
+        raise AssertionError(f"{name} is not valid JSON")
+
+    argv = ["oracle-check", "--which", "direct-space", "--flux", "1/3", "--sites", "3"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    check = doc["checks"]["direct_space"]
+    assert check["bulk_states"] == 0 and check["max_distance"] is None
+    assert check["pass"] is False and doc["pass"] is False
+    assert main(argv + ["--format", "csv"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "direct_space,max_distance," in out and "overall,pass,0" in out
+
+
+class Reached(Exception):
+    """Raised by a patched builder: the call got past argument checking."""
+
+
+@pytest.fixture
+def no_builders(monkeypatch):
+    """Every dense builder a capped argument sizes raises instead of allocating."""
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for owner, name in ((fibering, "_fibers"), (harper, "tridiagonal"),
+                        (algebra, "clock_shift")):
+        monkeypatch.setattr(owner, name, reached)
+
+
+@pytest.mark.parametrize("argv, largest, over", [
+    (["bands", "--potential", "1:1", "--cutoff"], str((MAX_DIM - 1) // 2), str(MAX_DIM // 2)),
+    (["butterfly", "--max-q"], str(MAX_Q), str(MAX_Q + 1)),
+    (["oracle-check", "--which", "direct-space", "--sites"], str(MAX_DIM), str(MAX_DIM + 1)),
+    (["ids", "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
+    (["algebra-check", "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
+    (["oracle-check", "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
+    (["cantor", "--approximants"], f"1/2,1/{MAX_DIM}", f"1/2,1/{MAX_DIM + 1}"),
+], ids=["cutoff", "max-q", "sites", "ids-flux", "algebra-flux", "oracle-flux", "cantor-flux"])
+def test_arguments_that_size_a_dense_matrix_are_capped(capsys, no_builders, argv, largest,
+                                                       over):
+    # the largest legal value reaches a builder; one more is a usage error
+    with pytest.raises(Reached):
+        main(argv + [largest])
+    capsys.readouterr()
+    assert main(argv + [over]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"

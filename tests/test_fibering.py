@@ -9,27 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import block_circulant_from_fibers, branch_ranges
+
 from blochspec import assembly
 from blochspec.fibering import (
     DiscreteCell,
     FiberTruncation,
+    _fiber_eigenvalues,
     _fibers,
     band_structure,
     band_sweep,
-    block_circulant_from_fibers,
-    build_fiber_matrix,
     dense_periodic_matrix,
     discrete_bloch_transform,
-    discrete_fiber_matrix,
-    fiber_spectrum,
     fiber_union_spectrum,
     periodic_truncation_spectrum,
 )
 from blochspec.model import (
     EigensolverError,
     FourierPotential,
-    HermitianMatrix,
-    QuasiMomentum,
     eig_hermitian,
     tridiagonal,
     uniform_k_grid,
@@ -42,16 +39,23 @@ COSINE_GROUND_STATE = -5.0603838232251855e-02
 COSINE = FourierPotential.from_positive({1: 1.0})
 
 
-def k1(value: float) -> QuasiMomentum:
-    return QuasiMomentum((value,))
+def fiber(potential, k, cutoff):
+    """The plane-wave fiber at k from the shared builder."""
+    m, = _fibers(potential, FiberTruncation(cutoff), [k])
+    return m
+
+
+def lowest(potential, k, cutoff, bands):
+    """The lowest ``bands`` fiber eigenvalues at k, ascending."""
+    return _fiber_eigenvalues(potential, FiberTruncation(cutoff), [k], bands)[0][0]
 
 
 # ---------------------------------------------------------------- fiber matrices
 
 def test_free_fiber_is_exact_diagonal():
-    m = build_fiber_matrix(FourierPotential.zero(), k1(0.0), FiberTruncation(1))
-    assert np.allclose(np.diag(m.data), [4 * np.pi**2, 0.0, 4 * np.pi**2])
-    assert np.allclose(m.data - np.diag(np.diag(m.data)), 0.0)
+    m = fiber(FourierPotential.zero(), 0.0, 1)
+    assert np.allclose(np.diag(m), [4 * np.pi**2, 0.0, 4 * np.pi**2])
+    assert np.allclose(m - np.diag(np.diag(m)), 0.0)
     w = eig_hermitian(m)
     assert np.allclose(w, [0.0, 4 * np.pi**2, 4 * np.pi**2])
 
@@ -59,33 +63,29 @@ def test_free_fiber_is_exact_diagonal():
 @settings(max_examples=30, deadline=None)
 @given(kval=st.floats(0.0, 2 * np.pi, exclude_max=True), n=st.integers(1, 8))
 def test_free_fiber_eigenvalues_closed_form(kval, n):
-    w = eig_hermitian(build_fiber_matrix(FourierPotential.zero(), k1(kval), FiberTruncation(n)))
+    w = eig_hermitian(fiber(FourierPotential.zero(), kval, n))
     expected = np.sort((2 * np.pi * np.arange(-n, n + 1) + kval) ** 2)
     assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_cosine_ground_state_matches_high_cutoff_oracle():
-    sample = fiber_spectrum(COSINE, k1(0.0), FiberTruncation(16), 1)
-    assert abs(sample.eigenvalues[0] - COSINE_GROUND_STATE) <= 1e-8
+    _, energies = band_sweep(COSINE, FiberTruncation(16), bands=1, kpoints=1)  # k = 0
+    assert abs(energies[0, 0] - COSINE_GROUND_STATE) <= 1e-8
 
 
 def test_cutoff_must_cover_potential():
     with pytest.raises(ValueError):
-        build_fiber_matrix(FourierPotential.from_positive({3: 1.0}), k1(0.0), FiberTruncation(2))
-
-
-def test_fiber_matrix_rejects_2d_momentum():
+        fiber(FourierPotential.from_positive({3: 1.0}), 0.0, 2)
     with pytest.raises(ValueError):
-        build_fiber_matrix(COSINE, QuasiMomentum((0.0, 0.0)), FiberTruncation(4))
+        band_structure(FourierPotential.from_positive({3: 1.0}), FiberTruncation(2), bands=1)
 
 
 def test_fiber_spectrum_examples():
-    s = fiber_spectrum(FourierPotential.zero(), k1(np.pi), FiberTruncation(2), 3)
-    assert np.allclose(s.eigenvalues, [np.pi**2, np.pi**2, 9 * np.pi**2])
-    s = fiber_spectrum(FourierPotential.zero(), k1(0.0), FiberTruncation(2), 1)
-    assert np.allclose(s.eigenvalues, [0.0])
+    assert np.allclose(lowest(FourierPotential.zero(), np.pi, 2, 3),
+                       [np.pi**2, np.pi**2, 9 * np.pi**2])
+    assert np.allclose(lowest(FourierPotential.zero(), 0.0, 2, 1), [0.0])
     with pytest.raises(ValueError):
-        fiber_spectrum(FourierPotential.zero(), k1(0.0), FiberTruncation(2), 6)
+        lowest(FourierPotential.zero(), 0.0, 2, 6)
 
 
 def test_band_functions_are_continuous_in_k():
@@ -102,11 +102,11 @@ def test_monotone_convergence_in_cutoff():
     # the change must shrink at every refinement up to that acceptance point
     potential = FourierPotential.from_positive({1: 2.0, 2: 1.0})
     n = 2
-    prev = fiber_spectrum(potential, k1(1.0), FiberTruncation(n), 4).eigenvalues
+    prev = lowest(potential, 1.0, n, 4)
     diffs = []
     while True:
         n += 8
-        cur = fiber_spectrum(potential, k1(1.0), FiberTruncation(n), 4).eigenvalues
+        cur = lowest(potential, 1.0, n, 4)
         diffs.append(np.abs(cur - prev).max())
         prev = cur
         if diffs[-1] < 1e-9:
@@ -136,7 +136,7 @@ def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
         assert assembly.distance_to_bands(bands, energies).max() <= 1e-9
     # a grid through k = pi reaches every band edge
     _, energies = band_sweep(COSINE, FiberTruncation(32), bands=4, kpoints=100)
-    got = np.sort(np.array(assembly.branch_ranges(energies)), axis=None)
+    got = np.sort(np.array(branch_ranges(energies)), axis=None)
     assert np.abs(got - np.sort(np.array(bands.intervals), axis=None)).max() <= 1e-9
 
 
@@ -155,7 +155,7 @@ def oracle_sweep(potential, cutoff, bands, ks):
     base = np.array([[potential.coefficient(m - n) for n in freqs] for m in freqs], dtype=complex)
     energies, scale = np.empty((len(ks), bands)), 0.0
     for i, kval in enumerate(ks):
-        w = eig_hermitian(HermitianMatrix(base + np.diag((2 * np.pi * freqs + kval) ** 2)))
+        w = eig_hermitian(base + np.diag((2 * np.pi * freqs + kval) ** 2))
         energies[i] = w[:bands]
         scale = max(scale, np.abs(w).max())
     return energies, scale
@@ -229,6 +229,14 @@ def test_transform_of_delta_is_flat():
     assert np.allclose(blocks, 0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cell_rejects_non_finite_onsite_energies(value):
+    # LAPACK returns finite eigenvalues for a 2 x 2 fiber with a NaN on its
+    # diagonal, so the union oracle would otherwise hide the bad input
+    with pytest.raises(ValueError, match="not all finite"):
+        DiscreteCell(q=2, M=3, onsite=(value, 0.0))
+
+
 def test_transform_rejects_wrong_length():
     with pytest.raises(ValueError):
         discrete_bloch_transform(np.zeros(5), DiscreteCell(q=2, M=3, onsite=(0.0, 0.0)))
@@ -251,7 +259,7 @@ def test_transform_decomposes_periodic_eigenvectors():
     cell = DiscreteCell(q=2, M=6, onsite=(0.3, -0.7))
     big = dense_periodic_matrix(cell)
     w, v = eig_hermitian(big, vectors=True)
-    fibers = [discrete_fiber_matrix(cell, 2 * np.pi * m / cell.M).data for m in range(cell.M)]
+    fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
     for idx in range(cell.sites):
         blocks = discrete_bloch_transform(v[:, idx], cell)
         for m in range(cell.M):
@@ -274,7 +282,7 @@ def test_pure_laplacian_circulant_spectrum():
 def test_single_cell_reduces_to_zero_phase_fiber():
     cell = DiscreteCell(q=3, M=1, onsite=(0.1, 0.2, 0.3))
     w = periodic_truncation_spectrum(cell)
-    assert np.allclose(w, eig_hermitian(discrete_fiber_matrix(cell, 0.0)), atol=1e-12)
+    assert np.allclose(w, eig_hermitian(tridiagonal(cell.onsite, 1.0)), atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,14 +310,15 @@ def test_batched_fiber_union_equals_the_per_fiber_loop():
     for q in range(1, 5):
         for m in range(1, 7):
             cell = DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
-            loop = [eig_hermitian(discrete_fiber_matrix(cell, k)) for k in uniform_k_grid(m)]
+            loop = [eig_hermitian(tridiagonal(cell.onsite, np.exp(1j * k)))
+                    for k in uniform_k_grid(m)]
             assert np.array_equal(fiber_union_spectrum(cell), np.sort(np.concatenate(loop)))
 
 
 def test_block_circulant_synthesis_agrees_with_real_space():
     cell = DiscreteCell(q=3, M=5, onsite=(0.4, -0.2, 1.1))
     direct = periodic_truncation_spectrum(cell)
-    fibers = np.stack([discrete_fiber_matrix(cell, k).data for k in uniform_k_grid(cell.M)])
+    fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
     synthesized = eig_hermitian(block_circulant_from_fibers(fibers))
     assert np.abs(direct - synthesized).max() <= 1e-10
     assert np.abs(direct - fiber_union_spectrum(cell)).max() <= 1e-10

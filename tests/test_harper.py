@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eigenvalue_grid
+
 from blochspec import assembly
 from blochspec.harper import (
     LAM_MAX,
     ButterflyData,
     HarperParams,
+    _onsite,
     butterfly,
     direct_space_bulk,
     direct_space_harper,
-    eigenvalue_grid,
     farey_fractions,
-    harper_bloch_matrix,
     harper_spectrum,
 )
-from blochspec.model import EigensolverError, QuasiMomentum, RationalFlux, eig_hermitian
+from blochspec.model import EigensolverError, RationalFlux, eig_hermitian, tridiagonal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,10 +38,15 @@ def flux_half_eigenvalue(k1, k2, lam=1.0):
 
 # ---------------------------------------------------------------- Bloch matrices
 
+def bloch_matrix(prm, k1, k2):
+    """The Bloch matrix at (k1, k2) as the package builds it."""
+    return tridiagonal(_onsite(prm, k2), np.exp(1j * k1))
+
+
 def test_flux_zero_scalar_formula():
-    m = harper_bloch_matrix(params(0, 1), QuasiMomentum((0.0, 0.0)))
-    assert m.data.shape == (1, 1)
-    assert np.allclose(m.data, [[4.0]])
+    m = bloch_matrix(params(0, 1), 0.0, 0.0)
+    assert m.shape == (1, 1)
+    assert np.allclose(m, [[4.0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,15 +56,9 @@ def test_flux_zero_scalar_formula():
     lam=st.floats(0.2, 3.0),
 )
 def test_flux_half_closed_form_eigenvalues(k1v, k2v, lam):
-    m = harper_bloch_matrix(params(1, 2, lam), QuasiMomentum((k1v, k2v)))
-    w = eig_hermitian(m)
+    w = eig_hermitian(bloch_matrix(params(1, 2, lam), k1v, k2v))
     e = flux_half_eigenvalue(k1v, k2v, lam)
     assert np.allclose(w, [-e, e], atol=1e-12)
-
-
-def test_bloch_matrix_needs_2d_momentum():
-    with pytest.raises(ValueError):
-        harper_bloch_matrix(params(1, 2), QuasiMomentum((0.0,)))
 
 
 def test_lambda_must_be_positive():

@@ -8,12 +8,13 @@ import time
 import numpy as np
 import pytest
 
+from oracles import eigenvalue_grid
+
 from blochspec.assembly import interior_gaps
 from blochspec.cli import main
 from blochspec.harper import (
     HarperParams,
     band_edges,
-    eigenvalue_grid,
     farey_fractions,
     harper_spectrum,
     ids,

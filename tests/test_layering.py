@@ -61,3 +61,17 @@ def test_no_module_imports_inside_a_function():
                               for node in ast.walk(func)
                               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def test_k_grid_oracles_live_only_in_the_tests():
+    # an oracle that lives in the tests cannot share a code path with the band edges
+    oracles = {"eigenvalue_grid", "bloch_matrix_family", "DEFAULT_KGRID", "branch_ranges",
+               "block_circulant_from_fibers"}
+    defined = set()
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    assert defined & oracles == set()

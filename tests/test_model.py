@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from blochspec.model import (
     EIG_TOL,
     FourierPotential,
-    HermitianMatrix,
-    QuasiMomentum,
     RationalFlux,
-    SpectrumSample,
     eig_hermitian,
     hermiticity_defect,
+    require_hermitian,
     tridiagonal,
     uniform_k_grid,
 )
@@ -89,7 +87,7 @@ def test_real_symmetric_input_stays_real():
     a = a + a.T
     w, v = eig_hermitian(a, vectors=True)
     assert v.dtype == np.float64
-    assert np.abs(w - eig_hermitian(HermitianMatrix(a))).max() <= EIG_TOL * np.abs(w).max()
+    assert np.abs(w - eig_hermitian(a.astype(complex))).max() <= EIG_TOL * np.abs(w).max()
     a[0, 1] += 1e-6
     with pytest.raises(ValueError):
         eig_hermitian(a)
@@ -161,21 +159,6 @@ def test_potential_zero_and_sampling():
     assert np.allclose(v.sample(x), 2 * np.cos(2 * np.pi * x))
 
 
-def test_quasimomentum_validation():
-    QuasiMomentum((0.0,))
-    QuasiMomentum((1.0, 2.0))
-    with pytest.raises(ValueError):
-        QuasiMomentum((2 * np.pi,))
-    with pytest.raises(ValueError):
-        QuasiMomentum((-0.1,))
-    with pytest.raises(ValueError):
-        QuasiMomentum((0.1, 0.2, 0.3))
-    k = QuasiMomentum((0.5, 1.5))
-    assert (k.k1, k.k2) == (0.5, 1.5)
-    with pytest.raises(ValueError):
-        _ = QuasiMomentum((0.5,)).k2
-
-
 def test_rational_flux_validation():
     f = RationalFlux(2, 5)
     assert f.value == 0.4 and str(f) == "2/5"
@@ -197,19 +180,11 @@ def test_rational_flux_parse():
             RationalFlux.parse(bad)
 
 
-def test_spectrum_sample_requires_sorted():
-    k = QuasiMomentum((0.0,))
-    SpectrumSample(k, [1.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        SpectrumSample(k, [2.0, 1.0])
-
-
 def test_hermitian_matrix_invariant():
-    HermitianMatrix(np.array([[1.0, 1j], [-1j, 2.0]]))
+    m = np.array([[1.0, 1j], [-1j, 2.0]])
+    assert np.array_equal(require_hermitian(m), m)
     with pytest.raises(ValueError):
-        HermitianMatrix(np.array([[1.0, 1j], [1j, 2.0]]))
-    m = HermitianMatrix(np.eye(2))
-    assert not m.data.flags.writeable  # immutable after construction
+        require_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
     assert hermiticity_defect(np.zeros((3, 3))) == 0.0
 
 

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from blochspec.assembly import branch_ranges, distance_to_bands, lebesgue_measure
+from oracles import bloch_matrices, branch_ranges, eigenvalue_grid
+
+from blochspec.assembly import distance_to_bands, lebesgue_measure
 from blochspec.harper import (
     HarperParams,
     band_edges,
-    eigenvalue_grid,
     farey_fractions,
     harper_spectrum,
 )
@@ -65,19 +66,11 @@ def test_grid_through_the_extremal_points_reaches_the_exact_edges(p, q):
 
 
 def random_fiber_eigenvalues(p, q, rng, count):
-    """Eigenvalues of the Harper Bloch matrix at random (k1, k2), built here
-    independently of the package: diagonal 2 cos(k2 + 2 pi j p / q), unit
-    hopping, and the corner phase exp(i k1) closing the cycle."""
+    """Eigenvalues of the Harper Bloch matrix at random (k1, k2), built by the
+    test oracle independently of the package."""
     k1 = rng.uniform(0.0, 2 * math.pi, count)
     k2 = rng.uniform(0.0, 2 * math.pi, count)
-    mats = np.zeros((count, q, q), dtype=complex)
-    j = np.arange(q)
-    mats[:, j, j] = 2.0 * np.cos(k2[:, None] + 2 * math.pi * p * j / q)
-    mats[:, j[:-1], j[:-1] + 1] += 1.0
-    mats[:, j[:-1] + 1, j[:-1]] += 1.0
-    mats[:, q - 1, 0] += np.exp(1j * k1)
-    mats[:, 0, q - 1] += np.exp(-1j * k1)
-    return np.linalg.eigvalsh(mats)
+    return np.linalg.eigvalsh(bloch_matrices(params(p, q), k1, k2))
 
 
 @pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (1, 4), (3, 7)])
