@@ -271,15 +271,14 @@ def _oracle_direct_space(ns: argparse.Namespace, flux: RationalFlux) -> dict:
 
 
 def _cmd_oracle_check(ns: argparse.Namespace):
-    direct_space = ns.which in ("all", "direct-space")
-    flux = _flux(ns.flux) if direct_space else None  # reject before any check runs
+    flux = _flux(ns.flux)  # reject before any check runs, used or not
     rng = np.random.default_rng(ns.seed)
     checks = {}
     if ns.which in ("all", "unitarity"):
         checks["unitarity"] = _oracle_unitarity(rng, ns.vectors)
     if ns.which in ("all", "union"):
         checks["union"] = _oracle_union(rng, ns.trials)
-    if direct_space:
+    if ns.which in ("all", "direct-space"):
         checks["direct_space"] = _oracle_direct_space(ns, flux)
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
     header = ["check", "key", "value"]

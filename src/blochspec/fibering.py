@@ -37,7 +37,13 @@ DEFAULT_KPOINTS = 101
 
 @dataclass(frozen=True)
 class FiberTruncation:
-    """Plane-wave cutoff: basis frequencies -N..N, fiber dimension 2N+1."""
+    """Plane-wave cutoff: basis frequencies -N..N, fiber dimension 2N+1.
+
+    ``band_sweep`` solves fibers only for k in [0, pi], where -N..N holds the
+    2N+1 plane waves of lowest kinetic energy (2*pi*m + k)^2.  Its sample at
+    k > pi is the mirror one at 2*pi - k, which is the fiber at k on the
+    lowest-kinetic window -N-1..N-1.
+    """
 
     N: int
 
@@ -123,10 +129,16 @@ def band_sweep(potential: FourierPotential, trunc: FiberTruncation,
                bands: int = DEFAULT_BANDS, kpoints: int = DEFAULT_KPOINTS):
     """Band functions on the uniform k-grid.
 
-    Returns (ks, energies) with energies[i, b] the b-th band at ks[i].
+    Returns (ks, energies) with energies[i, b] the b-th band at ks[i].  Only
+    the fibers at ks[i] in [0, pi] (i <= kpoints // 2) are solved.  Since the
+    potential is real, E(k) = E(-k) = E(2*pi - k), so every row i past the
+    middle is an exact copy of row kpoints - i.
     """
     ks = uniform_k_grid(kpoints)
-    energies, _ = _fiber_eigenvalues(potential, trunc, ks, bands)
+    half = kpoints // 2 + 1
+    energies = np.empty((kpoints, bands))
+    energies[:half], _ = _fiber_eigenvalues(potential, trunc, ks[:half], bands)
+    energies[half:] = energies[kpoints - half:0:-1]
     return ks, energies
 
 

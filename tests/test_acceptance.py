@@ -65,7 +65,9 @@ def test_criterion_03_free_continuum_case():
     worst = 0.0
     ks, energies = bs.band_sweep(free, trunc, bands=trunc.dimension, kpoints=17)
     for kval, w in zip(ks, energies):
-        expected = np.sort((2 * np.pi * np.arange(-16, 17) + kval) ** 2)
+        # the 33 lowest free energies over all integers m; at k > pi the window
+        # -16..16 would not hold them (m = -17 lies below m = 16)
+        expected = np.sort((2 * np.pi * np.arange(-17, 18) + kval) ** 2)[:33]
         worst = max(worst, float(np.abs(w - expected).max() / np.abs(expected).max()))
         assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
     bands = bs.band_structure(free, trunc, bands=8)

@@ -324,6 +324,15 @@ def test_oracle_check_that_would_check_nothing_is_usage_error(capsys, flags):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
+def test_oracle_check_rejects_a_bad_flux_it_would_not_use(capsys):
+    # the flux is echoed in every header, so it is validated even when no
+    # direct-space check runs
+    assert main(["oracle-check", "--which", "unitarity", "--flux", "2/4", "--vectors", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
 def test_empty_direct_space_bulk_writes_null_not_nan(capsys):
     # with 3 sites at flux 1/3 every state is an edge state, so no distance exists
     def reject(name):

@@ -219,6 +219,40 @@ def test_fiber_lapack_failure_carries_k(monkeypatch):
     assert info.value.k == uniform_k_grid(4)[0]
 
 
+@pytest.mark.parametrize("potential", [COSINE, CONTINUUM[0], COMPLEX, FourierPotential.zero()],
+                         ids=["cosine", "continuum", "complex", "zero"])
+@pytest.mark.parametrize("kpoints", [1, 2, 3, 4, 100, 101, 1001])
+def test_band_sweep_rows_past_pi_copy_their_mirror(potential, kpoints):
+    # E(k) = E(2 pi - k) for a real potential: row i and row n - i are one sample
+    ks, energies = band_sweep(potential, FiberTruncation(8), bands=4, kpoints=kpoints)
+    assert energies.shape == (kpoints, 4)
+    assert np.all(ks[:kpoints // 2 + 1] <= math.pi)
+    for i in range(1, kpoints):
+        assert np.all(energies[i] == energies[kpoints - i])
+
+
+@pytest.mark.parametrize("kpoints", [1, 2, 3, 4, 100, 101, 1001])
+def test_band_sweep_solves_only_the_fibers_on_zero_to_pi(monkeypatch, kpoints):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    band_sweep(COSINE, FiberTruncation(4), bands=2, kpoints=kpoints)
+    assert len(calls) == kpoints // 2 + 1
+
+
+def test_band_sweep_past_pi_keeps_the_lowest_kinetic_plane_waves():
+    # with every band kept, the window -N..N at k > pi would drop m = -N-1 for the
+    # costlier m = N and miss the top band by 6e-2; the mirrored sample does not
+    _, coarse = band_sweep(COSINE, FiberTruncation(32), bands=65, kpoints=101)
+    _, fine = band_sweep(COSINE, FiberTruncation(64), bands=65, kpoints=101)
+    assert np.all(np.abs(coarse - fine) <= 1e-7 * np.maximum(1.0, np.abs(fine)))
+
+
 # ---------------------------------------------------------------- Bloch transform
 
 def test_transform_of_delta_is_flat():
