@@ -18,12 +18,12 @@ def main():
     t0 = time.perf_counter()
     data = butterfly(args.max_q, args.lam)
     print(f"{len(data)} flux rows in {time.perf_counter() - t0:.3f}s")
-    for flux, bands in data.rows:
+    for flux, bands in data:
         print(f"  {str(flux):>6}: {len(bands):2d} bands, measure {lebesgue_measure(bands):.4f}")
 
     metadata = f"max_q={args.max_q} lambda={args.lam}"
     with open(args.output, "w") as fh:
-        fh.write(render_butterfly_svg(data.rows, metadata))
+        fh.write(render_butterfly_svg(data, metadata))
     print(f"wrote {args.output}")
 
 

@@ -35,7 +35,6 @@ from .fibering import (
     periodic_truncation_spectrum,
 )
 from .harper import (
-    ButterflyData,
     HarperParams,
     butterfly,
     cantor_proxy,
@@ -46,20 +45,16 @@ from .harper import (
     ids,
 )
 from .model import (
-    EIG_TOL,
     EigensolverError,
     FourierPotential,
     RationalFlux,
-    eig_hermitian,
     uniform_k_grid,
 )
 
 __all__ = [
     "__version__",
     "BandSet",
-    "ButterflyData",
     "DiscreteCell",
-    "EIG_TOL",
     "EigensolverError",
     "FiberTruncation",
     "FourierPotential",
@@ -79,7 +74,6 @@ __all__ = [
     "direct_space_harper",
     "discrete_bloch_transform",
     "distance_to_bands",
-    "eig_hermitian",
     "farey_fractions",
     "fiber_union_spectrum",
     "fibonacci_approximants",

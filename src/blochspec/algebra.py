@@ -9,6 +9,7 @@ which is what caps the number of bands at q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,8 @@ class ProjectivePair:
         V = np.asarray(self.V, dtype=complex)
         if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError("U and V must be square matrices of equal size")
-        eye = np.eye(U.shape[0])
         for name, mat in (("U", U), ("V", V)):
-            if np.linalg.norm(mat @ mat.conj().T - eye) > UNITARITY_TOL:
+            if unitarity_residual(mat) > UNITARITY_TOL:
                 raise ValueError(f"{name} is not unitary within {UNITARITY_TOL}")
         if commutation_residual(U, V, self.omega) > COCYCLE_TOL:
             raise ValueError("U, V do not satisfy the commutation relation for omega")
@@ -48,11 +48,23 @@ class ProjectivePair:
         return self.U.shape[0]
 
 
+def _frobenius(mat) -> float:
+    """Frobenius norm, summed as numpy.linalg.norm sums it: real parts, then imaginary."""
+    x = np.ravel(mat)
+    return math.sqrt(x.real @ x.real + x.imag @ x.imag)
+
+
+def unitarity_residual(U) -> float:
+    """Frobenius norm of U U* - 1."""
+    U = np.asarray(U, dtype=complex)
+    return _frobenius(U @ U.conj().T - np.eye(U.shape[0]))
+
+
 def commutation_residual(U, V, omega) -> float:
     """Frobenius norm of U V - omega V U."""
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    return float(np.linalg.norm(U @ V - omega * (V @ U)))
+    return _frobenius(U @ V - omega * (V @ U))
 
 
 def clock_shift(flux: RationalFlux) -> ProjectivePair:

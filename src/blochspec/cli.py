@@ -29,9 +29,11 @@ ORACLE_UNION_TOL = 1e-10
 
 # Largest dense matrix dimension a command may build: 2*cutoff + 1 for
 # ``bands``, --sites, and every flux denominator.  ``butterfly`` output grows
-# like max_q^3, so --max-q has its own cap.
+# like max_q^3, so --max-q has its own cap.  MAX_GRID caps the sampling grids
+# (--kpoints, --epoints, --kgrid), which size 1d arrays and loops.
 MAX_DIM = 2048
 MAX_Q = 200
+MAX_GRID = 1 << 16
 
 
 class UsageError(ValueError):
@@ -74,32 +76,12 @@ def parse_potential(text: str) -> FourierPotential:
 
 
 def _fmt_cell(value) -> str:
+    """One CSV cell from a builtin value (payloads and rows hold no numpy types)."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _plain(value):
-    """Recursively convert numpy scalars/arrays so json sees builtin types."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    return value if isinstance(value, str) else repr(value)
 
 
 def _echo(ns: argparse.Namespace) -> dict:
@@ -110,7 +92,7 @@ def _echo(ns: argparse.Namespace) -> dict:
 
 def render_json(ns: argparse.Namespace, payload: dict) -> str:
     doc = {"schema": SCHEMA, "version": VERSION, "config": _echo(ns)}
-    doc.update(_plain(payload))
+    doc.update(payload)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -118,7 +100,7 @@ def render_csv(ns: argparse.Namespace, header: list, rows: list) -> str:
     lines = [
         f"# schema={SCHEMA}",
         f"# version={VERSION}",
-        f"# config={json.dumps(_plain(_echo(ns)))}",
+        f"# config={json.dumps(_echo(ns))}",
         ",".join(header),
     ]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
@@ -126,7 +108,7 @@ def render_csv(ns: argparse.Namespace, header: list, rows: list) -> str:
 
 
 def _svg_metadata(ns: argparse.Namespace) -> str:
-    return f"schema={SCHEMA} version={VERSION} config={json.dumps(_plain(_echo(ns)))}"
+    return f"schema={SCHEMA} version={VERSION} config={json.dumps(_echo(ns))}"
 
 
 def _flux(text: str) -> RationalFlux:
@@ -149,16 +131,16 @@ def _cmd_bands(ns: argparse.Namespace):
     ranges = bands.intervals
     gap_list = assembly.interior_gaps(bands)
     payload = {
-        "k": ks,
-        "band_energies": energies.T,  # one row per band
+        "k": ks.tolist(),
+        "band_energies": energies.T.tolist(),  # one row per band
         "band_intervals": [[a, b] for a, b in ranges],
         "gaps": [[a, b] for a, b in gap_list],
     }
     ecols = [f"e{b}" for b in range(energies.shape[1])]
     header = ["kind", "i", "k"] + ecols + ["lo", "hi"]
     rows = []
-    for i, k in enumerate(ks):
-        rows.append(["sample", i, float(k)] + [float(e) for e in energies[i]] + ["", ""])
+    for i, (k, row) in enumerate(zip(payload["k"], energies.tolist())):
+        rows.append(["sample", i, k] + row + ["", ""])
     for b, (a, bb) in enumerate(ranges):
         rows.append(["interval", b, ""] + [""] * len(ecols) + [a, bb])
     for g, (a, bb) in enumerate(gap_list):
@@ -173,7 +155,7 @@ def _cmd_butterfly(ns: argparse.Namespace):
     data = harper.butterfly(ns.max_q, ns.lam)
     payload_rows = []
     csv_rows = []
-    for flux, bands in data.rows:
+    for flux, bands in data:
         payload_rows.append({
             "p": flux.p,
             "q": flux.q,
@@ -186,7 +168,7 @@ def _cmd_butterfly(ns: argparse.Namespace):
     header = ["p", "q", "flux", "band", "lo", "hi"]
     svg = None
     if ns.fmt == "svg":
-        svg = svgplot.render_butterfly_svg(data.rows, _svg_metadata(ns))
+        svg = svgplot.render_butterfly_svg(data, _svg_metadata(ns))
     return payload, header, csv_rows, svg
 
 
@@ -196,20 +178,19 @@ def _cmd_ids(ns: argparse.Namespace):
     payload = {
         "flux": str(params.flux),
         "lam": params.lam,
-        "energies": curve.energies,
-        "values": curve.values,
+        "energies": curve.energies.tolist(),
+        "values": curve.values.tolist(),
     }
     header = ["i", "energy", "ids"]
-    rows = [[i, float(e), float(v)] for i, (e, v) in enumerate(zip(curve.energies, curve.values))]
+    rows = [[i, e, v] for i, (e, v) in enumerate(zip(payload["energies"], payload["values"]))]
     return payload, header, rows, None
 
 
 def _cmd_algebra_check(ns: argparse.Namespace):
     flux = _flux(ns.flux)
     pair = algebra.clock_shift(flux)
-    eye = np.eye(pair.dimension)
-    res_u = float(np.linalg.norm(pair.U @ pair.U.conj().T - eye))
-    res_v = float(np.linalg.norm(pair.V @ pair.V.conj().T - eye))
+    res_u = algebra.unitarity_residual(pair.U)
+    res_v = algebra.unitarity_residual(pair.V)
     res_c = algebra.commutation_residual(pair.U, pair.V, pair.omega)
     payload = {
         "p": flux.p,
@@ -253,15 +234,14 @@ def _oracle_union(rng, trials: int) -> dict:
     return {"trials": trials, "max_deviation": worst, "pass": worst <= ORACLE_UNION_TOL}
 
 
-def _oracle_direct_space(ns: argparse.Namespace, flux: RationalFlux) -> dict:
-    params = harper.HarperParams(flux=flux, lam=ns.lam, theta=ns.theta)
+def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     bands = harper.harper_spectrum(params)
-    bulk, edge = harper.direct_space_bulk(params, ns.sites)
+    bulk, edge = harper.direct_space_bulk(params, sites)
     dist = assembly.distance_to_bands(bands, bulk)
     frac = float((dist <= ORACLE_DISTANCE_TOL).mean()) if bulk.size else 0.0
     return {
         "flux": str(params.flux),
-        "sites": ns.sites,
+        "sites": sites,
         "bulk_states": int(bulk.size),
         "edge_states": int(edge.size),
         "max_distance": float(dist.max()) if bulk.size else None,
@@ -271,7 +251,8 @@ def _oracle_direct_space(ns: argparse.Namespace, flux: RationalFlux) -> dict:
 
 
 def _cmd_oracle_check(ns: argparse.Namespace):
-    flux = _flux(ns.flux)  # reject before any check runs, used or not
+    # every echoed parameter is validated before any check runs, used or not
+    params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam, theta=ns.theta)
     rng = np.random.default_rng(ns.seed)
     checks = {}
     if ns.which in ("all", "unitarity"):
@@ -279,7 +260,7 @@ def _cmd_oracle_check(ns: argparse.Namespace):
     if ns.which in ("all", "union"):
         checks["union"] = _oracle_union(rng, ns.trials)
     if ns.which in ("all", "direct-space"):
-        checks["direct_space"] = _oracle_direct_space(ns, flux)
+        checks["direct_space"] = _oracle_direct_space(params, ns.sites)
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
     header = ["check", "key", "value"]
     rows = []
@@ -368,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Fourier coefficients as n:re[,im] pairs, e.g. '1:1' or '0:0.5,1:1'")
     p.add_argument("--cutoff", type=_int_in(0, (MAX_DIM - 1) // 2),
                    default=fibering.DEFAULT_CUTOFF, help="plane-wave cutoff N")
-    p.add_argument("--kpoints", type=int, default=fibering.DEFAULT_KPOINTS)
-    p.add_argument("--bands", type=int, default=fibering.DEFAULT_BANDS)
+    p.add_argument("--kpoints", type=_int_in(1, MAX_GRID), default=fibering.DEFAULT_KPOINTS)
+    p.add_argument("--bands", type=_int_in(1, MAX_DIM), default=fibering.DEFAULT_BANDS)
     common(p, ("csv", "json", "svg"))
 
     p = sub.add_parser("butterfly", help="Hofstadter butterfly over all reduced fluxes")
@@ -379,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ids", help="integrated density of states at rational flux")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--kgrid", type=int, default=harper.IDS_DEFAULT_NODES,
+    p.add_argument("--kgrid", type=_int_in(1, MAX_GRID), default=harper.IDS_DEFAULT_NODES,
                    help="quadrature nodes for the one quasimomentum not integrated "
-                        "in closed form (at least 1)")
+                        "in closed form")
     p.add_argument("--flux", required=True, help="reduced fraction p/q")
-    p.add_argument("--epoints", type=int, default=harper.IDS_DEFAULT_POINTS,
-                   help="energies on the padded band hull (at least 2)")
+    p.add_argument("--epoints", type=_int_in(2, MAX_GRID), default=harper.IDS_DEFAULT_POINTS,
+                   help="energies on the padded band hull")
     common(p)
 
     p = sub.add_parser("algebra-check", help="clock/shift commutation relation report")

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .model import (
-    TWO_PI,
-    EigensolverError,
-    FourierPotential,
-    eig_hermitian,
-    require_hermitian,
-    tridiagonal,
-    uniform_k_grid,
-)
+from .model import TWO_PI, FourierPotential, eigensolve, tridiagonal, uniform_k_grid
 
 DEFAULT_CUTOFF = 32
 DEFAULT_BANDS = 8
@@ -85,7 +77,8 @@ def _fibers(potential: FourierPotential, trunc: FiberTruncation, ks):
     Entry (m, n) = delta_mn (2*pi*m + k)^2 + v(m - n) for m, n in -N..N.  The
     Toeplitz part v(m - n) is built once and is real when every coefficient
     is; only the diagonal changes with k.  The cutoff must cover every stored
-    potential frequency, and Hermiticity is checked once, on the k = 0 fiber.
+    potential frequency.  Entry (n, m) is v(n - m) = conj v(m - n) exactly
+    and v(0) is real (``FourierPotential``), so every fiber is Hermitian.
     """
     N = trunc.N
     if N < potential.max_frequency:
@@ -99,8 +92,6 @@ def _fibers(potential: FourierPotential, trunc: FiberTruncation, ks):
     freqs = TWO_PI * np.arange(-N, N + 1)
     idx = np.arange(2 * N + 1)
     fiber = table[idx[:, None] - idx[None, :] + 2 * N]
-    np.fill_diagonal(fiber, table[2 * N] + freqs ** 2)
-    require_hermitian(fiber)
     for kval in ks:
         np.fill_diagonal(fiber, table[2 * N] + (freqs + kval) ** 2)
         yield fiber
@@ -115,11 +106,7 @@ def _fiber_eigenvalues(potential: FourierPotential, trunc: FiberTruncation, ks, 
         raise ValueError(f"requested {bands} bands from a {trunc.dimension}-dimensional fiber")
     energies, scale = np.empty((len(ks), bands)), 0.0
     for i, (kval, fiber) in enumerate(zip(ks, _fibers(potential, trunc, ks))):
-        try:
-            w = np.linalg.eigvalsh(fiber)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver failed on the fiber at k={float(kval)!r}: "
-                                   f"{exc}", k=float(kval)) from exc
+        w = eigensolve(fiber, k=float(kval))
         energies[i] = w[:bands]
         scale = max(scale, abs(w[0]), abs(w[-1]))
     return energies, float(scale)
@@ -193,7 +180,7 @@ def dense_periodic_matrix(cell: DiscreteCell) -> np.ndarray:
 
 def periodic_truncation_spectrum(cell: DiscreteCell) -> np.ndarray:
     """Ascending spectrum of the q*M periodic operator, assembled in real space."""
-    return eig_hermitian(dense_periodic_matrix(cell))
+    return eigensolve(dense_periodic_matrix(cell))
 
 
 def fiber_union_spectrum(cell: DiscreteCell) -> np.ndarray:
@@ -203,8 +190,4 @@ def fiber_union_spectrum(cell: DiscreteCell) -> np.ndarray:
     phase exp(2*pi*i*m/M) (``tridiagonal``).
     """
     fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
-    try:
-        w = np.linalg.eigvalsh(fibers)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed on the fibers of {cell}: {exc}") from exc
-    return np.sort(w, axis=None)
+    return np.sort(eigensolve(fibers), axis=None)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .model import (
-    TWO_PI,
-    EigensolverError,
-    RationalFlux,
-    eig_hermitian,
-    tridiagonal,
-)
+from .model import TWO_PI, RationalFlux, eigensolve, tridiagonal
 
 # largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
 # stay finite with room for eigensolver roundoff in the band edges
@@ -59,23 +53,6 @@ class HarperParams:
             raise ValueError(f"phase offset {self.theta} outside [0, 2*pi)")
 
 
-@dataclass(frozen=True, eq=False)
-class ButterflyData:
-    """Hofstadter butterfly: one (flux, BandSet) row per reduced fraction."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple((flux, bands) for flux, bands in self.rows)
-        values = [flux.value for flux, _ in rows]
-        if any(v1 >= v2 for v1, v2 in zip(values, values[1:])):
-            raise ValueError("butterfly rows must have strictly increasing flux")
-        object.__setattr__(self, "rows", rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 def _onsite(params: HarperParams, k2) -> np.ndarray:
     """Bloch onsite energies 2*lam*cos(k2 + 2*pi*p*j/q), shape (..., q) for k2 of shape (...).
 
@@ -96,12 +73,7 @@ def band_edges(params: HarperParams) -> np.ndarray:
     +1 and -1); each fiber contributes one edge per band.
     """
     mats = tridiagonal(_onsite(params, [0.0, math.pi / params.flux.q]), [1.0, -1.0])
-    try:
-        edges = np.linalg.eigvalsh(mats)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed at flux {params.flux}: {exc}",
-                               flux=params.flux) from exc
-    return np.sort(edges, axis=None)
+    return np.sort(eigensolve(mats, flux=params.flux), axis=None)
 
 
 def scaled_discriminant(params: HarperParams, energies) -> np.ndarray:
@@ -197,11 +169,10 @@ def direct_space_harper(params: HarperParams, sites: int, theta: float | None = 
     sites x sites tridiagonal matrix with diagonal 2*lam*cos(2*pi*n*p/q + theta)
     and unit hopping.
     """
-    w, _ = _direct_space_eigh(params, sites, theta)
-    return w
+    return eigensolve(_direct_space_chain(params, sites, theta), flux=params.flux)
 
 
-def _direct_space_eigh(params: HarperParams, sites: int, theta: float | None):
+def _direct_space_chain(params: HarperParams, sites: int, theta: float | None) -> np.ndarray:
     if sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
     if theta is None:
@@ -210,7 +181,7 @@ def _direct_space_eigh(params: HarperParams, sites: int, theta: float | None):
     # direct-space oracle stays an independent definition of the operator
     n = np.arange(sites)
     diag = 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + theta)
-    return eig_hermitian(tridiagonal(diag), vectors=True)
+    return tridiagonal(diag)
 
 
 def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = None):
@@ -220,7 +191,7 @@ def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = No
     more than EDGE_MASS_THRESHOLD of its mass in the outer 2q sites at either
     end; those are artifacts of the open boundary.
     """
-    w, v = _direct_space_eigh(params, sites, theta)
+    w, v = eigensolve(_direct_space_chain(params, sites, theta), vectors=True, flux=params.flux)
     edge = min(2 * params.flux.q, sites)
     mass = (np.abs(v[:edge]) ** 2).sum(axis=0) + (np.abs(v[-edge:]) ** 2).sum(axis=0)
     is_edge = mass > EDGE_MASS_THRESHOLD
@@ -245,10 +216,11 @@ def farey_fractions(max_q: int) -> list:
         out.append(RationalFlux(a, b))
 
 
-def butterfly(max_q: int, lam: float = 1.0) -> ButterflyData:
-    """Hofstadter butterfly: band sets for every reduced flux q <= max_q."""
-    return ButterflyData(tuple((flux, harper_spectrum(HarperParams(flux=flux, lam=lam)))
-                               for flux in farey_fractions(max_q)))
+def butterfly(max_q: int, lam: float = 1.0) -> list:
+    """Hofstadter butterfly: one (flux, BandSet) row per reduced flux q <= max_q,
+    in increasing flux order (``farey_fractions``)."""
+    return [(flux, harper_spectrum(HarperParams(flux=flux, lam=lam)))
+            for flux in farey_fractions(max_q)]
 
 
 def cantor_proxy(approximants, lam: float = 1.0) -> list:

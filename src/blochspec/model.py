@@ -1,8 +1,10 @@
-"""Shared domain types and the dense Hermitian eigensolver contract.
+"""Shared domain types, the tridiagonal fiber builder and the eigensolver boundary.
 
-Everything downstream (fiber matrices, Harper sweeps, trace checks) reduces
-to diagonalizing dense Hermitian matrices, so the tolerances that define
-"Hermitian" and "converged eigenpair" live here.
+Everything downstream (fiber matrices, Harper band edges, the truncation
+oracles) reduces to diagonalizing dense Hermitian matrices.  The types that
+describe an operator make it self-adjoint (a real potential, real onsite
+energies, unit hopping), so every builder's matrices are Hermitian by
+construction, and ``eigensolve`` is the one place that calls LAPACK.
 """
 
 from __future__ import annotations
@@ -12,11 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Hermiticity is checked relative to the largest entry magnitude; the
-# eigensolver residual contract is relative to the spectral norm.
-HERMITICITY_TOL = 1e-12
-EIG_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,7 +68,10 @@ class FourierPotential:
 
     ``coefficients[n]`` is the amplitude of exp(2*pi*i*n*x); the period is
     normalized to 1.  Reality of the potential requires v(-n) == conj(v(n)),
-    which is validated on construction.  Missing frequencies are exactly zero.
+    which is validated on construction to 1e-14 and then stored exactly: v(n)
+    for n >= 0 (or conj v(-n) where only that is given) fixes both members of
+    its pair, and v(0) is real.  So every plane-wave fiber is Hermitian by
+    construction.  Missing frequencies are exactly zero.
     """
 
     coefficients: dict = field(default_factory=dict)
@@ -92,7 +92,13 @@ class FourierPotential:
                     f"coefficients break Hermitian symmetry at n={n}: "
                     f"v({-n}) != conj(v({n}))"
                 )
-        object.__setattr__(self, "coefficients", clean)
+        exact = {}
+        for n in sorted({abs(m) for m in clean}):
+            v = clean[n] if n in clean else clean[-n].conjugate()
+            v = v if n else complex(v.real)
+            if v != 0:
+                exact[-n], exact[n] = v.conjugate(), v
+        object.__setattr__(self, "coefficients", exact)
 
     @classmethod
     def zero(cls) -> "FourierPotential":
@@ -166,45 +172,18 @@ class RationalFlux:
         return f"{self.p}/{self.q}"
 
 
-def _as_square(a) -> np.ndarray:
-    """Square float or complex array; real input stays real."""
-    m = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
+def eigensolve(mats, vectors: bool = False, flux=None, k=None):
+    """Ascending eigenvalues of a stack of Hermitian matrices, shape (..., n, n).
 
-
-def hermiticity_defect(a) -> float:
-    """max |A - A*| relative to the largest entry magnitude (0 for A = 0)."""
-    m = _as_square(a)
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(m - m.conj().T).max() / scale)
-
-
-def require_hermitian(a) -> np.ndarray:
-    """``a`` as a square array, if its hermiticity defect is within tolerance."""
-    m = _as_square(a)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: relative defect {defect:.3e}")
-    return m
-
-
-def eig_hermitian(a, vectors: bool = False):
-    """Eigenvalues (ascending) of a Hermitian matrix, optionally with vectors.
-
-    The input is validated against the hermiticity tolerance, and a real
-    symmetric array stays real.  Backed by LAPACK via numpy.linalg; the
-    contract (residual and orthonormality within EIG_TOL * ||A||) is what the
-    rest of the package relies on, not the algorithm.
+    With ``vectors`` it returns ``(w, v)`` as ``numpy.linalg.eigh`` does.  The
+    input is not re-checked: the builders make it Hermitian.  A LAPACK failure
+    becomes an EigensolverError carrying the ``flux`` or ``k`` of the matrices.
     """
-    m = require_hermitian(a)
     try:
-        if vectors:
-            w, v = np.linalg.eigh(m)
-            return w, v
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigensolverError(f"eigensolver failed on a {m.shape[0]}x{m.shape[0]} matrix: {exc}")
+        return np.linalg.eigh(mats) if vectors else np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:
+        where = "".join(f" at {name} {value}" for name, value in (("flux", flux), ("k", k))
+                        if value is not None)
+        n = np.shape(mats)[-1]
+        raise EigensolverError(f"eigensolver failed on {n}x{n} matrices{where}: {exc}",
+                               flux=flux, k=k) from exc

@@ -3,6 +3,7 @@ runtime budget and prints one verdict line (run with pytest -s to see them)."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -188,6 +189,7 @@ def test_criterion_09_butterfly_throughput_and_symmetries(tmp_path):
         [sys.executable, "-m", "blochspec", "butterfly", "--max-q", "20",
          "--output", str(out)],
         capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(bs.__file__).parents[1])),  # this package
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr.decode()

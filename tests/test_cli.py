@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochspec import algebra, fibering, harper
-from blochspec.cli import MAX_DIM, MAX_Q, main, parse_potential
+from blochspec import algebra, cli, fibering, harper
+from blochspec.cli import MAX_DIM, MAX_GRID, MAX_Q, build_parser, main, parse_potential
 from blochspec.harper import LAM_MAX, HarperParams, ids
 from blochspec.model import RationalFlux
 
@@ -154,6 +154,22 @@ def test_config_echo_keeps_its_keys_in_order(tmp_path, argv, keys):
     assert config["command"] == argv[0]
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _ in ECHOES], ids=[a[0] for a, _ in ECHOES])
+def test_payloads_and_rows_hold_only_builtins(argv):
+    # json.dumps and the CSV cells format builtins; a numpy scalar would print
+    # differently (np.float64(...)), so the commands convert arrays once
+    def walk(value):
+        assert type(value) in (dict, list, str, int, float, bool, type(None)), type(value)
+        if isinstance(value, (dict, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                walk(item)
+
+    ns = build_parser().parse_args(argv)
+    payload, _, rows, _ = cli._COMMANDS[ns.command](ns)
+    walk(payload)
+    walk([list(row) for row in rows])
+
+
 # ---------------------------------------------------------------- formats
 
 def test_csv_and_json_carry_identical_numbers(tmp_path):
@@ -293,6 +309,20 @@ def test_exact_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
     assert record["error"] == "numerical" and record["flux"] == "0/1"
 
 
+def test_direct_space_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
+    # the direct-space chain is the one eigh call; its failure carries the flux
+    def boom(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", boom)
+    assert main(["oracle-check", "--which", "direct-space", "--flux", "2/5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "numerical" and record["flux"] == "2/5"
+    assert "600x600" in record["message"]  # the default --sites
+
+
 def test_eigensolver_failure_maps_to_exit_3(capsys, monkeypatch):
     # ids diagonalises only the two band-edge fibers; LAPACK failing there exits 3
     def boom(a):
@@ -328,6 +358,16 @@ def test_oracle_check_rejects_a_bad_flux_it_would_not_use(capsys):
     # the flux is echoed in every header, so it is validated even when no
     # direct-space check runs
     assert main(["oracle-check", "--which", "unitarity", "--flux", "2/4", "--vectors", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "-1"], ["--theta", "9"],
+                                   ["--lambda", "-1", "--theta", "9"]])
+def test_oracle_check_rejects_bad_harper_parameters_it_would_not_use(capsys, flags):
+    # lam and theta are echoed in every header, like the flux
+    assert main(["oracle-check", "--which", "unitarity", "--vectors", "1"] + flags) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
@@ -383,6 +423,36 @@ def test_arguments_that_size_a_dense_matrix_are_capped(capsys, no_builders, argv
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv, lo, hi", [
+    (["bands", "--potential", "1:1", "--kpoints"], 1, MAX_GRID),
+    (["bands", "--potential", "1:1", "--bands"], 1, MAX_DIM),
+    (["ids", "--flux", "1/3", "--epoints"], 2, MAX_GRID),
+    (["ids", "--flux", "1/3", "--kgrid"], 1, MAX_GRID),
+], ids=["kpoints", "bands", "epoints", "kgrid"])
+def test_grid_sizes_are_bounded_while_parsing(capsys, argv, lo, hi):
+    # only parsing runs: the bounds hold before any array or loop is sized
+    parser = build_parser()
+    dest = argv[-1].lstrip("-")
+    for value in (lo, hi):
+        assert getattr(parser.parse_args(argv + [str(value)]), dest) == value
+    for value in (lo - 1, hi + 1, -1):
+        assert main(argv + [str(value)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "usage" and f"between {lo} and {hi}" in record["message"]
+
+
+def test_potential_within_the_symmetry_tolerance_is_stored_real(tmp_path):
+    # an imaginary v(0) of 1e-15 passes the 1e-14 check and is dropped, so
+    # 0:0,1e-15 is the zero potential and 0:1,1e-15 the constant 1
+    for spec, want in (("0:0,1e-15", 0.0), ("0:1,1e-15", 1.0)):
+        code, text = run_cli(["bands", "--potential", spec, "--cutoff", "0", "--bands", "1",
+                              "--kpoints", "1"], tmp_path)
+        assert code == 0
+        assert json.loads(text)["band_energies"] == [[want]]
 
 
 def test_ids_where_lambda_to_the_q_overflows(tmp_path):

@@ -13,7 +13,6 @@ from oracles import eigenvalue_grid
 from blochspec import assembly
 from blochspec.harper import (
     LAM_MAX,
-    ButterflyData,
     HarperParams,
     _onsite,
     butterfly,
@@ -22,7 +21,7 @@ from blochspec.harper import (
     farey_fractions,
     harper_spectrum,
 )
-from blochspec.model import EigensolverError, RationalFlux, eig_hermitian, tridiagonal
+from blochspec.model import EigensolverError, RationalFlux, tridiagonal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,7 +55,7 @@ def test_flux_zero_scalar_formula():
     lam=st.floats(0.2, 3.0),
 )
 def test_flux_half_closed_form_eigenvalues(k1v, k2v, lam):
-    w = eig_hermitian(bloch_matrix(params(1, 2, lam), k1v, k2v))
+    w = np.linalg.eigvalsh(bloch_matrix(params(1, 2, lam), k1v, k2v))
     e = flux_half_eigenvalue(k1v, k2v, lam)
     assert np.allclose(w, [-e, e], atol=1e-12)
 
@@ -202,7 +201,7 @@ def test_farey_rejects_bad_bound():
 def test_butterfly_single_row():
     data = butterfly(1)
     assert len(data) == 1
-    flux, bands = data.rows[0]
+    flux, bands = data[0]
     assert (flux.p, flux.q) == (0, 1)
     assert abs(bands.intervals[0][0] + 4.0) <= 1e-8
     assert abs(bands.intervals[0][1] - 4.0) <= 1e-8
@@ -210,22 +209,16 @@ def test_butterfly_single_row():
 
 def test_butterfly_two_rows_closed_forms():
     data = butterfly(2)
-    assert [(f.p, f.q) for f, _ in data.rows] == [(0, 1), (1, 2)]
-    half = data.rows[1][1]
+    assert [(f.p, f.q) for f, _ in data] == [(0, 1), (1, 2)]
+    half = data[1][1]
     assert abs(half.hull[0] + 2 * SQRT2) <= 1e-12
     assert abs(half.hull[1] - 2 * SQRT2) <= 1e-12
-
-
-def test_butterfly_rows_must_increase():
-    b01 = harper_spectrum(params(0, 1))
-    with pytest.raises(ValueError):
-        ButterflyData(((RationalFlux(1, 2), b01), (RationalFlux(1, 3), b01)))
 
 
 def test_butterfly_symmetries_moderate_q():
     tol = 1e-9
     data = butterfly(8)
-    by_flux = {(f.p, f.q): bands for f, bands in data.rows}
+    by_flux = {(f.p, f.q): bands for f, bands in data}
     for (p, q), bands in by_flux.items():
         assert len(bands) == (q if q % 2 else q - 1)
         # spectral symmetry under E -> -E at lambda = 1

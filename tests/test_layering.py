@@ -75,3 +75,20 @@ def test_k_grid_oracles_live_only_in_the_tests():
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 defined.add(node.id)
     assert defined & oracles == set()
+
+
+def _uses_numpy_linalg(tree: ast.Module) -> bool:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append(f"{node.value.id}.{node.attr}")  # np.linalg.eigh
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names += [f"{node.module}.{a.name}" for a in node.names]  # from numpy import linalg
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]  # import numpy.linalg
+    return any(name.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"]) for name in names)
+
+
+def test_numpy_linalg_is_used_only_in_model():
+    # ``model.eigensolve`` is the one boundary to LAPACK
+    assert {module for module in MODULES if _uses_numpy_linalg(_tree(module))} == {"model"}
