@@ -7,7 +7,9 @@ whose edges are the eigenvalues of two real Bloch matrices, and the same
 relation gives the IDS through the discriminant Delta(E) (``ids``);
 ``cantor_proxy`` follows the band measure along rational approximants.  A
 direct-space truncation on a long open chain is an independent oracle for
-both; no path here diagonalises a k-grid.
+both.  Its boundary states are told apart from its eigenvalues alone, by the
+resolvent's diagonal at the chain ends (``_edge_weight``).  No path here
+diagonalises a k-grid or forms an eigenvector.
 """
 
 from __future__ import annotations
@@ -28,9 +30,15 @@ IDS_DEFAULT_POINTS = 512
 IDS_DEFAULT_NODES = 64
 IDS_HULL_PADDING = 0.05
 
-# direct-space eigenvectors with more than half their mass in the outer 2q
-# sites on either end are open-boundary artifacts, not bulk spectrum
+# direct-space eigenvalues with more than half their spectral weight on the
+# outer 2q sites at either end are open-boundary artifacts, not bulk spectrum
 EDGE_MASS_THRESHOLD = 0.5
+# the edge weight reads the resolvent at distance eta = EDGE_ETA * max(1,
+# max |eigenvalue|) from each eigenvalue: far above the eigenvalues' own error
+# (a few 1e-14), far below the spacing of separated states
+EDGE_ETA = 1e-11
+# rows of the eigenvalue-difference block summed at once for Im tr G
+TRACE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -169,10 +177,10 @@ def direct_space_harper(params: HarperParams, sites: int, theta: float | None = 
     sites x sites tridiagonal matrix with diagonal 2*lam*cos(2*pi*n*p/q + theta)
     and unit hopping.
     """
-    return eigensolve(_direct_space_chain(params, sites, theta), flux=params.flux)
+    return eigensolve(tridiagonal(_direct_space_diag(params, sites, theta)), flux=params.flux)
 
 
-def _direct_space_chain(params: HarperParams, sites: int, theta: float | None) -> np.ndarray:
+def _direct_space_diag(params: HarperParams, sites: int, theta: float | None) -> np.ndarray:
     if sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
     if theta is None:
@@ -180,21 +188,71 @@ def _direct_space_chain(params: HarperParams, sites: int, theta: float | None) -
     # the onsite term is written out here, not taken from ``_onsite``, so the
     # direct-space oracle stays an independent definition of the operator
     n = np.arange(sites)
-    diag = 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + theta)
-    return tridiagonal(diag)
+    return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + theta)
+
+
+def _edge_weight(diag: np.ndarray, w: np.ndarray, edge: int) -> np.ndarray:
+    """Share of the spectral weight at each eigenvalue on the outer ``edge`` sites at either end.
+
+    With G = (J - z)^-1 for the chain J (``diag``, unit hopping, eigenvalues
+    ``w``) and z_i = w_i + i*eta, the weight of w_i is the sum of Im G_jj(z_i)
+    over the end sites j (a site in both ends counts twice) divided by
+    Im tr G(z_i).  For w_i farther than eta from every other eigenvalue this
+    is its eigenvector's end mass; for a cluster narrower than eta it is the
+    cluster's mean end mass, which no choice of basis inside the cluster
+    changes.
+
+    G_jj = 1 / (d_j - z - (L_j + R_j)), where L_j and R_j are the Schur
+    complements of the chain left and right of site j: L_0 = 0 and
+    L_{j+1} = t^2 / (d_j - z - L_j), and R alike from the other end.  Both
+    sweeps run over all eigenvalues at once and keep only the end sites.
+    Every denominator has imaginary part at most -eta, so none vanishes and
+    no sign cancels.  Im tr G(z_i) = sum_k eta / ((w_k - w_i)^2 + eta^2) is
+    summed TRACE_BLOCK rows at a time, so no n x n array is held.  All of it
+    runs in units of max(1, max |w|), where eta = EDGE_ETA and the hopping
+    is t = 1 / max(1, max |w|), so nothing overflows at any coupling.
+    """
+    n = diag.size
+    scale = max(1.0, float(np.abs(w).max()))
+    d, x, hop2 = diag / scale, w / scale, scale ** -2.0
+    count = np.zeros(n, dtype=int)
+    count[:edge] += 1
+    count[n - edge:] += 1
+    shift = -x - 1j * EDGE_ETA  # d_j - z_i = d_j + shift_i
+    left = np.empty((np.count_nonzero(count), n), dtype=complex)
+    L = np.zeros(n, dtype=complex)
+    slot = 0
+    for j in range(n):
+        if count[j]:
+            left[slot] = L
+            slot += 1
+        L = hop2 / (d[j] + shift - L)
+    num = np.zeros(n)
+    R = np.zeros(n, dtype=complex)
+    for j in range(n - 1, -1, -1):
+        if count[j]:
+            slot -= 1
+            num += count[j] * (EDGE_ETA / (d[j] + shift - (left[slot] + R))).imag
+        R = hop2 / (d[j] + shift - R)
+    den = np.empty(n)
+    for i in range(0, n, TRACE_BLOCK):
+        gap = (x - x[i:i + TRACE_BLOCK, None]) / EDGE_ETA
+        den[i:i + TRACE_BLOCK] = (1.0 / (1.0 + gap * gap)).sum(axis=1)
+    return num / den
 
 
 def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = None):
     """Split the direct-space spectrum into bulk and boundary eigenvalues.
 
-    An eigenvalue counts as boundary-localized when its eigenvector carries
-    more than EDGE_MASS_THRESHOLD of its mass in the outer 2q sites at either
-    end; those are artifacts of the open boundary.
+    An eigenvalue counts as boundary-localized when more than
+    EDGE_MASS_THRESHOLD of its spectral weight lies on the outer 2q sites at
+    either end (``_edge_weight``); those are artifacts of the open boundary.
+    Only eigenvalues are computed: the weights come from the resolvent's
+    diagonal at the chain ends, so no eigenvector is formed.
     """
-    w, v = eigensolve(_direct_space_chain(params, sites, theta), vectors=True, flux=params.flux)
-    edge = min(2 * params.flux.q, sites)
-    mass = (np.abs(v[:edge]) ** 2).sum(axis=0) + (np.abs(v[-edge:]) ** 2).sum(axis=0)
-    is_edge = mass > EDGE_MASS_THRESHOLD
+    w = direct_space_harper(params, sites, theta)
+    diag = _direct_space_diag(params, sites, theta)
+    is_edge = _edge_weight(diag, w, min(2 * params.flux.q, sites)) > EDGE_MASS_THRESHOLD
     return w[~is_edge], w[is_edge]
 
 

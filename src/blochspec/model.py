@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# largest sum |v(n)| of a potential's coefficients: it bounds |V|, so every
+# fiber's eigenvalues and the roundoff scale built on them stay finite
+POTENTIAL_MAX = float(np.finfo(float).max) / 8
 
 
 class EigensolverError(RuntimeError):
@@ -71,7 +74,8 @@ class FourierPotential:
     which is validated on construction to 1e-14 and then stored exactly: v(n)
     for n >= 0 (or conj v(-n) where only that is given) fixes both members of
     its pair, and v(0) is real.  So every plane-wave fiber is Hermitian by
-    construction.  Missing frequencies are exactly zero.
+    construction.  Missing frequencies are exactly zero.  The sum of |v(n)|
+    over all n must stay at most POTENTIAL_MAX.
     """
 
     coefficients: dict = field(default_factory=dict)
@@ -86,6 +90,9 @@ class FourierPotential:
                 raise ValueError(f"coefficient v({n}) = {v} is not finite")
             if v != 0:
                 clean[int(n)] = v
+        if 8 * sum(abs(v / 8) for v in clean.values()) > POTENTIAL_MAX:  # v / 8: abs stays finite
+            raise ValueError(f"coefficients sum |v(n)| above {POTENTIAL_MAX!r}: the fiber "
+                             f"eigenvalues would overflow")
         for n, v in clean.items():
             if not np.isclose(clean.get(-n, 0.0), v.conjugate(), rtol=0, atol=1e-14):
                 raise ValueError(
@@ -172,15 +179,15 @@ class RationalFlux:
         return f"{self.p}/{self.q}"
 
 
-def eigensolve(mats, vectors: bool = False, flux=None, k=None):
+def eigensolve(mats, flux=None, k=None) -> np.ndarray:
     """Ascending eigenvalues of a stack of Hermitian matrices, shape (..., n, n).
 
-    With ``vectors`` it returns ``(w, v)`` as ``numpy.linalg.eigh`` does.  The
-    input is not re-checked: the builders make it Hermitian.  A LAPACK failure
-    becomes an EigensolverError carrying the ``flux`` or ``k`` of the matrices.
+    The input is not re-checked: the builders make it Hermitian.  A LAPACK
+    failure becomes an EigensolverError carrying the ``flux`` or ``k`` of the
+    matrices.
     """
     try:
-        return np.linalg.eigh(mats) if vectors else np.linalg.eigvalsh(mats)
+        return np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
         where = "".join(f" at {name} {value}" for name, value in (("flux", flux), ("k", k))
                         if value is not None)

@@ -1,8 +1,10 @@
 """Test oracles that no production path calls: k-grid sweeps of the Harper
-Bloch matrices, per-branch ranges of such a sweep, and block-circulant synthesis.
+Bloch matrices, per-branch ranges of such a sweep, block-circulant synthesis,
+and the eigenvector end mass of the open direct-space chain.
 
-The Bloch matrices are written here entry by entry, so these oracles share no
-code with ``harper.band_edges`` or ``model.tridiagonal``.
+The matrices are written here entry by entry, so these oracles share no code
+with ``harper.band_edges``, ``harper.direct_space_bulk`` or
+``model.tridiagonal``.
 """
 
 import numpy as np
@@ -71,3 +73,15 @@ def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
         for d in range(M):
             big[g * q:(g + 1) * q, ((g + d) % M) * q:((g + d) % M + 1) * q] += hop[d]
     return big
+
+
+def chain_edge_mass(params, sites, edge):
+    """Eigenvalues of the open direct-space Harper chain and the mass of each
+    eigenvector on the outer ``edge`` sites at either end (a site in both ends
+    counts twice), from ``numpy.linalg.eigh`` on the chain written out here."""
+    p, q = params.flux.p, params.flux.q
+    n = np.arange(sites)
+    chain = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + params.theta))
+    chain += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
+    w, v = np.linalg.eigh(chain)
+    return w, (v[:edge] ** 2).sum(axis=0) + (v[sites - edge:] ** 2).sum(axis=0)

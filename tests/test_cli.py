@@ -287,6 +287,25 @@ def test_lambda_whose_band_hull_overflows_is_usage_error(capsys, lam):
         assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
+@pytest.mark.parametrize("spec", ["0:1e308,1:1e308", "1:1.7e308,1.7e308"])
+def test_potential_whose_fiber_norm_overflows_is_usage_error(capsys, spec):
+    # sum |v(n)| past max float / 8 overflowed the top fiber eigenvalue, and the
+    # infinite touch scale then merged the real gap between the two bands
+    assert main(["bands", "--potential", spec, "--cutoff", "2", "--bands", "2",
+                 "--kpoints", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+def test_large_finite_potential_keeps_its_gap(tmp_path):
+    code, text = run_cli(["bands", "--potential", "1:1e300", "--cutoff", "2", "--bands", "2",
+                          "--kpoints", "2", "--format", "json"], tmp_path)
+    assert code == 0 and "Infinity" not in text
+    doc = json.loads(text)
+    assert len(doc["band_intervals"]) == 2 and len(doc["gaps"]) == 1
+
+
 def test_largest_accepted_lambda_gives_finite_edges(tmp_path):
     code, text = run_cli(["butterfly", "--max-q", "2", "--lambda", repr(LAM_MAX)], tmp_path)
     assert code == 0 and "NaN" not in text and "Infinity" not in text
@@ -310,11 +329,15 @@ def test_exact_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_direct_space_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
-    # the direct-space chain is the one eigh call; its failure carries the flux
-    def boom(a):
-        raise np.linalg.LinAlgError("no convergence")
+    # LAPACK failing on the direct-space chain (not the q x q edge fibers) carries the flux
+    eigvalsh = np.linalg.eigvalsh
 
-    monkeypatch.setattr(np.linalg, "eigh", boom)
+    def boom(a):
+        if np.shape(a)[-1] == 600:
+            raise np.linalg.LinAlgError("no convergence")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     assert main(["oracle-check", "--which", "direct-space", "--flux", "2/5"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -2,18 +2,22 @@
 the direct-space oracle, and butterflies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigenvalue_grid
+from oracles import chain_edge_mass, eigenvalue_grid
 
 from blochspec import assembly
 from blochspec.harper import (
+    EDGE_MASS_THRESHOLD,
     LAM_MAX,
     HarperParams,
+    _direct_space_diag,
+    _edge_weight,
     _onsite,
     butterfly,
     direct_space_bulk,
@@ -161,6 +165,72 @@ def test_direct_space_bulk_filter_drops_edge_modes():
     assert (dist <= 1e-2).mean() >= 0.99
     assert bulk.size + edge.size == 600
     assert edge.size <= 2 * 3  # at most 2q boundary modes
+
+
+def nearest_gap(w):
+    gap = np.full(w.size, np.inf)
+    gap[:-1] = np.diff(w)
+    gap[1:] = np.minimum(gap[1:], gap[:-1])
+    return gap
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (7, 30), (13, 40)])
+def test_edge_weight_matches_the_eigenvector_end_mass(p, q):
+    # the weight smears each eigenvalue over eta ~ 1e-11, so it is the end mass
+    # up to ~(eta / gap)^2; inside a tighter cluster eigh's split is arbitrary
+    for lam in (0.5, 1.0):
+        for theta in (0.0, 1.1, 4.4):
+            for sites in (4 * q, 7 * q + 3):
+                prm = params(p, q, lam, theta)
+                w, mass = chain_edge_mass(prm, sites, 2 * q)
+                diag = _direct_space_diag(prm, sites, None)
+                ws = direct_space_harper(prm, sites)
+                weight = _edge_weight(diag, ws, 2 * q)
+                gap = nearest_gap(w)
+                assert np.abs(weight - mass)[gap > 1e-6].max() <= 1e-5
+                # a mass within the weight's error of the threshold is a tie
+                apart = (gap > 1e-8) & (np.abs(mass - EDGE_MASS_THRESHOLD) > 1e-4)
+                assert np.array_equal((weight > EDGE_MASS_THRESHOLD)[apart],
+                                      (mass > EDGE_MASS_THRESHOLD)[apart])
+                bulk, edge = direct_space_bulk(prm, sites)
+                assert np.array_equal(edge, ws[weight > EDGE_MASS_THRESHOLD])
+                assert np.array_equal(bulk, ws[weight <= EDGE_MASS_THRESHOLD])
+                # the reversed chain swaps the two ends, which count alike
+                assert np.abs(_edge_weight(diag[::-1], ws, 2 * q) - weight).max() <= 1e-9
+
+
+def test_edge_weight_overlapping_ends_count_twice():
+    # with sites < 4q every site in both end windows counts twice, as a sum of
+    # the two eigenvector masses does: sites = 2q gives weight 2 everywhere
+    prm = params(2, 5)
+    weight = _edge_weight(_direct_space_diag(prm, 10, None), direct_space_harper(prm, 10), 10)
+    assert np.abs(weight - 2.0).max() <= 1e-6
+    bulk, edge = direct_space_bulk(prm, 10)
+    assert bulk.size == 0 and edge.size == 10
+
+
+def test_edge_weight_stays_finite_at_the_largest_coupling():
+    # the sweeps run in units of the spectral norm, so nothing overflows
+    prm = params(2, 7, lam=LAM_MAX)
+    weight = _edge_weight(_direct_space_diag(prm, 70, None), direct_space_harper(prm, 70), 14)
+    assert np.all(np.isfinite(weight)) and np.all(weight >= 0.0)
+
+
+def test_direct_space_bulk_never_forms_eigenvectors(monkeypatch):
+    # the 1200-site chain is 11.5 MB; its eigenvector matrix would be as much again
+    def boom(*args, **kwargs):
+        raise AssertionError("eigenvectors requested")
+
+    monkeypatch.setattr(np.linalg, "eigh", boom)
+    direct_space_bulk(params(13, 21), 60)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        bulk, edge = direct_space_bulk(params(13, 21), 1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bulk.size + edge.size == 1200
+    assert peak < 1.5 * 1200 ** 2 * 8
 
 
 def test_direct_space_needs_a_full_cell():

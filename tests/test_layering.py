@@ -92,3 +92,11 @@ def _uses_numpy_linalg(tree: ast.Module) -> bool:
 def test_numpy_linalg_is_used_only_in_model():
     # ``model.eigensolve`` is the one boundary to LAPACK
     assert {module for module in MODULES if _uses_numpy_linalg(_tree(module))} == {"model"}
+
+
+def test_no_module_asks_lapack_for_eigenvectors():
+    # every spectrum the package reports needs eigenvalues only
+    solvers = {"eig", "eigh"}
+    used = {f"{module}.{node.attr}" for module in MODULES for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Attribute) and node.attr in solvers}
+    assert used == set()
