@@ -9,7 +9,6 @@ trace-quantization mechanism behind band structure.
 __version__ = "0.1.0"
 
 from .algebra import (
-    ProjectivePair,
     canonical_trace,
     clock_shift,
     commutation_residual,
@@ -18,7 +17,6 @@ from .algebra import (
 from .assembly import (
     BandSet,
     IDSCurve,
-    coalesce_intervals,
     distance_to_bands,
     fibonacci_approximants,
     gaps,
@@ -60,7 +58,6 @@ __all__ = [
     "FourierPotential",
     "HarperParams",
     "IDSCurve",
-    "ProjectivePair",
     "RationalFlux",
     "band_structure",
     "band_sweep",
@@ -68,7 +65,6 @@ __all__ = [
     "canonical_trace",
     "cantor_proxy",
     "clock_shift",
-    "coalesce_intervals",
     "commutation_residual",
     "direct_space_bulk",
     "direct_space_harper",

@@ -10,42 +10,11 @@ which is what caps the number of bands at q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import assembly, harper
 from .model import RationalFlux
-
-UNITARITY_TOL = 1e-12
-COCYCLE_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectivePair:
-    """Unitaries U, V with U V = omega V U, validated on construction."""
-
-    U: np.ndarray
-    V: np.ndarray
-    omega: complex
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=complex)
-        V = np.asarray(self.V, dtype=complex)
-        if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise ValueError("U and V must be square matrices of equal size")
-        for name, mat in (("U", U), ("V", V)):
-            if unitarity_residual(mat) > UNITARITY_TOL:
-                raise ValueError(f"{name} is not unitary within {UNITARITY_TOL}")
-        if commutation_residual(U, V, self.omega) > COCYCLE_TOL:
-            raise ValueError("U, V do not satisfy the commutation relation for omega")
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "omega", complex(self.omega))
-
-    @property
-    def dimension(self) -> int:
-        return self.U.shape[0]
 
 
 def _frobenius(mat) -> float:
@@ -67,18 +36,19 @@ def commutation_residual(U, V, omega) -> float:
     return _frobenius(U @ V - omega * (V @ U))
 
 
-def clock_shift(flux: RationalFlux) -> ProjectivePair:
-    """Clock and shift matrices: the standard q-dimensional pair for flux p/q.
+def clock_shift(flux: RationalFlux) -> tuple:
+    """Clock and shift matrices (U, V, omega): the standard q-dimensional pair for flux p/q.
 
-    U = diag(omega^j), V the cyclic shift, omega = exp(2*pi*i*p/q); for q = 1
-    this degenerates to the commuting pair ([1], [1]).
+    U = diag(omega^j), V the cyclic shift, omega = exp(2*pi*i*p/q), so that
+    U V = omega V U; both are unitary by construction.  omega is a Python
+    complex.  For q = 1 this degenerates to the commuting pair ([1], [1]).
     """
     q = flux.q
     omega = np.exp(2j * np.pi * flux.p / q)
     U = np.diag(omega ** np.arange(q))
     V = np.zeros((q, q), dtype=complex)
     V[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
-    return ProjectivePair(U, V, omega)
+    return U, V, complex(omega)
 
 
 def canonical_trace(element) -> float:

@@ -79,19 +79,6 @@ class IDSCurve:
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
 
-def coalesce_intervals(intervals, eps: float) -> BandSet:
-    """Merge overlapping or eps-close closed intervals into a BandSet."""
-    if eps <= 0:
-        raise ValueError("merge tolerance must be positive")
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
-    merged = []
-    for a, b in ivs:
-        if merged and a - merged[-1][1] <= eps:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return BandSet(tuple((a, b) for a, b in merged))
-
 
 def bands_from_edges(edges, scale: float | None = None) -> BandSet:
     """Band set from 2n band edges: sorted and paired as [e0, e1], [e2, e3], ...
@@ -106,7 +93,13 @@ def bands_from_edges(edges, scale: float | None = None) -> BandSet:
     if scale is None:
         scale = float(np.abs(e).max())
     tol = TOUCH_ULPS * np.finfo(float).eps * max(scale, np.finfo(float).tiny)
-    return coalesce_intervals(zip(e[0::2], e[1::2]), tol)
+    merged = []
+    for a, b in zip(e[0::2].tolist(), e[1::2].tolist()):  # sorted pairs never overlap
+        if merged and a - merged[-1][1] <= tol:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return BandSet(merged)
 
 
 def gaps(bands: BandSet, window) -> list:

@@ -30,14 +30,11 @@ ORACLE_UNION_TOL = 1e-10
 # Largest dense matrix dimension a command may build: 2*cutoff + 1 for
 # ``bands``, --sites, and every flux denominator.  ``butterfly`` output grows
 # like max_q^3, so --max-q has its own cap.  MAX_GRID caps the sampling grids
-# (--kpoints, --epoints, --kgrid), which size 1d arrays and loops.
+# (--kpoints, --epoints, --kgrid), which size 1d arrays and loops, and the
+# oracle loop counts (--trials, --vectors).
 MAX_DIM = 2048
 MAX_Q = 200
 MAX_GRID = 1 << 16
-
-
-class UsageError(ValueError):
-    pass
 
 
 def parse_potential(text: str) -> FourierPotential:
@@ -48,25 +45,25 @@ def parse_potential(text: str) -> FourierPotential:
     for token in text.split(","):
         token = token.strip()
         if not token:
-            raise UsageError(f"empty entry in potential spec {text!r}")
+            raise ValueError(f"empty entry in potential spec {text!r}")
         if ":" in token:
             head, value = token.split(":", 1)
             try:
                 n = int(head)
                 re = float(value)
             except ValueError:
-                raise UsageError(f"bad potential entry {token!r}") from None
+                raise ValueError(f"bad potential entry {token!r}") from None
             if n in coeffs:
-                raise UsageError(f"duplicate frequency {n} in potential spec")
+                raise ValueError(f"duplicate frequency {n} in potential spec")
             coeffs[n] = complex(re, 0.0)
             current = n
         else:
             if current is None:
-                raise UsageError(f"imaginary part {token!r} without a preceding n:re pair")
+                raise ValueError(f"imaginary part {token!r} without a preceding n:re pair")
             try:
                 im = float(token)
             except ValueError:
-                raise UsageError(f"bad potential entry {token!r}") from None
+                raise ValueError(f"bad potential entry {token!r}") from None
             coeffs[current] = complex(coeffs[current].real, im)
             current = None
     for n in list(coeffs):
@@ -115,7 +112,7 @@ def _flux(text: str) -> RationalFlux:
     """Parse a reduced fraction p/q whose q x q matrices stay within MAX_DIM."""
     flux = RationalFlux.parse(text)
     if flux.q > MAX_DIM:
-        raise UsageError(f"flux denominator {flux.q} exceeds the cap of {MAX_DIM}")
+        raise ValueError(f"flux denominator {flux.q} exceeds the cap of {MAX_DIM}")
     return flux
 
 
@@ -188,18 +185,15 @@ def _cmd_ids(ns: argparse.Namespace):
 
 def _cmd_algebra_check(ns: argparse.Namespace):
     flux = _flux(ns.flux)
-    pair = algebra.clock_shift(flux)
-    res_u = algebra.unitarity_residual(pair.U)
-    res_v = algebra.unitarity_residual(pair.V)
-    res_c = algebra.commutation_residual(pair.U, pair.V, pair.omega)
+    U, V, omega = algebra.clock_shift(flux)
     payload = {
         "p": flux.p,
         "q": flux.q,
-        "omega_re": pair.omega.real,
-        "omega_im": pair.omega.imag,
-        "unitarity_residual_u": res_u,
-        "unitarity_residual_v": res_v,
-        "cocycle_residual": res_c,
+        "omega_re": omega.real,
+        "omega_im": omega.imag,
+        "unitarity_residual_u": algebra.unitarity_residual(U),
+        "unitarity_residual_v": algebra.unitarity_residual(V),
+        "cocycle_residual": algebra.commutation_residual(U, V, omega),
         "band_count_bound": flux.q,
     }
     header = ["key", "value"]
@@ -302,8 +296,11 @@ def run(ns: argparse.Namespace) -> int:
     else:
         text = svg
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # the path is bad input, not a failed check
+            raise ValueError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
     if ns.command == "oracle-check" and not payload["pass"]:
@@ -314,19 +311,18 @@ def run(ns: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits; we want the JSON record
-        raise UsageError(message)
+        raise ValueError(message)
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """argparse type: an integer of at least ``lo`` and, if given, at most ``hi``."""
+def _int_in(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi]."""
     def parse(text):
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < lo or (hi is not None and n > hi):
-            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}, got {n}")
         return n
     return parse
 
@@ -379,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", "unitarity", "union", "direct-space"])
     p.add_argument("--sites", type=_int_in(1, MAX_DIM), default=600)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--trials", type=_int_in(1), default=20)
-    p.add_argument("--vectors", type=_int_in(1), default=100)
+    p.add_argument("--trials", type=_int_in(1, MAX_GRID), default=20)
+    p.add_argument("--vectors", type=_int_in(1, MAX_GRID), default=100)
     common(p)
 
     p = sub.add_parser("cantor", help="band measure along rational approximants")
@@ -400,12 +396,7 @@ def _emit_error(kind: str, message: str, **context):
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-    except UsageError as exc:
-        _emit_error("usage", str(exc))
-        return 2
-    try:
-        return run(ns)
+        return run(build_parser().parse_args(argv))
     except EigensolverError as exc:
         _emit_error("numerical", str(exc),
                     flux=str(exc.flux) if exc.flux is not None else None, k=exc.k)

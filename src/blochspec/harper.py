@@ -171,24 +171,23 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
     return assembly.bands_from_edges(band_edges(params))
 
 
-def direct_space_harper(params: HarperParams, sites: int, theta: float | None = None) -> np.ndarray:
+def direct_space_harper(params: HarperParams, sites: int) -> np.ndarray:
     """Ascending eigenvalues of the open-boundary direct-space truncation.
 
     sites x sites tridiagonal matrix with diagonal 2*lam*cos(2*pi*n*p/q + theta)
-    and unit hopping.
+    and unit hopping; lam, p/q and theta all come from ``params``.
     """
-    return eigensolve(tridiagonal(_direct_space_diag(params, sites, theta)), flux=params.flux)
+    return eigensolve(tridiagonal(_direct_space_diag(params, sites)), flux=params.flux)
 
 
-def _direct_space_diag(params: HarperParams, sites: int, theta: float | None) -> np.ndarray:
+def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
+    """Onsite energies 2*lam*cos(2*pi*n*p/q + theta) for n < sites, all read from ``params``."""
     if sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
-    if theta is None:
-        theta = params.theta
     # the onsite term is written out here, not taken from ``_onsite``, so the
     # direct-space oracle stays an independent definition of the operator
     n = np.arange(sites)
-    return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + theta)
+    return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + params.theta)
 
 
 def _edge_weight(diag: np.ndarray, w: np.ndarray, edge: int) -> np.ndarray:
@@ -241,8 +240,9 @@ def _edge_weight(diag: np.ndarray, w: np.ndarray, edge: int) -> np.ndarray:
     return num / den
 
 
-def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = None):
-    """Split the direct-space spectrum into bulk and boundary eigenvalues.
+def direct_space_bulk(params: HarperParams, sites: int):
+    """Split the direct-space spectrum of ``direct_space_harper`` (phase
+    offset ``params.theta``) into bulk and boundary eigenvalues.
 
     An eigenvalue counts as boundary-localized when more than
     EDGE_MASS_THRESHOLD of its spectral weight lies on the outer 2q sites at
@@ -250,8 +250,8 @@ def direct_space_bulk(params: HarperParams, sites: int, theta: float | None = No
     Only eigenvalues are computed: the weights come from the resolvent's
     diagonal at the chain ends, so no eigenvector is formed.
     """
-    w = direct_space_harper(params, sites, theta)
-    diag = _direct_space_diag(params, sites, theta)
+    w = direct_space_harper(params, sites)
+    diag = _direct_space_diag(params, sites)
     is_edge = _edge_weight(diag, w, min(2 * params.flux.q, sites)) > EDGE_MASS_THRESHOLD
     return w[~is_edge], w[is_edge]
 

@@ -142,8 +142,8 @@ def test_criterion_06_cocycle_relations():
         for p in range(q):
             if math.gcd(p, q) != 1:
                 continue
-            pair = bs.clock_shift(bs.RationalFlux(p, q))
-            worst = max(worst, bs.commutation_residual(pair.U, pair.V, pair.omega))
+            U, V, omega = bs.clock_shift(bs.RationalFlux(p, q))
+            worst = max(worst, bs.commutation_residual(U, V, omega))
             pairs += 1
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12

@@ -9,11 +9,11 @@ import pytest
 from oracles import bloch_matrix_family, eigenvalue_grid
 
 from blochspec.algebra import (
-    ProjectivePair,
     canonical_trace,
     clock_shift,
     commutation_residual,
     spectral_projection_trace,
+    unitarity_residual,
 )
 from blochspec.assembly import interior_gaps
 from blochspec.harper import (
@@ -32,22 +32,22 @@ def params(p, q, lam=1.0):
 # ---------------------------------------------------------------- clock and shift
 
 def test_commutative_case():
-    pair = clock_shift(RationalFlux(0, 1))
-    assert pair.dimension == 1
-    assert np.allclose(pair.U, [[1.0]]) and np.allclose(pair.V, [[1.0]])
-    assert pair.omega == 1.0 + 0.0j
+    U, V, omega = clock_shift(RationalFlux(0, 1))
+    assert U.shape[0] == 1
+    assert np.allclose(U, [[1.0]]) and np.allclose(V, [[1.0]])
+    assert omega == 1.0 + 0.0j
 
 
 def test_flux_half_is_the_pauli_pair():
-    pair = clock_shift(RationalFlux(1, 2))
-    assert np.allclose(pair.U, np.diag([1.0, -1.0]))
-    assert np.allclose(pair.V, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(pair.U @ pair.V, -pair.V @ pair.U)
+    U, V, _ = clock_shift(RationalFlux(1, 2))
+    assert np.allclose(U, np.diag([1.0, -1.0]))
+    assert np.allclose(V, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(U @ V, -V @ U)
 
 
 def test_flux_two_fifths_residual():
-    pair = clock_shift(RationalFlux(2, 5))
-    assert commutation_residual(pair.U, pair.V, pair.omega) <= 1e-14
+    U, V, omega = clock_shift(RationalFlux(2, 5))
+    assert commutation_residual(U, V, omega) <= 1e-14
 
 
 def test_cocycle_relation_all_q_up_to_64():
@@ -55,15 +55,10 @@ def test_cocycle_relation_all_q_up_to_64():
         for p in range(q):
             if math.gcd(p, q) != 1:
                 continue
-            pair = clock_shift(RationalFlux(p, q))
-            assert commutation_residual(pair.U, pair.V, pair.omega) <= 1e-12
-
-
-def test_projective_pair_validates_inputs():
-    with pytest.raises(ValueError):
-        ProjectivePair(np.eye(2) * 2.0, np.eye(2), 1.0)  # not unitary
-    with pytest.raises(ValueError):
-        ProjectivePair(np.eye(2), np.eye(2), -1.0)  # wrong omega
+            U, V, omega = clock_shift(RationalFlux(p, q))
+            assert type(omega) is complex
+            assert max(unitarity_residual(U), unitarity_residual(V)) <= 1e-12
+            assert commutation_residual(U, V, omega) <= 1e-12
 
 
 # ---------------------------------------------------------------- canonical trace

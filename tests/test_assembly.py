@@ -14,7 +14,6 @@ from blochspec.assembly import (
     BandSet,
     IDSCurve,
     bands_from_edges,
-    coalesce_intervals,
     distance_to_bands,
     fibonacci_approximants,
     gaps,
@@ -27,11 +26,6 @@ from blochspec.model import RationalFlux
 EPS = np.finfo(float).eps
 
 
-def merged_branches(*samples, eps):
-    """Branch ranges of eigenvalue samples (one row per k), coalesced at eps."""
-    return coalesce_intervals(branch_ranges(np.array(samples, dtype=float)), eps)
-
-
 # ---------------------------------------------------------------- band sets
 
 def test_bandset_invariants():
@@ -42,22 +36,6 @@ def test_bandset_invariants():
         BandSet(((1.0, 0.0),))
 
 
-def test_merge_overlapping_branches():
-    merged = merged_branches((0.0, 0.5), (1.0, 2.0), eps=1e-9)
-    assert merged.intervals == ((0.0, 2.0),)
-
-
-def test_merge_eps_close_branches():
-    eps = 0.1
-    merged = merged_branches((0.0, 1.0 + eps / 2), (1.0, 2.0), eps=eps)
-    assert merged.intervals == ((0.0, 2.0),)
-
-
-def test_merge_keeps_separated_branches():
-    merged = merged_branches((0.0, 2.0), (1.0, 3.0), eps=0.5)
-    assert merged.intervals == ((0.0, 1.0), (2.0, 3.0))
-
-
 def test_merge_rejects_empty_and_ragged():
     with pytest.raises(ValueError):
         bands_from_edges([])
@@ -65,8 +43,6 @@ def test_merge_rejects_empty_and_ragged():
         bands_from_edges([0.0, 1.0, 2.0])  # an odd number of edges cannot pair
     with pytest.raises(ValueError):
         branch_ranges(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        merged_branches((0.0,), eps=0.0)
 
 
 def test_edges_pair_in_sorted_order():
@@ -85,12 +61,14 @@ def test_edges_pair_in_sorted_order():
     st.floats(1e-6, 1.0),
 )
 def test_coalesce_is_idempotent(raw, eps):
-    merged = coalesce_intervals(raw, eps)
-    again = coalesce_intervals(merged.intervals, eps)
+    # the edges of a band set pair back into the same band set
+    scale = eps / (TOUCH_ULPS * EPS)
+    merged = bands_from_edges([x for iv in raw for x in iv], scale)
+    again = bands_from_edges([x for iv in merged.intervals for x in iv], scale)
     assert again.intervals == merged.intervals
-    # every reported gap exceeds the merge tolerance
+    # every reported gap exceeds the touch tolerance
     for (_, b0), (a1, _) in zip(merged.intervals, merged.intervals[1:]):
-        assert a1 - b0 > eps
+        assert a1 - b0 > TOUCH_ULPS * EPS * scale
 
 
 def test_touch_tolerance_scales_with_fiber_norm():

@@ -131,6 +131,16 @@ def test_main_writes_the_output_file_without_echoing_its_path(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
+    # exit 1 means a failed check; a path that cannot be written is bad input
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    assert main(["algebra-check", "--flux", "1/3", "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
 # the config echo opens every output; its keys and their order are part of the bytes
 ECHOES = [
     (["bands", "--potential", "1:1", "--cutoff", "4", "--kpoints", "3", "--bands", "2"],
@@ -168,6 +178,15 @@ def test_payloads_and_rows_hold_only_builtins(argv):
     payload, _, rows, _ = cli._COMMANDS[ns.command](ns)
     walk(payload)
     walk([list(row) for row in rows])
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in ECHOES], ids=[a[0] for a, _ in ECHOES])
+def test_csv_cells_hold_no_numpy_scalar_repr(capsys, argv):
+    # repr of a numpy scalar, e.g. np.complex128(...).real, reads np.float64(...)
+    assert main(argv + ["--format", "csv"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith("#"):
+            assert not any(cell.startswith("np.") for cell in line.split(",")), line
 
 
 # ---------------------------------------------------------------- formats
@@ -453,7 +472,9 @@ def test_arguments_that_size_a_dense_matrix_are_capped(capsys, no_builders, argv
     (["bands", "--potential", "1:1", "--bands"], 1, MAX_DIM),
     (["ids", "--flux", "1/3", "--epoints"], 2, MAX_GRID),
     (["ids", "--flux", "1/3", "--kgrid"], 1, MAX_GRID),
-], ids=["kpoints", "bands", "epoints", "kgrid"])
+    (["oracle-check", "--trials"], 1, MAX_GRID),
+    (["oracle-check", "--vectors"], 1, MAX_GRID),
+], ids=["kpoints", "bands", "epoints", "kgrid", "trials", "vectors"])
 def test_grid_sizes_are_bounded_while_parsing(capsys, argv, lo, hi):
     # only parsing runs: the bounds hold before any array or loop is sized
     parser = build_parser()

@@ -183,7 +183,7 @@ def test_edge_weight_matches_the_eigenvector_end_mass(p, q):
             for sites in (4 * q, 7 * q + 3):
                 prm = params(p, q, lam, theta)
                 w, mass = chain_edge_mass(prm, sites, 2 * q)
-                diag = _direct_space_diag(prm, sites, None)
+                diag = _direct_space_diag(prm, sites)
                 ws = direct_space_harper(prm, sites)
                 weight = _edge_weight(diag, ws, 2 * q)
                 gap = nearest_gap(w)
@@ -203,7 +203,7 @@ def test_edge_weight_overlapping_ends_count_twice():
     # with sites < 4q every site in both end windows counts twice, as a sum of
     # the two eigenvector masses does: sites = 2q gives weight 2 everywhere
     prm = params(2, 5)
-    weight = _edge_weight(_direct_space_diag(prm, 10, None), direct_space_harper(prm, 10), 10)
+    weight = _edge_weight(_direct_space_diag(prm, 10), direct_space_harper(prm, 10), 10)
     assert np.abs(weight - 2.0).max() <= 1e-6
     bulk, edge = direct_space_bulk(prm, 10)
     assert bulk.size == 0 and edge.size == 10
@@ -212,7 +212,7 @@ def test_edge_weight_overlapping_ends_count_twice():
 def test_edge_weight_stays_finite_at_the_largest_coupling():
     # the sweeps run in units of the spectral norm, so nothing overflows
     prm = params(2, 7, lam=LAM_MAX)
-    weight = _edge_weight(_direct_space_diag(prm, 70, None), direct_space_harper(prm, 70), 14)
+    weight = _edge_weight(_direct_space_diag(prm, 70), direct_space_harper(prm, 70), 14)
     assert np.all(np.isfinite(weight)) and np.all(weight >= 0.0)
 
 
@@ -239,7 +239,7 @@ def test_direct_space_needs_a_full_cell():
 
 
 def test_theta_override_shifts_the_diagonal():
-    w0 = direct_space_harper(params(0, 1), 50, theta=np.pi)
+    w0 = direct_space_harper(params(0, 1, theta=np.pi), 50)
     assert np.allclose(w0.max(), -2.0 + 2.0 * np.cos(np.pi / 51), atol=1e-10)
 
 
