@@ -23,33 +23,17 @@ def _frobenius(mat) -> float:
     return math.sqrt(x.real @ x.real + x.imag @ x.imag)
 
 
-# OpenBLAS hands a product to its worker threads once m*n*k reaches 65536
-# (q >= 41 for q x q).  Waking the worker can cost a ~16 ms scheduler tick per
-# call on a VM with an idle vCPU, which turns a sweep over thousands of small
-# pairs into a second of waiting.  Row slabs below that size stay on the
-# calling thread; each entry is still one dot product over the full k.
-_SERIAL_GEMM_SIZE = 65536
-
-
-def _matmul(a, b):
-    """a @ b, in row slabs small enough for BLAS to run on the calling thread."""
-    rows = (_SERIAL_GEMM_SIZE - 1) // (a.shape[1] * b.shape[1])
-    if rows == 0 or rows >= a.shape[0]:
-        return a @ b
-    return np.concatenate([a[i:i + rows] @ b for i in range(0, a.shape[0], rows)])
-
-
 def unitarity_residual(U) -> float:
     """Frobenius norm of U U* - 1."""
     U = np.asarray(U, dtype=complex)
-    return _frobenius(_matmul(U, U.conj().T) - np.eye(U.shape[0]))
+    return _frobenius(U @ U.conj().T - np.eye(U.shape[0]))
 
 
 def commutation_residual(U, V, omega) -> float:
     """Frobenius norm of U V - omega V U."""
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    return _frobenius(_matmul(U, V) - omega * _matmul(V, U))
+    return _frobenius(U @ V - omega * (V @ U))
 
 
 def clock_shift(flux: RationalFlux) -> tuple:

@@ -297,10 +297,11 @@ def run(ns: argparse.Namespace) -> int:
         text = svg
     if ns.output:
         try:
-            with open(ns.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh = open(ns.output, "w", encoding="utf-8")
         except OSError as exc:  # the path is bad input, not a failed check
-            raise ValueError(f"cannot write output file: {exc}") from None
+            raise ValueError(f"cannot open output file: {exc}") from None
+        with fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     if ns.command == "oracle-check" and not payload["pass"]:
