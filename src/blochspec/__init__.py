@@ -8,24 +8,16 @@ trace-quantization mechanism behind band structure.
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    canonical_trace,
-    clock_shift,
-    commutation_residual,
-    spectral_projection_trace,
-)
+from .algebra import clock_shift, commutation_residual
 from .assembly import (
     BandSet,
     IDSCurve,
     distance_to_bands,
-    fibonacci_approximants,
-    gaps,
     interior_gaps,
     lebesgue_measure,
 )
 from .fibering import (
     DiscreteCell,
-    FiberTruncation,
     band_structure,
     band_sweep,
     discrete_bloch_transform,
@@ -54,7 +46,6 @@ __all__ = [
     "BandSet",
     "DiscreteCell",
     "EigensolverError",
-    "FiberTruncation",
     "FourierPotential",
     "HarperParams",
     "IDSCurve",
@@ -62,7 +53,6 @@ __all__ = [
     "band_structure",
     "band_sweep",
     "butterfly",
-    "canonical_trace",
     "cantor_proxy",
     "clock_shift",
     "commutation_residual",
@@ -72,13 +62,10 @@ __all__ = [
     "distance_to_bands",
     "farey_fractions",
     "fiber_union_spectrum",
-    "fibonacci_approximants",
-    "gaps",
     "harper_spectrum",
     "ids",
     "interior_gaps",
     "lebesgue_measure",
     "periodic_truncation_spectrum",
-    "spectral_projection_trace",
     "uniform_k_grid",
 ]

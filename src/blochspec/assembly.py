@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RationalFlux
-
 # Bands that touch (the centre pair of Harper at even q, the free case in 1d)
 # show a "gap" of eigensolver roundoff: at most 150 eps*||H|| for Harper with
 # q <= 50 and lam in {1/2, 1, 2}.  Genuine Harper gaps at lam = 1 and q <= 25
@@ -45,15 +43,6 @@ class BandSet:
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-    @property
-    def hull(self) -> tuple:
-        if not self.intervals:
-            raise ValueError("empty band set has no hull")
-        return (self.intervals[0][0], self.intervals[-1][1])
-
-    def contains(self, energy: float) -> bool:
-        return any(a <= energy <= b for a, b in self.intervals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,33 +91,10 @@ def bands_from_edges(edges, scale: float | None = None) -> BandSet:
     return BandSet(merged)
 
 
-def gaps(bands: BandSet, window) -> list:
-    """Maximal open subintervals of the window disjoint from all bands."""
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError(f"window [{lo}, {hi}] is empty")
-    out = []
-    cursor = lo
-    for a, b in bands.intervals:
-        if b <= cursor:
-            continue
-        if a >= hi:
-            break
-        if a > cursor:
-            out.append((cursor, min(a, hi)))
-        cursor = max(cursor, b)
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        out.append((cursor, hi))
-    return out
-
-
 def interior_gaps(bands: BandSet) -> list:
-    """Open gaps strictly between the first and last band."""
-    if len(bands) < 2:
-        return []
-    return gaps(bands, bands.hull)
+    """Open gaps strictly between the first and last band: (b_i, a_i+1) for
+    consecutive bands [a_i, b_i] and [a_i+1, b_i+1]."""
+    return [(b, a) for (_, b), (a, _) in zip(bands.intervals, bands.intervals[1:])]
 
 
 def lebesgue_measure(bands: BandSet) -> float:
@@ -145,12 +111,3 @@ def distance_to_bands(bands: BandSet, values) -> np.ndarray:
         d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, np.minimum(np.abs(x - a), np.abs(x - b))))
     return d
 
-
-def fibonacci_approximants(count: int = 6) -> list:
-    """Successive ratios F(n)/F(n+1): rational approximants of the golden mean."""
-    if count < 1:
-        raise ValueError("need at least one approximant")
-    fib = [1, 2]
-    while len(fib) < count + 1:
-        fib.append(fib[-1] + fib[-2])
-    return [RationalFlux(fib[i], fib[i + 1]) for i in range(count)]

@@ -122,9 +122,8 @@ def _flux(text: str) -> RationalFlux:
 
 def _cmd_bands(ns: argparse.Namespace):
     potential = parse_potential(ns.potential)
-    trunc = fibering.FiberTruncation(ns.cutoff)
-    ks, energies = fibering.band_sweep(potential, trunc, ns.bands, ns.kpoints)
-    bands = fibering.band_structure(potential, trunc, ns.bands)
+    ks, energies = fibering.band_sweep(potential, ns.cutoff, ns.bands, ns.kpoints)
+    bands = fibering.band_structure(potential, ns.cutoff, ns.bands)
     ranges = bands.intervals
     gap_list = assembly.interior_gaps(bands)
     payload = {

@@ -28,27 +28,6 @@ DEFAULT_KPOINTS = 101
 
 
 @dataclass(frozen=True)
-class FiberTruncation:
-    """Plane-wave cutoff: basis frequencies -N..N, fiber dimension 2N+1.
-
-    ``band_sweep`` solves fibers only for k in [0, pi], where -N..N holds the
-    2N+1 plane waves of lowest kinetic energy (2*pi*m + k)^2.  Its sample at
-    k > pi is the mirror one at 2*pi - k, which is the fiber at k on the
-    lowest-kinetic window -N-1..N-1.
-    """
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("cutoff must be non-negative")
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.N + 1
-
-
-@dataclass(frozen=True)
 class DiscreteCell:
     """Period-q nearest-neighbor operator on q*M sites with unit hopping."""
 
@@ -71,19 +50,17 @@ class DiscreteCell:
         return self.q * self.M
 
 
-def _fibers(potential: FourierPotential, trunc: FiberTruncation, ks):
+def _fibers(potential: FourierPotential, cutoff: int, ks):
     """Plane-wave fiber at each k in ``ks``, written into one reused array.
 
-    Entry (m, n) = delta_mn (2*pi*m + k)^2 + v(m - n) for m, n in -N..N.  The
-    Toeplitz part v(m - n) is built once and is real when every coefficient
-    is; only the diagonal changes with k.  The cutoff must cover every stored
-    potential frequency.  Entry (n, m) is v(n - m) = conj v(m - n) exactly
-    and v(0) is real (``FourierPotential``), so every fiber is Hermitian.
+    Entry (m, n) = delta_mn (2*pi*m + k)^2 + v(m - n) for m, n in -N..N with
+    N = cutoff, so the fiber dimension is 2N+1.  The Toeplitz part v(m - n) is built once
+    and is real when every coefficient is; only the diagonal changes with k.
+    N must cover every stored potential frequency.  Entry (n, m) is
+    v(n - m) = conj v(m - n) exactly and v(0) is real (``FourierPotential``),
+    so every fiber is Hermitian.
     """
-    N = trunc.N
-    if N < potential.max_frequency:
-        raise ValueError(f"cutoff N={N} cannot represent the potential "
-                         f"(max frequency {potential.max_frequency})")
+    N = cutoff
     # v-lookup table indexed by frequency difference m - n in [-2N, 2N]
     table = np.zeros(4 * N + 1, dtype=complex)
     for n, v in potential.coefficients.items():
@@ -97,39 +74,48 @@ def _fibers(potential: FourierPotential, trunc: FiberTruncation, ks):
         yield fiber
 
 
-def _fiber_eigenvalues(potential: FourierPotential, trunc: FiberTruncation, ks, bands: int):
+def _fiber_eigenvalues(potential: FourierPotential, cutoff: int, ks, bands: int):
     """Lowest ``bands`` fiber eigenvalues at each k in ``ks``, shape (len(ks), bands),
-    and the largest eigenvalue magnitude over all of them (the fibers' norm)."""
+    and the largest eigenvalue magnitude over all of them (the fibers' norm).
+
+    The cutoff must cover every potential frequency, which rejects every
+    negative cutoff before the band count is checked against 2*cutoff + 1.
+    """
+    if cutoff < potential.max_frequency:
+        raise ValueError(f"cutoff N={cutoff} cannot represent the potential "
+                         f"(max frequency {potential.max_frequency})")
     if bands < 1:
         raise ValueError("need at least one band")
-    if bands > trunc.dimension:
-        raise ValueError(f"requested {bands} bands from a {trunc.dimension}-dimensional fiber")
+    if bands > 2 * cutoff + 1:
+        raise ValueError(f"requested {bands} bands from a {2 * cutoff + 1}-dimensional fiber")
     energies, scale = np.empty((len(ks), bands)), 0.0
-    for i, (kval, fiber) in enumerate(zip(ks, _fibers(potential, trunc, ks))):
+    for i, (kval, fiber) in enumerate(zip(ks, _fibers(potential, cutoff, ks))):
         w = eigensolve(fiber, k=float(kval))
         energies[i] = w[:bands]
         scale = max(scale, abs(w[0]), abs(w[-1]))
     return energies, float(scale)
 
 
-def band_sweep(potential: FourierPotential, trunc: FiberTruncation,
+def band_sweep(potential: FourierPotential, cutoff: int,
                bands: int = DEFAULT_BANDS, kpoints: int = DEFAULT_KPOINTS):
-    """Band functions on the uniform k-grid.
+    """Band functions on the uniform k-grid, in the plane-wave basis -cutoff..cutoff.
 
     Returns (ks, energies) with energies[i, b] the b-th band at ks[i].  Only
-    the fibers at ks[i] in [0, pi] (i <= kpoints // 2) are solved.  Since the
-    potential is real, E(k) = E(-k) = E(2*pi - k), so every row i past the
-    middle is an exact copy of row kpoints - i.
+    the fibers at ks[i] in [0, pi] (i <= kpoints // 2) are solved, where
+    -cutoff..cutoff holds the plane waves of lowest kinetic energy
+    (2*pi*m + k)^2.  Since the potential is real, E(k) = E(-k) = E(2*pi - k),
+    so every row i past the middle is an exact copy of row kpoints - i: the
+    fiber at k on the lowest-kinetic window -cutoff-1..cutoff-1.
     """
     ks = uniform_k_grid(kpoints)
     half = kpoints // 2 + 1
     energies = np.empty((kpoints, bands))
-    energies[:half], _ = _fiber_eigenvalues(potential, trunc, ks[:half], bands)
+    energies[:half], _ = _fiber_eigenvalues(potential, cutoff, ks[:half], bands)
     energies[half:] = energies[kpoints - half:0:-1]
     return ks, energies
 
 
-def band_structure(potential: FourierPotential, trunc: FiberTruncation,
+def band_structure(potential: FourierPotential, cutoff: int,
                    bands: int = DEFAULT_BANDS) -> assembly.BandSet:
     """Lowest ``bands`` bands of the periodic operator, touching bands merged.
 
@@ -137,7 +123,7 @@ def band_structure(potential: FourierPotential, trunc: FiberTruncation,
     k = pi (Floquet/Hill theory); the roundoff scale is the fibers' norm.
     These come from the same builder as the ``band_sweep`` samples.
     """
-    edges, scale = _fiber_eigenvalues(potential, trunc, (0.0, math.pi), bands)
+    edges, scale = _fiber_eigenvalues(potential, cutoff, (0.0, math.pi), bands)
     return assembly.bands_from_edges(edges, scale)
 
 

@@ -33,6 +33,10 @@ IDS_HULL_PADDING = 0.05
 # direct-space eigenvalues with more than half their spectral weight on the
 # outer 2q sites at either end are open-boundary artifacts, not bulk spectrum
 EDGE_MASS_THRESHOLD = 0.5
+# an edge state's weight must exceed the threshold by this margin: a chain
+# and its mirror image split a weight of exactly 0.5 (a state shared evenly
+# by both ends) on either side of it by roundoff, so an exact tie stays bulk
+EDGE_MASS_MARGIN = 1e-6
 # the edge weight reads the resolvent at distance eta = EDGE_ETA * max(1,
 # max |eigenvalue|) from each eigenvalue: far above the eigenvalues' own error
 # (a few 1e-14), far below the spacing of separated states
@@ -246,13 +250,15 @@ def direct_space_bulk(params: HarperParams, sites: int):
 
     An eigenvalue counts as boundary-localized when more than
     EDGE_MASS_THRESHOLD of its spectral weight lies on the outer 2q sites at
-    either end (``_edge_weight``); those are artifacts of the open boundary.
+    either end (``_edge_weight``), by more than EDGE_MASS_MARGIN; those are
+    artifacts of the open boundary.
     Only eigenvalues are computed: the weights come from the resolvent's
     diagonal at the chain ends, so no eigenvector is formed.
     """
     w = direct_space_harper(params, sites)
     diag = _direct_space_diag(params, sites)
-    is_edge = _edge_weight(diag, w, min(2 * params.flux.q, sites)) > EDGE_MASS_THRESHOLD
+    weight = _edge_weight(diag, w, min(2 * params.flux.q, sites))
+    is_edge = weight > EDGE_MASS_THRESHOLD + EDGE_MASS_MARGIN
     return w[~is_edge], w[is_edge]
 
 

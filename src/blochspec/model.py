@@ -108,10 +108,6 @@ class FourierPotential:
         object.__setattr__(self, "coefficients", exact)
 
     @classmethod
-    def zero(cls) -> "FourierPotential":
-        return cls({})
-
-    @classmethod
     def from_positive(cls, positive: dict) -> "FourierPotential":
         """Build from coefficients for n >= 0, filling v(-n) = conj(v(n))."""
         coeffs = {}
@@ -128,17 +124,6 @@ class FourierPotential:
         if not self.coefficients:
             return 0
         return max(abs(n) for n in self.coefficients)
-
-    def coefficient(self, n: int) -> complex:
-        return self.coefficients.get(n, 0.0 + 0.0j)
-
-    def sample(self, x) -> np.ndarray:
-        """Evaluate V(x); always real up to roundoff."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x, dtype=complex)
-        for n, v in self.coefficients.items():
-            total += v * np.exp(2j * np.pi * n * x)
-        return total.real
 
 
 @dataclass(frozen=True, order=True)

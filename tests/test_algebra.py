@@ -1,4 +1,5 @@
-"""Clock/shift cocycle relations, the canonical trace, and trace quantization."""
+"""Clock/shift cocycle relations, the canonical trace, and trace quantization: the
+IDS in a gap equals the canonical trace of the spectral projection there."""
 
 import math
 import time
@@ -6,15 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bloch_matrix_family, eigenvalue_grid
+from oracles import bloch_matrix_family, canonical_trace, spectral_projections
 
-from blochspec.algebra import (
-    canonical_trace,
-    clock_shift,
-    commutation_residual,
-    spectral_projection_trace,
-    unitarity_residual,
-)
+from blochspec.algebra import clock_shift, commutation_residual, unitarity_residual
 from blochspec.assembly import interior_gaps
 from blochspec.harper import (
     HarperParams,
@@ -101,42 +96,36 @@ def test_trace_rejects_mixed_dimensions_and_empty():
 
 # ---------------------------------------------------------------- projection traces
 
+def projection_traces(prm, energies):
+    """Canonical traces of the spectral projections below each energy on an 8 x 8 k-grid."""
+    return [canonical_trace(proj) for proj in spectral_projections(prm, energies, (8, 8))]
+
+
 def test_projection_trace_in_lowest_flux_third_gap():
     e_in_gap = 0.5 * (-2.0 + (1.0 - math.sqrt(3.0)))
-    assert spectral_projection_trace(params(1, 3), e_in_gap) == 1.0 / 3.0
+    assert ids(params(1, 3), egrid=[e_in_gap]).values.tolist() == [1.0 / 3.0]
+    assert projection_traces(params(1, 3), [e_in_gap]) == pytest.approx([1.0 / 3.0], abs=1e-14)
 
 
 def test_projection_trace_above_and_below_spectrum():
-    assert spectral_projection_trace(params(0, 1), 5.0) == 1.0
-    assert spectral_projection_trace(params(1, 2), -3.0) == 0.0
-
-
-def test_projection_trace_rejects_energy_inside_band():
-    with pytest.raises(ValueError):
-        spectral_projection_trace(params(0, 1), 0.0)
-
-
-def test_projection_trace_rejects_nan_and_takes_infinities():
-    with pytest.raises(ValueError):
-        spectral_projection_trace(params(1, 3), float("nan"))
-    with pytest.raises(ValueError):
-        spectral_projection_trace(params(1, 3), [-3.0, float("nan")])
-    assert spectral_projection_trace(params(1, 3), float("inf")) == 1.0
-    assert spectral_projection_trace(params(1, 3), -float("inf")) == 0.0
+    assert ids(params(0, 1), egrid=[5.0]).values.tolist() == [1.0]
+    assert ids(params(1, 2), egrid=[-3.0]).values.tolist() == [0.0]
+    assert projection_traces(params(0, 1), [5.0]) == pytest.approx([1.0], abs=1e-14)
+    assert projection_traces(params(1, 2), [-3.0]) == [0.0]
 
 
 def test_projection_trace_serves_an_array_of_energies():
     s3 = math.sqrt(3.0)
     energies = np.array([-5.0, 0.5 * (-2.0 + 1.0 - s3), 0.5 * (s3 - 1.0 + 2.0), 5.0])
-    values = spectral_projection_trace(params(1, 3), energies)
+    values = ids(params(1, 3), egrid=energies).values
     assert np.array_equal(values, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    with pytest.raises(ValueError):
-        spectral_projection_trace(params(1, 3), np.array([-5.0, 0.0]))
+    assert np.allclose(projection_traces(params(1, 3), energies), values, rtol=0, atol=1e-14)
 
 
 def test_quantization_on_every_detected_gap_q_up_to_12():
-    # every exact interior gap: the lookup, the IDS and an 8 x 8 grid count agree
-    # exactly, since in a gap every fiber has the same number of eigenvalues below
+    # every exact interior gap: the IDS is exactly j/q and the canonical trace of
+    # the spectral projection on an 8 x 8 grid agrees, since in a gap every fiber
+    # has the same number of eigenvalues below
     start = time.perf_counter()
     checked = 0
     for flux in farey_fractions(12):
@@ -146,12 +135,10 @@ def test_quantization_on_every_detected_gap_q_up_to_12():
         mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
         if not mids.size:
             continue
-        values = spectral_projection_trace(params(p, q), mids)
+        values = ids(params(p, q), egrid=mids).values
         labels = [j for j in range(1, q) if 2 * j != q]  # the even-q centre gap is closed
         assert np.array_equal(values, np.array(labels) / q)
-        pooled = np.sort(eigenvalue_grid(params(p, q), (8, 8)), axis=None)
-        assert np.array_equal(values, np.searchsorted(pooled, mids, side="right") / pooled.size)
-        assert np.array_equal(ids(params(p, q), egrid=mids).values, values)
+        assert np.allclose(projection_traces(params(p, q), mids), values, rtol=0, atol=1e-13)
         checked += mids.size
     assert checked == 312
     assert time.perf_counter() - start < 1.0

@@ -15,8 +15,6 @@ from blochspec.assembly import (
     IDSCurve,
     bands_from_edges,
     distance_to_bands,
-    fibonacci_approximants,
-    gaps,
     interior_gaps,
     lebesgue_measure,
 )
@@ -86,20 +84,12 @@ def test_touch_tolerance_scales_with_fiber_norm():
 
 # ---------------------------------------------------------------- gaps and measure
 
-def test_gaps_outside_single_band():
-    bands = BandSet(((-4.0, 4.0),))
-    assert gaps(bands, (-5.0, 5.0)) == [(-5.0, -4.0), (4.0, 5.0)]
-
-
 def test_gap_between_two_bands():
     bands = BandSet(((0.0, 1.0), (2.0, 3.0)))
-    assert gaps(bands, (0.0, 3.0)) == [(1.0, 2.0)]
     assert interior_gaps(bands) == [(1.0, 2.0)]
-
-
-def test_gaps_empty_window_rejected():
-    with pytest.raises(ValueError):
-        gaps(BandSet(()), (1.0, 1.0))
+    # a point band still bounds its gaps
+    assert interior_gaps(BandSet(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)))) == [(0.0, 1.0), (2.0, 3.0)]
+    assert interior_gaps(BandSet(((-4.0, 4.0),))) == interior_gaps(BandSet(())) == []
 
 
 def test_merged_touching_bands_leave_no_gap():
@@ -192,9 +182,3 @@ def test_larger_coupling_widens_flux_half_spectrum():
     assert m2 == pytest.approx(4 * math.sqrt(5.0), abs=1e-12)
     assert m2 > m1
 
-
-def test_fibonacci_approximants_sequence():
-    fluxes = fibonacci_approximants(6)
-    assert [(f.p, f.q) for f in fluxes] == [(1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21)]
-    with pytest.raises(ValueError):
-        fibonacci_approximants(0)

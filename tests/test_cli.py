@@ -526,11 +526,9 @@ def test_python_m_cli_leaves_stderr_empty():
 
 def test_parse_potential_forms():
     v = parse_potential("1:1")
-    assert v.coefficient(1) == 1.0 and v.coefficient(-1) == 1.0
+    assert v.coefficients == {1: 1.0, -1: 1.0}
     v = parse_potential("0:0.5,1:1,-0.25")
-    assert v.coefficient(0) == 0.5
-    assert v.coefficient(1) == 1.0 - 0.25j
-    assert v.coefficient(-1) == 1.0 + 0.25j
+    assert v.coefficients == {0: 0.5, 1: 1.0 - 0.25j, -1: 1.0 + 0.25j}
     for bad in ("", "1:", "x:1", "0.5", "1:1,1:2"):
         with pytest.raises(ValueError):
             parse_potential(bad)

@@ -14,7 +14,6 @@ from oracles import block_circulant_from_fibers, branch_ranges
 from blochspec import assembly
 from blochspec.fibering import (
     DiscreteCell,
-    FiberTruncation,
     _fiber_eigenvalues,
     _fibers,
     band_structure,
@@ -40,19 +39,19 @@ COSINE = FourierPotential.from_positive({1: 1.0})
 
 def fiber(potential, k, cutoff):
     """The plane-wave fiber at k from the shared builder."""
-    m, = _fibers(potential, FiberTruncation(cutoff), [k])
+    m, = _fibers(potential, cutoff, [k])
     return m
 
 
 def lowest(potential, k, cutoff, bands):
     """The lowest ``bands`` fiber eigenvalues at k, ascending."""
-    return _fiber_eigenvalues(potential, FiberTruncation(cutoff), [k], bands)[0][0]
+    return _fiber_eigenvalues(potential, cutoff, [k], bands)[0][0]
 
 
 # ---------------------------------------------------------------- fiber matrices
 
 def test_free_fiber_is_exact_diagonal():
-    m = fiber(FourierPotential.zero(), 0.0, 1)
+    m = fiber(FourierPotential({}), 0.0, 1)
     assert np.allclose(np.diag(m), [4 * np.pi**2, 0.0, 4 * np.pi**2])
     assert np.allclose(m - np.diag(np.diag(m)), 0.0)
     w = np.linalg.eigvalsh(m)
@@ -62,36 +61,43 @@ def test_free_fiber_is_exact_diagonal():
 @settings(max_examples=30, deadline=None)
 @given(kval=st.floats(0.0, 2 * np.pi, exclude_max=True), n=st.integers(1, 8))
 def test_free_fiber_eigenvalues_closed_form(kval, n):
-    w = np.linalg.eigvalsh(fiber(FourierPotential.zero(), kval, n))
+    w = np.linalg.eigvalsh(fiber(FourierPotential({}), kval, n))
     expected = np.sort((2 * np.pi * np.arange(-n, n + 1) + kval) ** 2)
     assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_cosine_ground_state_matches_high_cutoff_oracle():
-    _, energies = band_sweep(COSINE, FiberTruncation(16), bands=1, kpoints=1)  # k = 0
+    _, energies = band_sweep(COSINE, 16, bands=1, kpoints=1)  # k = 0
     assert abs(energies[0, 0] - COSINE_GROUND_STATE) <= 1e-8
 
 
 def test_cutoff_must_cover_potential():
     with pytest.raises(ValueError):
-        fiber(FourierPotential.from_positive({3: 1.0}), 0.0, 2)
+        lowest(FourierPotential.from_positive({3: 1.0}), 0.0, 2, 1)
     with pytest.raises(ValueError):
-        band_structure(FourierPotential.from_positive({3: 1.0}), FiberTruncation(2), bands=1)
+        band_structure(FourierPotential.from_positive({3: 1.0}), 2, bands=1)
+
+
+@pytest.mark.parametrize("solve", [band_structure, band_sweep])
+def test_negative_cutoff_is_rejected(solve):
+    with pytest.raises(ValueError, match="cutoff"):
+        solve(FourierPotential({}), -1, bands=1)
 
 
 def test_fiber_spectrum_examples():
-    assert np.allclose(lowest(FourierPotential.zero(), np.pi, 2, 3),
+    assert np.allclose(lowest(FourierPotential({}), np.pi, 2, 3),
                        [np.pi**2, np.pi**2, 9 * np.pi**2])
-    assert np.allclose(lowest(FourierPotential.zero(), 0.0, 2, 1), [0.0])
+    assert np.allclose(lowest(FourierPotential({}), 0.0, 2, 1), [0.0])
+    assert lowest(FourierPotential({}), 0.0, 0, 1).tolist() == [0.0]  # no frequency to cover
     with pytest.raises(ValueError):
-        lowest(FourierPotential.zero(), 0.0, 2, 6)
+        lowest(FourierPotential({}), 0.0, 2, 6)
 
 
 def test_band_functions_are_continuous_in_k():
     # adjacent-grid jumps on a refined grid stay below an empirical Lipschitz bound
-    ks, coarse = band_sweep(COSINE, FiberTruncation(8), bands=4, kpoints=100)
+    ks, coarse = band_sweep(COSINE, 8, bands=4, kpoints=100)
     lip = np.abs(np.diff(coarse, axis=0)).max() / (ks[1] - ks[0])
-    ks_f, fine = band_sweep(COSINE, FiberTruncation(8), bands=4, kpoints=400)
+    ks_f, fine = band_sweep(COSINE, 8, bands=4, kpoints=400)
     dk = ks_f[1] - ks_f[0]
     assert np.abs(np.diff(fine, axis=0)).max() <= 1.2 * lip * dk
 
@@ -117,24 +123,25 @@ def test_monotone_convergence_in_cutoff():
 
 
 def test_free_band_structure_has_no_gaps_up_to_40():
-    bands = band_structure(FourierPotential.zero(), FiberTruncation(16), bands=8)
-    assert assembly.gaps(bands, (0.0, 40.0)) == []
+    bands = band_structure(FourierPotential({}), 16, bands=8)
+    assert assembly.interior_gaps(bands) == []
     # free bands [(b pi)^2, ((b+1) pi)^2] touch end to end: one interval
     assert len(bands) == 1
-    assert abs(bands.hull[1] - 64 * np.pi**2) <= 1e-9
+    assert bands.intervals[0][0] == 0.0
+    assert abs(bands.intervals[-1][1] - 64 * np.pi**2) <= 1e-9
 
 
 def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
-    bands = band_structure(COSINE, FiberTruncation(32), bands=4)
+    bands = band_structure(COSINE, 32, bands=4)
     assert len(bands) == 4
     first_gap = assembly.interior_gaps(bands)[0]
     assert first_gap[1] - first_gap[0] == pytest.approx(2.0, abs=0.01)
     # the k-grid samples never leave the exact bands, even on odd grids
     for kpoints in (101, 400):
-        _, energies = band_sweep(COSINE, FiberTruncation(32), bands=4, kpoints=kpoints)
+        _, energies = band_sweep(COSINE, 32, bands=4, kpoints=kpoints)
         assert assembly.distance_to_bands(bands, energies).max() <= 1e-9
     # a grid through k = pi reaches every band edge
-    _, energies = band_sweep(COSINE, FiberTruncation(32), bands=4, kpoints=100)
+    _, energies = band_sweep(COSINE, 32, bands=4, kpoints=100)
     got = np.sort(np.array(branch_ranges(energies)), axis=None)
     assert np.abs(got - np.sort(np.array(bands.intervals), axis=None)).max() <= 1e-9
 
@@ -151,7 +158,7 @@ def oracle_sweep(potential, cutoff, bands, ks):
     """Per-k complex fibers written entry by entry, each one diagonalised on
     its own: the path the shared builder replaced."""
     freqs = np.arange(-cutoff, cutoff + 1)
-    base = np.array([[potential.coefficient(m - n) for n in freqs] for m in freqs], dtype=complex)
+    base = np.array([[potential.coefficients.get(m - n, 0) for n in freqs] for m in freqs], dtype=complex)
     energies, scale = np.empty((len(ks), bands)), 0.0
     for i, kval in enumerate(ks):
         w = np.linalg.eigvalsh(base + np.diag((2 * np.pi * freqs + kval) ** 2))
@@ -171,11 +178,10 @@ def assert_close(got, want):
                                                       (COSINE, 32, 8),
                                                       (COMPLEX, 32, 8)])
 def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
-    trunc = FiberTruncation(cutoff)
-    ks, energies = band_sweep(potential, trunc, bands, kpoints=1001)
+    ks, energies = band_sweep(potential, cutoff, bands, kpoints=1001)
     want, _ = oracle_sweep(potential, cutoff, bands, ks)
     assert_close(energies, want)
-    bandset = band_structure(potential, trunc, bands)
+    bandset = band_structure(potential, cutoff, bands)
     edges, scale = oracle_sweep(potential, cutoff, bands, (0.0, math.pi))
     oracle = assembly.bands_from_edges(edges, scale)
     assert len(bandset) == len(oracle)
@@ -187,22 +193,21 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
 def test_fibers_are_real_exactly_when_every_coefficient_is():
     freqs = np.arange(-4, 5)
     for potential, dtype in ((COSINE, float), (CONTINUUM[0], float), (COMPLEX, complex),
-                             (FourierPotential.zero(), float)):
-        fiber, = _fibers(potential, FiberTruncation(4), [1.0])
+                             (FourierPotential({}), float)):
+        fiber, = _fibers(potential, 4, [1.0])
         assert fiber.dtype == dtype
         assert np.array_equal(fiber, fiber.conj().T)  # Hermitian by construction
-        want = np.array([[potential.coefficient(m - n) + (m == n) * (2 * np.pi * m + 1.0) ** 2
+        want = np.array([[potential.coefficients.get(m - n, 0) + (m == n) * (2 * np.pi * m + 1.0) ** 2
                           for n in freqs] for m in freqs])
         assert np.abs(fiber - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_band_sweep_never_stacks_the_fibers():
     # one (1001, 129, 129) float stack is 133 MB; the per-k loop needs a few
-    trunc = FiberTruncation(64)
-    band_sweep(CONTINUUM[0], trunc, 16, kpoints=3)  # warm caches outside the trace
+    band_sweep(CONTINUUM[0], 64, 16, kpoints=3)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        band_sweep(CONTINUUM[0], trunc, 16, kpoints=1001)
+        band_sweep(CONTINUUM[0], 64, 16, kpoints=1001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,16 +220,16 @@ def test_fiber_lapack_failure_carries_k(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(EigensolverError) as info:
-        band_sweep(COSINE, FiberTruncation(4), bands=2, kpoints=4)
+        band_sweep(COSINE, 4, bands=2, kpoints=4)
     assert info.value.k == uniform_k_grid(4)[0]
 
 
-@pytest.mark.parametrize("potential", [COSINE, CONTINUUM[0], COMPLEX, FourierPotential.zero()],
+@pytest.mark.parametrize("potential", [COSINE, CONTINUUM[0], COMPLEX, FourierPotential({})],
                          ids=["cosine", "continuum", "complex", "zero"])
 @pytest.mark.parametrize("kpoints", [1, 2, 3, 4, 100, 101, 1001])
 def test_band_sweep_rows_past_pi_copy_their_mirror(potential, kpoints):
     # E(k) = E(2 pi - k) for a real potential: row i and row n - i are one sample
-    ks, energies = band_sweep(potential, FiberTruncation(8), bands=4, kpoints=kpoints)
+    ks, energies = band_sweep(potential, 8, bands=4, kpoints=kpoints)
     assert energies.shape == (kpoints, 4)
     assert np.all(ks[:kpoints // 2 + 1] <= math.pi)
     for i in range(1, kpoints):
@@ -241,15 +246,15 @@ def test_band_sweep_solves_only_the_fibers_on_zero_to_pi(monkeypatch, kpoints):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    band_sweep(COSINE, FiberTruncation(4), bands=2, kpoints=kpoints)
+    band_sweep(COSINE, 4, bands=2, kpoints=kpoints)
     assert len(calls) == kpoints // 2 + 1
 
 
 def test_band_sweep_past_pi_keeps_the_lowest_kinetic_plane_waves():
     # with every band kept, the window -N..N at k > pi would drop m = -N-1 for the
     # costlier m = N and miss the top band by 6e-2; the mirrored sample does not
-    _, coarse = band_sweep(COSINE, FiberTruncation(32), bands=65, kpoints=101)
-    _, fine = band_sweep(COSINE, FiberTruncation(64), bands=65, kpoints=101)
+    _, coarse = band_sweep(COSINE, 32, bands=65, kpoints=101)
+    _, fine = band_sweep(COSINE, 64, bands=65, kpoints=101)
     assert np.all(np.abs(coarse - fine) <= 1e-7 * np.maximum(1.0, np.abs(fine)))
 
 

@@ -13,6 +13,7 @@ from oracles import chain_edge_mass, eigenvalue_grid
 
 from blochspec import assembly
 from blochspec.harper import (
+    EDGE_MASS_MARGIN,
     EDGE_MASS_THRESHOLD,
     LAM_MAX,
     HarperParams,
@@ -107,10 +108,10 @@ def test_flux_zero_band():
 
 def test_flux_half_bands_touch_at_zero():
     bands = harper_spectrum(params(1, 2))
-    lo, hi = bands.hull
+    lo, hi = bands.intervals[0][0], bands.intervals[-1][1]
     assert abs(lo + 2 * SQRT2) <= 1e-12 and abs(hi - 2 * SQRT2) <= 1e-12
     # branches touch at E = 0, so the merged set has no gap there
-    assert bands.contains(0.0)
+    assert assembly.distance_to_bands(bands, [0.0])[0] == 0.0
     assert assembly.interior_gaps(bands) == []
     # the two eigenvalue branches really do meet at zero
     evals = eigenvalue_grid(params(1, 2))
@@ -134,7 +135,7 @@ def test_flux_third_bands_match_cubic_closed_form():
 def test_flux_quarter_central_touching_gives_three_bands():
     bands = harper_spectrum(params(1, 4))
     assert len(bands) == 3
-    assert bands.contains(0.0)
+    assert assembly.distance_to_bands(bands, [0.0])[0] == 0.0
 
 
 # ---------------------------------------------------------------- direct space
@@ -193,10 +194,25 @@ def test_edge_weight_matches_the_eigenvector_end_mass(p, q):
                 assert np.array_equal((weight > EDGE_MASS_THRESHOLD)[apart],
                                       (mass > EDGE_MASS_THRESHOLD)[apart])
                 bulk, edge = direct_space_bulk(prm, sites)
-                assert np.array_equal(edge, ws[weight > EDGE_MASS_THRESHOLD])
-                assert np.array_equal(bulk, ws[weight <= EDGE_MASS_THRESHOLD])
+                is_edge = weight > EDGE_MASS_THRESHOLD + EDGE_MASS_MARGIN
+                assert np.array_equal(edge, ws[is_edge])
+                assert np.array_equal(bulk, ws[~is_edge])
                 # the reversed chain swaps the two ends, which count alike
                 assert np.abs(_edge_weight(diag[::-1], ws, 2 * q) - weight).max() <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_mirror_chain_has_the_same_edge_states(theta):
+    # reversing the chain maps site n to 468 - n, i.e. theta to -theta - 2 pi 468 p/q:
+    # the same spectrum with both ends swapped, which the edge rule counts alike.
+    # Roundoff alone put weights within 1e-11 of 0.5 on either side of the
+    # threshold here (268 against 269 edge states at theta = 0)
+    p, q, sites = 39, 59, 469
+    mirror = (-theta - 2 * np.pi * (sites - 1) * p / q) % (2 * np.pi)
+    bulk, edge = direct_space_bulk(params(p, q, 1.0, theta), sites)
+    bulk_m, edge_m = direct_space_bulk(params(p, q, 1.0, mirror), sites)
+    assert edge.size == edge_m.size
+    assert np.abs(np.concatenate([bulk, edge]) - np.concatenate([bulk_m, edge_m])).max() <= 1e-9
 
 
 def test_edge_weight_overlapping_ends_count_twice():
@@ -281,8 +297,8 @@ def test_butterfly_two_rows_closed_forms():
     data = butterfly(2)
     assert [(f.p, f.q) for f, _ in data] == [(0, 1), (1, 2)]
     half = data[1][1]
-    assert abs(half.hull[0] + 2 * SQRT2) <= 1e-12
-    assert abs(half.hull[1] - 2 * SQRT2) <= 1e-12
+    assert abs(half.intervals[0][0] + 2 * SQRT2) <= 1e-12
+    assert abs(half.intervals[-1][1] - 2 * SQRT2) <= 1e-12
 
 
 def test_butterfly_symmetries_moderate_q():

@@ -80,13 +80,26 @@ def test_gap_plateaus_are_exact_labels(lam):
         q = flux.q
         bands = harper_spectrum(params(flux.p, q, lam))
         assert len(bands) == (q if q % 2 else q - 1)
-        lo, hi = bands.hull
+        lo, hi = bands.intervals[0][0], bands.intervals[-1][1]
         windows = [(lo - 1.0, lo)] + interior_gaps(bands) + [(hi, hi + 1.0)]
         labels = [0] + [j for j in range(1, q) if 2 * j != q] + [q]
         for (a, b), j in zip(windows, labels):
             probes = a + (b - a) * np.array([0.25, 0.5, 0.75])
             values = ids(params(flux.p, q, lam), egrid=probes).values
             assert np.all(values == j / q), (flux, lam, j, values)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_ids_rejects_nan_and_takes_infinities(lam):
+    # the projection below -inf is empty and the one below +inf is the identity
+    for flux in farey_fractions(8):
+        prm = params(flux.p, flux.q, lam)
+        assert ids(prm, egrid=[-np.inf, np.inf]).values.tolist() == [0.0, 1.0]
+        for where in range(3):
+            egrid = [-1.0, 0.0, 1.0]
+            egrid[where] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                ids(prm, egrid=egrid)
 
 
 def test_ids_is_monotone_on_fine_grids():

@@ -123,7 +123,7 @@ def test_tridiagonal_phase_broadcasts_against_batch_axes():
 
 def test_potential_from_positive_fills_conjugates():
     v = FourierPotential.from_positive({1: 1 + 2j})
-    assert v.coefficient(-1) == 1 - 2j
+    assert v.coefficients[-1] == 1 - 2j
     assert v.max_frequency == 1
 
 
@@ -136,8 +136,8 @@ def test_potential_rejects_non_finite_coefficients(value):
 def test_potential_norm_is_capped():
     # the cap is on the sum over both members of each pair, and is inclusive
     half = POTENTIAL_MAX / 2
-    assert FourierPotential.from_positive({1: half}).coefficient(-1) == half
-    assert FourierPotential.from_positive({0: half, 1: half / 2}).coefficient(0) == half
+    assert FourierPotential.from_positive({1: half}).coefficients[-1] == half
+    assert FourierPotential.from_positive({0: half, 1: half / 2}).coefficients[0] == half
     for coeffs in ({1: np.nextafter(half, np.inf)}, {0: POTENTIAL_MAX, 1: POTENTIAL_MAX / 2**40},
                    {1: complex(1.7e308, 1.7e308)}):
         with pytest.raises(ValueError, match="would overflow"):
@@ -151,13 +151,6 @@ def test_potential_rejects_broken_symmetry():
         FourierPotential({1: 1.0})  # missing conjugate partner
     with pytest.raises(ValueError):
         FourierPotential({0: 1j})  # v0 must be real
-
-
-def test_potential_zero_and_sampling():
-    assert FourierPotential.zero().max_frequency == 0
-    v = FourierPotential.from_positive({1: 1.0})
-    x = np.linspace(0, 1, 7)
-    assert np.allclose(v.sample(x), 2 * np.cos(2 * np.pi * x))
 
 
 def test_rational_flux_validation():

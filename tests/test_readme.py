@@ -1,0 +1,19 @@
+"""Every fenced ``python`` block of README.md runs against the installed API."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    flags=re.M | re.S)
+
+
+def test_readme_has_a_python_example():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
