@@ -141,10 +141,7 @@ def discrete_bloch_transform(f, cell: DiscreteCell) -> np.ndarray:
     if vec.shape != (cell.sites,):
         raise ValueError(f"expected a vector of length {cell.sites}, got shape {vec.shape}")
     q, M = cell.q, cell.M
-    shifts = np.empty((M, q), dtype=complex)
-    idx = np.arange(q)
-    for g in range(M):
-        shifts[g] = vec[(idx - q * g) % (q * M)]
+    shifts = vec[(np.arange(q) - q * np.arange(M)[:, None]) % (q * M)]
     phases = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
     return phases @ shifts / np.sqrt(M)
 

@@ -142,13 +142,16 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     (``_torus_fraction``, with the larger of the two amplitudes integrated in
     closed form and ``kgrid`` nodes for the other), and in gap j it is
     exactly j/q.  With ``egrid=None`` a uniform grid of ``points`` energies
-    spans the band hull padded by IDS_HULL_PADDING on each side.  A NaN
-    energy is rejected; -inf and +inf give 0 and 1.
+    spans the band hull padded by IDS_HULL_PADDING on each side; a given
+    ``egrid`` must be a 1-d, ascending array of energies.  A NaN energy is
+    rejected; -inf and +inf give 0 and 1.
     """
     if kgrid < 1:
         raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
     if egrid is None and points < 2:
         raise ValueError(f"need at least two energies, got points={points}")
+    if egrid is not None and np.ndim(egrid) != 1:
+        raise ValueError(f"IDS energy grid must be one-dimensional, got shape {np.shape(egrid)}")
     edges = band_edges(params)
     q = params.flux.q
     if egrid is None:

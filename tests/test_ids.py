@@ -3,6 +3,7 @@ in the quadrature, Aubry duality, exact gap labels, monotonicity, and large q.""
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -100,6 +101,22 @@ def test_ids_rejects_nan_and_takes_infinities(lam):
             egrid[where] = np.nan
             with pytest.raises(ValueError, match="NaN"):
                 ids(prm, egrid=egrid)
+
+
+@pytest.mark.parametrize("egrid, shape", [
+    (0.5, "()"),                       # inside the middle band of flux 1/3
+    (1.5, "()"),                       # in the upper gap of flux 1/3
+    ([[-1.0, 0.0], [1.0, 2.5]], "(2, 2)"),
+], ids=["scalar-in-band", "scalar-in-gap", "2d-grid"])
+def test_ids_rejects_a_grid_that_is_not_one_dimensional(monkeypatch, egrid, shape):
+    import blochspec.harper as harper
+
+    def no_edges(_params):
+        raise AssertionError("band_edges ran before the grid was checked")
+
+    monkeypatch.setattr(harper, "band_edges", no_edges)
+    with pytest.raises(ValueError, match=f"one-dimensional, got shape {re.escape(shape)}"):
+        ids(params(1, 3), egrid=egrid)
 
 
 def test_ids_is_monotone_on_fine_grids():
