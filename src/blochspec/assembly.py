@@ -41,9 +41,6 @@ class BandSet:
                 )
         object.__setattr__(self, "intervals", tuple(clean))
 
-    def __len__(self) -> int:
-        return len(self.intervals)
-
 
 @dataclass(frozen=True, eq=False)
 class IDSCurve:
@@ -104,8 +101,6 @@ def lebesgue_measure(bands: BandSet) -> float:
 def distance_to_bands(bands: BandSet, values) -> np.ndarray:
     """Distance from each value to the band set (0 inside a band)."""
     x = np.asarray(values, dtype=float)
-    if not bands.intervals:
-        return np.full_like(x, np.inf)
     d = np.full_like(x, np.inf)
     for a, b in bands.intervals:
         d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, np.minimum(np.abs(x - a), np.abs(x - b))))

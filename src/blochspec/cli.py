@@ -250,16 +250,18 @@ def _cmd_oracle_check(ns: argparse.Namespace):
     # eigvalsh's working copy, about 16 * sites^2 bytes) are freed before
     # numpy.random and the random checks' arrays become resident for good, so
     # the peak RSS is the largest phase, not their sum.  It draws no random
-    # numbers, so the other checks see the same stream.
+    # numbers, so the other checks see the same stream, and numpy.random is
+    # loaded only when one of them runs.
     direct = None
     if ns.which in ("all", "direct-space"):
         direct = _oracle_direct_space(params, ns.sites)
-    rng = np.random.default_rng(ns.seed)
     checks = {}
-    if ns.which in ("all", "unitarity"):
-        checks["unitarity"] = _oracle_unitarity(rng, ns.vectors)
-    if ns.which in ("all", "union"):
-        checks["union"] = _oracle_union(rng, ns.trials)
+    if ns.which != "direct-space":
+        rng = np.random.default_rng(ns.seed)
+        if ns.which in ("all", "unitarity"):
+            checks["unitarity"] = _oracle_unitarity(rng, ns.vectors)
+        if ns.which in ("all", "union"):
+            checks["union"] = _oracle_union(rng, ns.trials)
     if direct is not None:
         checks["direct_space"] = direct
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}

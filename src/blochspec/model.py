@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class FourierPotential:
     over all n must stay at most POTENTIAL_MAX.
     """
 
-    coefficients: dict = field(default_factory=dict)
+    coefficients: dict
 
     def __post_init__(self):
         clean = {}
@@ -107,18 +107,6 @@ class FourierPotential:
                 exact[-n], exact[n] = v.conjugate(), v
         object.__setattr__(self, "coefficients", exact)
 
-    @classmethod
-    def from_positive(cls, positive: dict) -> "FourierPotential":
-        """Build from coefficients for n >= 0, filling v(-n) = conj(v(n))."""
-        coeffs = {}
-        for n, v in positive.items():
-            if n < 0:
-                raise ValueError("from_positive expects frequencies n >= 0")
-            coeffs[n] = complex(v)
-            if n > 0:
-                coeffs[-n] = complex(v).conjugate()
-        return cls(coeffs)
-
     @property
     def max_frequency(self) -> int:
         if not self.coefficients:
@@ -126,7 +114,7 @@ class FourierPotential:
         return max(abs(n) for n in self.coefficients)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RationalFlux:
     """Reduced fraction p/q: magnetic flux quanta per unit cell, mod 1."""
 

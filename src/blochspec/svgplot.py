@@ -51,7 +51,7 @@ def _scaler(lo: float, hi: float, out_lo: float, out_hi: float):
     return scale
 
 
-def render_bands_svg(ks: np.ndarray, energies: np.ndarray, metadata: str = "") -> str:
+def render_bands_svg(ks: np.ndarray, energies: np.ndarray, metadata: str) -> str:
     """Band functions as one polyline per band over the k-grid."""
     ks = np.asarray(ks, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -66,7 +66,7 @@ def render_bands_svg(ks: np.ndarray, energies: np.ndarray, metadata: str = "") -
     return _svg_document(body, metadata)
 
 
-def render_butterfly_svg(rows, metadata: str = "") -> str:
+def render_butterfly_svg(rows, metadata: str) -> str:
     """Butterfly rows (flux, band intervals) as horizontal segments.
 
     Energy runs along x, flux along y, the classic orientation.

@@ -131,7 +131,7 @@ def test_quantization_on_every_detected_gap_q_up_to_12():
     for flux in farey_fractions(12):
         p, q = flux.p, flux.q
         bands = harper_spectrum(params(p, q))
-        assert len(bands) == (q if q % 2 else q - 1)
+        assert len(bands.intervals) == (q if q % 2 else q - 1)
         mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
         if not mids.size:
             continue

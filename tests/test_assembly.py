@@ -75,11 +75,11 @@ def test_touch_tolerance_scales_with_fiber_norm():
     touching = bands_from_edges([-1.0, 0.0, 0.5 * tol, 1.0], scale)
     assert touching.intervals == ((-1.0, 1.0),)
     apart = bands_from_edges([-1.0, 0.0, 2.0 * tol, 1.0], scale)
-    assert len(apart) == 2
+    assert len(apart.intervals) == 2
     # the default scale is the largest edge magnitude
-    assert len(bands_from_edges([-1.0, 0.0, 2.0 * TOUCH_ULPS * EPS, 1.0])) == 2
+    assert len(bands_from_edges([-1.0, 0.0, 2.0 * TOUCH_ULPS * EPS, 1.0]).intervals) == 2
     # roundoff may order touching edges the wrong way round: still one band
-    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0])) == 1
+    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0]).intervals) == 1
 
 
 # ---------------------------------------------------------------- gaps and measure
@@ -108,6 +108,7 @@ def test_distance_to_bands():
     bands = BandSet(((0.0, 1.0), (3.0, 4.0)))
     d = distance_to_bands(bands, [0.5, 2.0, 5.0])
     assert np.allclose(d, [0.0, 1.0, 1.0])
+    assert distance_to_bands(BandSet(()), [0.0, 1.0]).tolist() == [math.inf, math.inf]
 
 
 # ---------------------------------------------------------------- IDS

@@ -34,7 +34,7 @@ from blochspec.model import (
 # independent N=256 plane-wave run before the build.
 COSINE_GROUND_STATE = -5.0603838232251855e-02
 
-COSINE = FourierPotential.from_positive({1: 1.0})
+COSINE = FourierPotential({1: 1.0, -1: 1.0})
 
 
 def fiber(potential, k, cutoff):
@@ -73,9 +73,9 @@ def test_cosine_ground_state_matches_high_cutoff_oracle():
 
 def test_cutoff_must_cover_potential():
     with pytest.raises(ValueError):
-        lowest(FourierPotential.from_positive({3: 1.0}), 0.0, 2, 1)
+        lowest(FourierPotential({3: 1.0, -3: 1.0}), 0.0, 2, 1)
     with pytest.raises(ValueError):
-        band_structure(FourierPotential.from_positive({3: 1.0}), 2, bands=1)
+        band_structure(FourierPotential({3: 1.0, -3: 1.0}), 2, bands=1)
 
 
 @pytest.mark.parametrize("solve", [band_structure, band_sweep])
@@ -105,7 +105,7 @@ def test_band_functions_are_continuous_in_k():
 def test_monotone_convergence_in_cutoff():
     # refine N in steps of 8 until the lowest bands move by less than 1e-9;
     # the change must shrink at every refinement up to that acceptance point
-    potential = FourierPotential.from_positive({1: 2.0, 2: 1.0})
+    potential = FourierPotential({1: 2.0, -1: 2.0, 2: 1.0, -2: 1.0})
     n = 2
     prev = lowest(potential, 1.0, n, 4)
     diffs = []
@@ -126,14 +126,14 @@ def test_free_band_structure_has_no_gaps_up_to_40():
     bands = band_structure(FourierPotential({}), 16, bands=8)
     assert assembly.interior_gaps(bands) == []
     # free bands [(b pi)^2, ((b+1) pi)^2] touch end to end: one interval
-    assert len(bands) == 1
+    assert len(bands.intervals) == 1
     assert bands.intervals[0][0] == 0.0
     assert abs(bands.intervals[-1][1] - 64 * np.pi**2) <= 1e-9
 
 
 def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
     bands = band_structure(COSINE, 32, bands=4)
-    assert len(bands) == 4
+    assert len(bands.intervals) == 4
     first_gap = assembly.interior_gaps(bands)[0]
     assert first_gap[1] - first_gap[0] == pytest.approx(2.0, abs=0.01)
     # the k-grid samples never leave the exact bands, even on odd grids
@@ -149,9 +149,9 @@ def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
 # ---------------------------------------------------------------- real fibers, one builder
 
 # the seeded three-term potentials of the continuum benchmark (seeds 901, 902)
-CONTINUUM = [FourierPotential.from_positive({0: -0.1376, 1: 0.7946, 2: 1.0835}),
-             FourierPotential.from_positive({0: 0.9707, 1: 1.1469, 2: 0.9005})]
-COMPLEX = FourierPotential.from_positive({1: 1.0 - 0.5j})
+CONTINUUM = [FourierPotential({0: -0.1376, 1: 0.7946, -1: 0.7946, 2: 1.0835, -2: 1.0835}),
+             FourierPotential({0: 0.9707, 1: 1.1469, -1: 1.1469, 2: 0.9005, -2: 0.9005})]
+COMPLEX = FourierPotential({1: 1.0 - 0.5j, -1: 1.0 + 0.5j})
 
 
 def oracle_sweep(potential, cutoff, bands, ks):
@@ -184,7 +184,7 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     bandset = band_structure(potential, cutoff, bands)
     edges, scale = oracle_sweep(potential, cutoff, bands, (0.0, math.pi))
     oracle = assembly.bands_from_edges(edges, scale)
-    assert len(bandset) == len(oracle)
+    assert len(bandset.intervals) == len(oracle.intervals)
     assert_close(bandset.intervals, oracle.intervals)
     # the samples never leave the band intervals built from the same arithmetic
     assert assembly.distance_to_bands(bandset, energies).max() <= 1e-9 * np.abs(energies).max()

@@ -101,7 +101,7 @@ def test_lapack_failure_carries_the_flux(monkeypatch):
 
 def test_flux_zero_band():
     bands = harper_spectrum(params(0, 1))
-    assert len(bands) == 1
+    assert len(bands.intervals) == 1
     lo, hi = bands.intervals[0]
     assert abs(lo + 4.0) <= 1e-8 and abs(hi - 4.0) <= 1e-8
 
@@ -123,7 +123,7 @@ def test_flux_third_bands_match_cubic_closed_form():
     # band edges solve E^3 - 6E = +-4: bands [-1-s3, -2], [1-s3, s3-1], [2, 1+s3]
     s3 = math.sqrt(3.0)
     bands = harper_spectrum(params(1, 3))
-    assert len(bands) == 3
+    assert len(bands.intervals) == 3
     expected = [(-1 - s3, -2.0), (1 - s3, s3 - 1), (2.0, 1 + s3)]
     for (a, b), (ea, eb) in zip(bands.intervals, expected):
         assert abs(a - ea) <= 1e-12 and abs(b - eb) <= 1e-12
@@ -134,7 +134,7 @@ def test_flux_third_bands_match_cubic_closed_form():
 
 def test_flux_quarter_central_touching_gives_three_bands():
     bands = harper_spectrum(params(1, 4))
-    assert len(bands) == 3
+    assert len(bands.intervals) == 3
     assert assembly.distance_to_bands(bands, [0.0])[0] == 0.0
 
 
@@ -306,13 +306,13 @@ def test_butterfly_symmetries_moderate_q():
     data = butterfly(8)
     by_flux = {(f.p, f.q): bands for f, bands in data}
     for (p, q), bands in by_flux.items():
-        assert len(bands) == (q if q % 2 else q - 1)
+        assert len(bands.intervals) == (q if q % 2 else q - 1)
         # spectral symmetry under E -> -E at lambda = 1
         flipped = sorted((-b, -a) for a, b in bands.intervals)
         for (a, b), (fa, fb) in zip(bands.intervals, flipped):
             assert abs(a - fa) <= tol and abs(b - fb) <= tol
         # flux reflection p/q <-> (q-p)/q
         partner = by_flux[((q - p) % q, q)]
-        assert len(partner) == len(bands)
+        assert len(partner.intervals) == len(bands.intervals)
         for (a, b), (pa, pb) in zip(bands.intervals, partner.intervals):
             assert abs(a - pa) <= tol and abs(b - pb) <= tol

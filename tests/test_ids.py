@@ -80,7 +80,7 @@ def test_gap_plateaus_are_exact_labels(lam):
     for flux in farey_fractions(12):
         q = flux.q
         bands = harper_spectrum(params(flux.p, q, lam))
-        assert len(bands) == (q if q % 2 else q - 1)
+        assert len(bands.intervals) == (q if q % 2 else q - 1)
         lo, hi = bands.intervals[0][0], bands.intervals[-1][1]
         windows = [(lo - 1.0, lo)] + interior_gaps(bands) + [(hi, hi + 1.0)]
         labels = [0] + [j for j in range(1, q) if 2 * j != q] + [q]

@@ -1,6 +1,7 @@
 """Package layering: which module may import which, read from the source with ``ast``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blochspec"
@@ -52,15 +53,20 @@ def test_package_imports_follow_the_layers():
     assert actual == EXPECTED
 
 
+def _name(node: ast.AST):
+    """The name a node loads, looks up as an attribute or imports, if any."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
 def _references(module: str) -> set:
     """Names a module loads, looks up as attributes or imports, each outside its
     own top-level definition."""
     found = set()
     for top in _tree(module).body:
         for node in ast.walk(top):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
+            name = _name(node)
             if name is not None and name != getattr(top, "name", None):
                 found.add(name)
     return found
@@ -73,6 +79,32 @@ def test_every_public_name_is_used_by_the_package():
                     if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
     used = set().union(*(_references(module) for module in MODULES - {"__init__"}))
     assert set(exported) - used == set()
+
+
+def _names_outside(node: ast.AST, skip: ast.AST):
+    """``_name`` of every node under ``node``, leaving out the subtree ``skip``."""
+    if node is skip:
+        return
+    yield _name(node)
+    for child in ast.iter_child_nodes(node):
+        yield from _names_outside(child, skip)
+
+
+def test_every_class_member_is_used_by_the_package():
+    # the same rule for the functions, classmethods and properties of a class
+    # body; a method that overrides a base class's is called by the base
+    trees = {module: _tree(module) for module in MODULES - {"__init__"}}
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = getattr(importlib.import_module(f"blochspec.{module}"), cls.name).__mro__[1:]
+            for member in cls.body:
+                if (not isinstance(member, ast.FunctionDef) or member.name.startswith("__")
+                        or any(hasattr(base, member.name) for base in bases)):
+                    continue
+                if all(member.name not in _names_outside(t, member) for t in trees.values()):
+                    unused.append(f"{module}.{cls.name}.{member.name}")
+    assert unused == []
 
 
 def test_no_module_imports_inside_a_function():

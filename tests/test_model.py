@@ -121,27 +121,23 @@ def test_tridiagonal_phase_broadcasts_against_batch_axes():
 
 # ---------------------------------------------------------------- domain types
 
-def test_potential_from_positive_fills_conjugates():
-    v = FourierPotential.from_positive({1: 1 + 2j})
-    assert v.coefficients[-1] == 1 - 2j
-    assert v.max_frequency == 1
-
-
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
 def test_potential_rejects_non_finite_coefficients(value):
     with pytest.raises(ValueError, match="not finite"):
-        FourierPotential.from_positive({1: value})
+        FourierPotential({1: value, -1: complex(value).conjugate()})
 
 
 def test_potential_norm_is_capped():
     # the cap is on the sum over both members of each pair, and is inclusive
     half = POTENTIAL_MAX / 2
-    assert FourierPotential.from_positive({1: half}).coefficients[-1] == half
-    assert FourierPotential.from_positive({0: half, 1: half / 2}).coefficients[0] == half
-    for coeffs in ({1: np.nextafter(half, np.inf)}, {0: POTENTIAL_MAX, 1: POTENTIAL_MAX / 2**40},
-                   {1: complex(1.7e308, 1.7e308)}):
+    assert FourierPotential({1: half, -1: half}).coefficients[-1] == half
+    assert FourierPotential({0: half, 1: half / 2, -1: half / 2}).coefficients[0] == half
+    above = np.nextafter(half, np.inf)
+    for coeffs in ({1: above, -1: above},
+                   {0: POTENTIAL_MAX, 1: POTENTIAL_MAX / 2**40, -1: POTENTIAL_MAX / 2**40},
+                   {1: complex(1.7e308, 1.7e308), -1: complex(1.7e308, -1.7e308)}):
         with pytest.raises(ValueError, match="would overflow"):
-            FourierPotential.from_positive(coeffs)
+            FourierPotential(coeffs)
 
 
 def test_potential_rejects_broken_symmetry():

@@ -1,4 +1,4 @@
-"""oracle-check's memory peak and record order.
+"""oracle-check's memory peak, record order and random stream.
 
 The dense direct-space chain is the largest allocation of ``oracle-check``.
 Its peak resident set should be that of the chain alone plus a little, not the
@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blochspec.cli import main
@@ -75,3 +76,17 @@ def test_direct_space_check_leaves_the_random_stream_alone(tmp_path):
     assert main(SMALL + ["--output", str(full)]) == 0
     unitarity = json.loads(alone.read_text())["checks"]["unitarity"]
     assert json.loads(full.read_text())["checks"]["unitarity"] == unitarity
+
+
+def test_direct_space_check_creates_no_random_generator(tmp_path, monkeypatch):
+    full = tmp_path / "full.json"
+    assert main(SMALL + ["--output", str(full)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random used by the direct-space check")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    alone = tmp_path / "alone.json"
+    assert main(SMALL + ["--which", "direct-space", "--output", str(alone)]) == 0
+    checks = json.loads(alone.read_text())["checks"]
+    assert checks == {"direct_space": json.loads(full.read_text())["checks"]["direct_space"]}
