@@ -2,7 +2,7 @@
 oracle checks, and the band-measure sweep along rational approximants.
 
 Every output file starts with a metadata header (schema, tool version, config
-echo) and is byte-identical across re-runs with the same config and seed.
+echo) and is byte-identical across re-runs with the same config.
 Exit codes: 0 success, 1 failed verification check, 2 invalid usage,
 3 eigensolver failure (offending flux/k in the error record on stderr).
 """
@@ -324,7 +324,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _int_in(lo: int, hi: int):
+def _int_in(lo: int, hi: float):
     """argparse type: an integer in [lo, hi]."""
     def parse(text):
         try:
@@ -347,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", dest="fmt", default="json",
                        choices=formats, help="output format")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property checks")
 
     p = sub.add_parser("bands", help="1d periodic band structure from Fourier coefficients")
     p.add_argument("--potential", required=True,
@@ -388,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_in(1, MAX_GRID), default=20)
     p.add_argument("--vectors", type=_int_in(1, MAX_GRID), default=100)
     common(p)
+    p.add_argument("--seed", type=_int_in(0, float("inf")), default=0,
+                   help="seed for the randomized checks (unitarity, union)")
 
     p = sub.add_parser("cantor", help="band measure along rational approximants")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)

@@ -215,7 +215,7 @@ def test_criterion_09_butterfly_throughput_and_symmetries(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     start = time.perf_counter()
     runs = [
-        ["butterfly", "--max-q", "3", "--seed", "3"],
+        ["butterfly", "--max-q", "3"],
         ["bands", "--potential", "1:1", "--cutoff", "8", "--kpoints", "21", "--bands", "3"],
         ["ids", "--flux", "1/2", "--kgrid", "16", "--epoints", "32"],
     ]

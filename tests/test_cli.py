@@ -144,14 +144,14 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
 # the config echo opens every output; its keys and their order are part of the bytes
 ECHOES = [
     (["bands", "--potential", "1:1", "--cutoff", "4", "--kpoints", "3", "--bands", "2"],
-     ["command", "potential", "cutoff", "kpoints", "bands", "fmt", "seed"]),
-    (["butterfly", "--max-q", "2"], ["command", "max_q", "lam", "fmt", "seed"]),
+     ["command", "potential", "cutoff", "kpoints", "bands", "fmt"]),
+    (["butterfly", "--max-q", "2"], ["command", "max_q", "lam", "fmt"]),
     (["ids", "--flux", "1/3", "--epoints", "8"],
-     ["command", "lam", "kgrid", "flux", "epoints", "fmt", "seed"]),
-    (["algebra-check", "--flux", "1/2"], ["command", "flux", "fmt", "seed"]),
+     ["command", "lam", "kgrid", "flux", "epoints", "fmt"]),
+    (["algebra-check", "--flux", "1/2"], ["command", "flux", "fmt"]),
     (["oracle-check", "--vectors", "1", "--trials", "1", "--sites", "30"],
      ["command", "lam", "flux", "which", "sites", "theta", "trials", "vectors", "fmt", "seed"]),
-    (["cantor", "--approximants", "1/2"], ["command", "lam", "approximants", "fmt", "seed"]),
+    (["cantor", "--approximants", "1/2"], ["command", "lam", "approximants", "fmt"]),
 ]
 
 
@@ -231,7 +231,7 @@ def test_svg_rejected_where_undefined(capsys):
 
 def test_reruns_are_byte_identical(tmp_path):
     for fmt in ("json", "csv"):
-        args = ["butterfly", "--max-q", "3", "--format", fmt, "--seed", "7"]
+        args = ["butterfly", "--max-q", "3", "--format", fmt]
         _, first = run_cli(args, tmp_path, f"a.{fmt}")
         _, second = run_cli(args, tmp_path, f"b.{fmt}")
         assert first == second
@@ -444,6 +444,26 @@ def no_builders(monkeypatch):
     for owner, name in ((fibering, "_fibers"), (harper, "tridiagonal"),
                         (algebra, "clock_shift")):
         monkeypatch.setattr(owner, name, reached)
+
+
+@pytest.mark.parametrize("which", ["all", "unitarity", "union", "direct-space"])
+def test_negative_oracle_seed_is_usage_error_before_any_check(capsys, no_builders, which):
+    # the seed is echoed in every header, so it is checked with the other
+    # parameters even where no random check runs, and before the chain is built
+    assert main(["oracle-check", "--which", which, "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in ECHOES if argv[0] != "oracle-check"],
+                         ids=[a[0] for a, _ in ECHOES if a[0] != "oracle-check"])
+def test_seed_is_an_oracle_check_option_only(capsys, argv):
+    # no other command draws random numbers, so none accepts a seed
+    assert main(argv + ["--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
 @pytest.mark.parametrize("argv, largest, over", [

@@ -1,8 +1,11 @@
 """Package layering: which module may import which, read from the source with ``ast``."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
+
+from blochspec import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blochspec"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -105,6 +108,23 @@ def test_every_class_member_is_used_by_the_package():
                 if all(member.name not in _names_outside(t, member) for t in trees.values()):
                     unused.append(f"{module}.{cls.name}.{member.name}")
     assert unused == []
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # the same rule for the options of each subcommand: one that neither its
+    # command function nor ``run`` reads as ``ns.<name>`` only fills the echo
+    funcs = {node.name: node for node in _tree("cli").body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str) -> set:
+        return {node.attr for node in ast.walk(funcs[name]) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "ns"}
+
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unread = sorted(f"{command}: {action.dest}" for command, parser in commands.items()
+                    for action in parser._actions if action.dest != "help"
+                    and action.dest not in reads(cli._COMMANDS[command].__name__) | reads("run"))
+    assert unread == []
 
 
 def test_no_module_imports_inside_a_function():
