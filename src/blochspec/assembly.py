@@ -12,15 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Bands that touch (the centre pair of Harper at even q, the free case in 1d)
-# show a "gap" of eigensolver roundoff: at most 150 eps*||H|| for Harper with
-# q <= 50 and lam in {1/2, 1, 2}.  Genuine Harper gaps at lam = 1 and q <= 25
-# are at least 3e4 eps*||H|| (flux 2/25), so a threshold between the two
-# tells them apart.  From q = 29 on some genuine gaps fall below float64
-# resolution and merge as well (e.g. at flux 2/35).
-TOUCH_ULPS = 2048.0
-
-
 @dataclass(frozen=True)
 class BandSet:
     """Finite union of disjoint closed intervals [a_i, b_i], sorted."""
@@ -66,19 +57,14 @@ class IDSCurve:
         object.__setattr__(self, "values", v)
 
 
-def bands_from_edges(edges, scale: float | None = None) -> BandSet:
+def bands_from_edges(edges, tol: float) -> BandSet:
     """Band set from 2n band edges: sorted and paired as [e0, e1], [e2, e3], ...
 
-    Adjacent bands whose gap is at most TOUCH_ULPS * eps * scale touch and
-    merge; ``scale`` is the norm of the fibers the edges came from and
-    defaults to the largest edge magnitude.
+    Adjacent bands whose gap is at most ``tol`` touch and merge.
     """
     e = np.sort(np.asarray(edges, dtype=float), axis=None)
     if e.size == 0 or e.size % 2:
         raise ValueError(f"need a positive, even number of band edges, got {e.size}")
-    if scale is None:
-        scale = float(np.abs(e).max())
-    tol = TOUCH_ULPS * np.finfo(float).eps * max(scale, np.finfo(float).tiny)
     merged = []
     for a, b in zip(e[0::2].tolist(), e[1::2].tolist()):  # sorted pairs never overlap
         if merged and a - merged[-1][1] <= tol:

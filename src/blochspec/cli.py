@@ -200,12 +200,16 @@ def _cmd_algebra_check(ns: argparse.Namespace):
     return payload, header, rows, None
 
 
+def _random_cell(rng, max_cells: int) -> fibering.DiscreteCell:
+    """1-4 sites repeated 1..max_cells times, onsite energies in [-2, 2)."""
+    q, m = int(rng.integers(1, 5)), int(rng.integers(1, max_cells + 1))
+    return fibering.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+
+
 def _oracle_unitarity(rng, vectors: int) -> dict:
     worst = 0.0
     for _ in range(vectors):
-        q = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 17))
-        cell = fibering.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+        cell = _random_cell(rng, 16)
         f = rng.normal(size=cell.sites) + 1j * rng.normal(size=cell.sites)
         blocks = fibering.discrete_bloch_transform(f, cell)
         n_in = float(np.vdot(f, f).real)
@@ -218,9 +222,7 @@ def _oracle_unitarity(rng, vectors: int) -> dict:
 def _oracle_union(rng, trials: int) -> dict:
     worst = 0.0
     for _ in range(trials):
-        q = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 13))
-        cell = fibering.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+        cell = _random_cell(rng, 12)
         direct = fibering.periodic_truncation_spectrum(cell)
         union = fibering.fiber_union_spectrum(cell)
         worst = max(worst, float(np.abs(direct - union).max()))

@@ -25,6 +25,9 @@ from .model import TWO_PI, FourierPotential, eigensolve, tridiagonal, uniform_k_
 DEFAULT_CUTOFF = 32
 DEFAULT_BANDS = 8
 DEFAULT_KPOINTS = 101
+# 1d bands closer than TOUCH_ULPS * eps * (fibers' norm) touch.  The norm grows like
+# cutoff^2, so genuine gaps merge too (cosine gap 5, 1.4e-9, vs 1.9e-8 at cutoff 32).
+TOUCH_ULPS = 2048.0
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,11 @@ def band_structure(potential: FourierPotential, cutoff: int,
     """Lowest ``bands`` bands of the periodic operator, touching bands merged.
 
     Band b runs between the b-th eigenvalues of the fibers at k = 0 and
-    k = pi (Floquet/Hill theory); the roundoff scale is the fibers' norm.
-    These come from the same builder as the ``band_sweep`` samples.
+    k = pi (Floquet/Hill theory); the roundoff scale is the fibers' norm, > 0
+    as their diagonals differ by pi^2.  Both come from the ``band_sweep`` builder.
     """
     edges, scale = _fiber_eigenvalues(potential, cutoff, (0.0, math.pi), bands)
-    return assembly.bands_from_edges(edges, scale)
+    return assembly.bands_from_edges(edges, TOUCH_ULPS * np.finfo(float).eps * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Harper (almost-Mathieu) operators at rational flux and Hofstadter butterflies.
 
 At flux p/q the magnetic translations reduce the lattice operator to a q x q
-Bloch matrix over the magnetic Brillouin zone.  By the Chambers relation the
-spectrum is exactly q bands (q - 1 for even q, where the centre pair touches)
-whose edges are the eigenvalues of two real Bloch matrices, and the same
-relation gives the IDS through the discriminant Delta(E) (``ids``);
-``cantor_proxy`` follows the band measure along rational approximants.  A
-direct-space truncation on a long open chain is an independent oracle for
-both.  Its boundary states are told apart from its eigenvalues alone, by the
-resolvent's diagonal at the chain ends (``_edge_weight``).  No path here
-diagonalises a k-grid or forms an eigenvector.
+Bloch matrix over the magnetic Brillouin zone.  The spectrum is exactly q
+bands, q - 1 for even q where the centre pair touches (van Mouche, CMP 122,
+1989; Choi-Elliott-Yui, Invent. Math. 1990).  By the Chambers relation their
+edges are the eigenvalues of two real Bloch matrices, and the same relation
+gives the IDS through the discriminant Delta(E) (``ids``); ``cantor_proxy``
+follows the band measure along rational approximants.  A direct-space
+truncation on a long open chain is an independent oracle for both.  Its
+boundary states are told apart from its eigenvalues alone, by the resolvent's
+diagonal at the chain ends (``_edge_weight``).  No path here diagonalises a
+k-grid or forms an eigenvector.
 """
 
 from __future__ import annotations
@@ -174,8 +175,15 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
 
 
 def harper_spectrum(params: HarperParams) -> assembly.BandSet:
-    """Spectrum at rational flux: the band edges paired into bands."""
-    return assembly.bands_from_edges(band_edges(params))
+    """Spectrum at rational flux: the band edges paired into bands.
+
+    Every gap is open but the centre gap at even q (van Mouche, CMP 122, 1989;
+    Choi-Elliott-Yui, Invent. Math. 1990): only it and gaps between equal doubles merge.
+    """
+    edges, q = band_edges(params), params.flux.q
+    if q % 2 == 0:
+        edges = np.delete(edges, [q - 1, q])
+    return assembly.bands_from_edges(edges, 0.0)
 
 
 def direct_space_harper(params: HarperParams, sites: int) -> np.ndarray:

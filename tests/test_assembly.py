@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import branch_ranges
 
 from blochspec.assembly import (
-    TOUCH_ULPS,
     BandSet,
     IDSCurve,
     bands_from_edges,
@@ -18,6 +17,7 @@ from blochspec.assembly import (
     interior_gaps,
     lebesgue_measure,
 )
+from blochspec.fibering import TOUCH_ULPS
 from blochspec.harper import HarperParams, cantor_proxy, ids
 from blochspec.model import RationalFlux
 
@@ -36,16 +36,16 @@ def test_bandset_invariants():
 
 def test_merge_rejects_empty_and_ragged():
     with pytest.raises(ValueError):
-        bands_from_edges([])
+        bands_from_edges([], 0.0)
     with pytest.raises(ValueError):
-        bands_from_edges([0.0, 1.0, 2.0])  # an odd number of edges cannot pair
+        bands_from_edges([0.0, 1.0, 2.0], 0.0)  # an odd number of edges cannot pair
     with pytest.raises(ValueError):
         branch_ranges(np.zeros((0, 2)))
 
 
 def test_edges_pair_in_sorted_order():
     # edges arrive fiber by fiber; band b is [e_2b, e_2b+1] of the sorted list
-    bands = bands_from_edges([[-3.0, 0.5, 2.0], [-1.0, 1.0, 3.0]])
+    bands = bands_from_edges([[-3.0, 0.5, 2.0], [-1.0, 1.0, 3.0]], 0.0)
     assert bands.intervals == ((-3.0, -1.0), (0.5, 1.0), (2.0, 3.0))
 
 
@@ -60,26 +60,23 @@ def test_edges_pair_in_sorted_order():
 )
 def test_coalesce_is_idempotent(raw, eps):
     # the edges of a band set pair back into the same band set
-    scale = eps / (TOUCH_ULPS * EPS)
-    merged = bands_from_edges([x for iv in raw for x in iv], scale)
-    again = bands_from_edges([x for iv in merged.intervals for x in iv], scale)
+    merged = bands_from_edges([x for iv in raw for x in iv], eps)
+    again = bands_from_edges([x for iv in merged.intervals for x in iv], eps)
     assert again.intervals == merged.intervals
     # every reported gap exceeds the touch tolerance
     for (_, b0), (a1, _) in zip(merged.intervals, merged.intervals[1:]):
-        assert a1 - b0 > TOUCH_ULPS * EPS * scale
+        assert a1 - b0 > eps
 
 
 def test_touch_tolerance_scales_with_fiber_norm():
     scale = 1e3
     tol = TOUCH_ULPS * EPS * scale
-    touching = bands_from_edges([-1.0, 0.0, 0.5 * tol, 1.0], scale)
+    touching = bands_from_edges([-1.0, 0.0, 0.5 * tol, 1.0], tol)
     assert touching.intervals == ((-1.0, 1.0),)
-    apart = bands_from_edges([-1.0, 0.0, 2.0 * tol, 1.0], scale)
+    apart = bands_from_edges([-1.0, 0.0, 2.0 * tol, 1.0], tol)
     assert len(apart.intervals) == 2
-    # the default scale is the largest edge magnitude
-    assert len(bands_from_edges([-1.0, 0.0, 2.0 * TOUCH_ULPS * EPS, 1.0]).intervals) == 2
     # roundoff may order touching edges the wrong way round: still one band
-    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0]).intervals) == 1
+    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0], tol).intervals) == 1
 
 
 # ---------------------------------------------------------------- gaps and measure
@@ -94,7 +91,7 @@ def test_gap_between_two_bands():
 
 def test_merged_touching_bands_leave_no_gap():
     # two bands meeting at 0 coalesce, so no gap is reported there
-    merged = bands_from_edges([-2.0, 0.0, 0.0, 2.0])
+    merged = bands_from_edges([-2.0, 0.0, 0.0, 2.0], 0.0)
     assert merged.intervals == ((-2.0, 2.0),)
     assert interior_gaps(merged) == []
 

@@ -13,6 +13,7 @@ from oracles import block_circulant_from_fibers, branch_ranges
 
 from blochspec import assembly
 from blochspec.fibering import (
+    TOUCH_ULPS,
     DiscreteCell,
     _fiber_eigenvalues,
     _fibers,
@@ -183,7 +184,7 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     assert_close(energies, want)
     bandset = band_structure(potential, cutoff, bands)
     edges, scale = oracle_sweep(potential, cutoff, bands, (0.0, math.pi))
-    oracle = assembly.bands_from_edges(edges, scale)
+    oracle = assembly.bands_from_edges(edges, TOUCH_ULPS * np.finfo(float).eps * scale)
     assert len(bandset.intervals) == len(oracle.intervals)
     assert_close(bandset.intervals, oracle.intervals)
     # the samples never leave the band intervals built from the same arithmetic

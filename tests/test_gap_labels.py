@@ -9,7 +9,10 @@ delta = 6 * (2 * lam * |alpha - alpha'|) ** 0.5 from sigma(alpha) lies in a gap 
 every flux between alpha and a Farey neighbour alpha'.  With j and j' the
 numbers of bands below it and j = s q + t p, the integer identity
 j' q - j q' = t (p' q - p q') must then hold.  Only the integers of the fluxes
-and the raw edges of ``band_edges`` are used: no band merging, no IDS code.
+and band endpoints are used, no IDS code.  The endpoints come from two
+sources: the raw edges of ``band_edges``, with no band merging, and the
+output intervals of ``harper_spectrum``, whose merged centre interval at even
+q holds two bands.
 """
 
 import math
@@ -17,9 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from blochspec.harper import HarperParams, band_edges, farey_fractions
+from blochspec.harper import HarperParams, band_edges, farey_fractions, harper_spectrum
 
-MAX_Q = 40
+MAX_Q = 50
 HOELDER_CONSTANT = 6.0
 
 
@@ -29,25 +32,54 @@ def _label(j: int, p: int, q: int) -> int:
     return t - q if t > q / 2 else t
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
-def test_gap_labels_agree_between_farey_neighbours(lam):
+def _raw_edges(params):
+    """Sorted band endpoints, and whether the even-q centre pair is merged."""
+    return band_edges(params), False
+
+
+def _output_intervals(params):
+    return np.ravel(harper_spectrum(params).intervals), params.flux.q % 2 == 0
+
+
+def _label_failures(lam, source):
     fluxes = farey_fractions(MAX_Q)
-    edges = {flux: band_edges(HarperParams(flux=flux, lam=lam)) for flux in fluxes}
+    ends = {flux: source(HarperParams(flux=flux, lam=lam)) for flux in fluxes}
+
+    def bands_below(flux, energy):
+        e, merged_centre = ends[flux]
+        below = int(np.searchsorted(e, energy))
+        assert below % 2 == 0, (flux, energy)  # the energy is in a gap
+        # the merged centre interval contains the touching point E = 0
+        return below // 2 + int(merged_centre and energy > 0)
+
     checked, failures = 0, []
     for left, right in zip(fluxes, fluxes[1:]):
         for a, b in ((left, right), (right, left)):
             p, q, p2, q2 = a.p, a.q, b.p, b.q
             assert abs(p2 * q - p * q2) == 1, (a, b)
             delta = HOELDER_CONSTANT * math.sqrt(2.0 * lam * abs(p / q - p2 / q2))
-            e = edges[a]
-            for j in range(1, q):  # the gap with j bands below it
-                lo, hi = e[2 * j - 1], e[2 * j]
+            e = ends[a][0]
+            for i in range(1, e.size // 2):  # the i-th gap of the endpoints
+                lo, hi = e[2 * i - 1], e[2 * i]
                 if (hi - lo) / 2 <= delta:
                     continue
-                below = int(np.searchsorted(edges[b], 0.5 * (lo + hi)))
-                assert below % 2 == 0, (a, b, j)  # the energy is in a gap at b too
+                mid = 0.5 * (lo + hi)
+                j, j2 = bands_below(a, mid), bands_below(b, mid)
                 checked += 1
-                if below // 2 * q - j * q2 != _label(j, p, q) * (p2 * q - p * q2):
+                if j2 * q - j * q2 != _label(j, p, q) * (p2 * q - p * q2):
                     failures.append((str(a), str(b), j))
+    return checked, failures
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_gap_labels_agree_between_farey_neighbours(lam):
+    checked, failures = _label_failures(lam, _raw_edges)
+    assert failures == []
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_gap_labels_of_the_output_intervals_agree(lam):
+    checked, failures = _label_failures(lam, _output_intervals)
     assert failures == []
     assert checked > 1000

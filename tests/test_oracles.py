@@ -33,11 +33,15 @@ def expected_bands(q):
     return q if q % 2 else q - 1
 
 
-def test_band_count_is_exact_up_to_q_25():
-    # beyond q ~ 30 genuine gaps fall below float64 resolution and merge
-    for flux in farey_fractions(25):
-        bands = harper_spectrum(HarperParams(flux=flux))
-        assert len(bands.intervals) == expected_bands(flux.q), flux
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_band_count_is_exact_up_to_q_50(lam):
+    # a genuine gap merges only where float64 cannot separate it: its two
+    # band edges are the same double (11 gaps at q <= 50 over the three lam)
+    for flux in farey_fractions(50):
+        params = HarperParams(flux=flux, lam=lam)
+        e, q = band_edges(params), flux.q
+        tied = sum(e[2 * j - 1] == e[2 * j] for j in range(1, q) if 2 * j != q)
+        assert len(harper_spectrum(params).intervals) == expected_bands(q) - tied, flux
 
 
 def test_aubry_duality_up_to_q_15():
