@@ -12,7 +12,6 @@ from .algebra import clock_shift, commutation_residual
 from .assembly import (
     BandSet,
     IDSCurve,
-    distance_to_bands,
     interior_gaps,
     lebesgue_measure,
 )
@@ -28,8 +27,7 @@ from .harper import (
     HarperParams,
     butterfly,
     cantor_proxy,
-    direct_space_bulk,
-    direct_space_harper,
+    direct_space_count,
     farey_fractions,
     harper_spectrum,
     ids,
@@ -56,10 +54,8 @@ __all__ = [
     "cantor_proxy",
     "clock_shift",
     "commutation_residual",
-    "direct_space_bulk",
-    "direct_space_harper",
+    "direct_space_count",
     "discrete_bloch_transform",
-    "distance_to_bands",
     "farey_fractions",
     "fiber_union_spectrum",
     "harper_spectrum",

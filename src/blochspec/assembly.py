@@ -83,12 +83,3 @@ def interior_gaps(bands: BandSet) -> list:
 def lebesgue_measure(bands: BandSet) -> float:
     return float(sum(b - a for a, b in bands.intervals))
 
-
-def distance_to_bands(bands: BandSet, values) -> np.ndarray:
-    """Distance from each value to the band set (0 inside a band)."""
-    x = np.asarray(values, dtype=float)
-    d = np.full_like(x, np.inf)
-    for a, b in bands.intervals:
-        d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, np.minimum(np.abs(x - a), np.abs(x - b))))
-    return d
-

@@ -17,19 +17,18 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import algebra, assembly, fibering, harper, svgplot
-from .model import EigensolverError, FourierPotential, RationalFlux
+from .model import TWO_PI, EigensolverError, FourierPotential, RationalFlux
 
-SCHEMA = 1
+SCHEMA = 2
 
 DEFAULT_APPROXIMANTS = "1/2,2/3,3/5,5/8,8/13,13/21"
-ORACLE_DISTANCE_TOL = 1e-2
-ORACLE_BULK_FRACTION = 0.99
 ORACLE_UNITARITY_TOL = 1e-12
 ORACLE_UNION_TOL = 1e-10
 
 # Largest dense matrix dimension a command may build: 2*cutoff + 1 for
-# ``bands``, --sites, and every flux denominator.  ``butterfly`` output grows
-# like max_q^3, so --max-q has its own cap.  MAX_GRID caps the sampling grids
+# ``bands`` and every flux denominator; --sites, the length of the
+# direct-space chain, stays under it too.  ``butterfly`` output grows like
+# max_q^3, so --max-q has its own cap.  MAX_GRID caps the sampling grids
 # (--kpoints, --epoints, --kgrid), which size 1d arrays and loops, and the
 # oracle loop counts (--trials, --vectors).
 MAX_DIM = 2048
@@ -230,42 +229,57 @@ def _oracle_union(rng, trials: int) -> dict:
 
 
 def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
-    bands = harper.harper_spectrum(params)
-    bulk, edge = harper.direct_space_bulk(params, sites)
-    dist = assembly.distance_to_bands(bands, bulk)
-    frac = float((dist <= ORACLE_DISTANCE_TOL).mean()) if bulk.size else 0.0
+    """Inertia counts of the open chain against the gap labels of the band edges.
+
+    Below any energy in gap j a ring of q*m sites has exactly j*m eigenvalues
+    (j per Bloch fiber).  The chain's first q*m sites differ from that ring by
+    a rank-2 term of inertia (1, 1), and its r = sites - q*m further sites add
+    at most r by Cauchy interlacing, so the chain's count N obeys
+    j*m - 1 <= N <= j*m + 1 + r.  Being a compression of the infinite
+    operator, the chain has no eigenvalue outside the band hull.  Phases theta
+    and theta + pi/q realise the edge fibers k2 = 0 and pi/q, so bands
+    computed too narrow fail.  eta covers the roundoff of both the edges and
+    the count.
+    """
+    q = params.flux.q
+    m, r = divmod(sites, q)
+    eta = 8 * sites * np.finfo(float).eps * max(1.0, 2.0 + 2.0 * params.lam)
+    edges = harper.band_edges(params)
+    gaps = [(a, b) for a, b in assembly.interior_gaps(harper.harper_spectrum(params))
+            if b - a > 2 * eta]
+    energies = np.array([edges[0] - eta, edges[-1] + eta]
+                        + [e for a, b in gaps for e in (a + eta, b - eta)])
+    label = np.searchsorted(edges, energies) // 2
+    lower, upper = label * m - 1, label * m + 1 + r
+    lower[:2] = upper[:2] = [0, sites]
+    excess = 0
+    for theta in (params.theta, (params.theta + np.pi / q) % TWO_PI):
+        shifted = harper.HarperParams(params.flux, params.lam, theta)
+        count = harper.direct_space_count(shifted, sites, energies)
+        excess = max(excess, int(np.maximum(lower - count, count - upper).max()))
     return {
         "flux": str(params.flux),
         "sites": sites,
-        "bulk_states": int(bulk.size),
-        "edge_states": int(edge.size),
-        "max_distance": float(dist.max()) if bulk.size else None,
-        "fraction_within_tol": frac,
-        "pass": frac >= ORACLE_BULK_FRACTION,
+        "probes": int(energies.size),
+        "max_count_excess": excess,
+        "pass": excess == 0,
     }
 
 
 def _cmd_oracle_check(ns: argparse.Namespace):
     # every echoed parameter is validated before any check runs, used or not
     params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam, theta=ns.theta)
-    # The dense chain runs first: its two buffers (the tridiagonal matrix and
-    # eigvalsh's working copy, about 16 * sites^2 bytes) are freed before
-    # numpy.random and the random checks' arrays become resident for good, so
-    # the peak RSS is the largest phase, not their sum.  It draws no random
-    # numbers, so the other checks see the same stream, and numpy.random is
-    # loaded only when one of them runs.
-    direct = None
-    if ns.which in ("all", "direct-space"):
-        direct = _oracle_direct_space(params, ns.sites)
     checks = {}
+    # numpy.random is loaded only when a randomized check runs; the
+    # direct-space check draws no random numbers, so it leaves their stream alone
     if ns.which != "direct-space":
         rng = np.random.default_rng(ns.seed)
         if ns.which in ("all", "unitarity"):
             checks["unitarity"] = _oracle_unitarity(rng, ns.vectors)
         if ns.which in ("all", "union"):
             checks["union"] = _oracle_union(rng, ns.trials)
-    if direct is not None:
-        checks["direct_space"] = direct
+    if ns.which in ("all", "direct-space"):
+        checks["direct_space"] = _oracle_direct_space(params, ns.sites)
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
     header = ["check", "key", "value"]
     rows = []

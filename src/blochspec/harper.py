@@ -6,11 +6,11 @@ bands, q - 1 for even q where the centre pair touches (van Mouche, CMP 122,
 1989; Choi-Elliott-Yui, Invent. Math. 1990).  By the Chambers relation their
 edges are the eigenvalues of two real Bloch matrices, and the same relation
 gives the IDS through the discriminant Delta(E) (``ids``); ``cantor_proxy``
-follows the band measure along rational approximants.  A direct-space
-truncation on a long open chain is an independent oracle for both.  Its
-boundary states are told apart from its eigenvalues alone, by the resolvent's
-diagonal at the chain ends (``_edge_weight``).  No path here diagonalises a
-k-grid or forms an eigenvector.
+follows the band measure along rational approximants.  An independent
+oracle for both is the long open direct-space chain: ``direct_space_count``
+counts its eigenvalues below any energy by Sylvester's law of inertia, and
+in gap j a chain of m cells has j*m of them up to a fixed boundary slack.
+No path here diagonalises a k-grid or the chain, or forms an eigenvector.
 """
 
 from __future__ import annotations
@@ -30,20 +30,6 @@ LAM_MAX = float(np.finfo(float).max) / 8
 IDS_DEFAULT_POINTS = 512
 IDS_DEFAULT_NODES = 64
 IDS_HULL_PADDING = 0.05
-
-# direct-space eigenvalues with more than half their spectral weight on the
-# outer 2q sites at either end are open-boundary artifacts, not bulk spectrum
-EDGE_MASS_THRESHOLD = 0.5
-# an edge state's weight must exceed the threshold by this margin: a chain
-# and its mirror image split a weight of exactly 0.5 (a state shared evenly
-# by both ends) on either side of it by roundoff, so an exact tie stays bulk
-EDGE_MASS_MARGIN = 1e-6
-# the edge weight reads the resolvent at distance eta = EDGE_ETA * max(1,
-# max |eigenvalue|) from each eigenvalue: far above the eigenvalues' own error
-# (a few 1e-14), far below the spacing of separated states
-EDGE_ETA = 1e-11
-# rows of the eigenvalue-difference block summed at once for Im tr G
-TRACE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -186,15 +172,6 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
     return assembly.bands_from_edges(edges, 0.0)
 
 
-def direct_space_harper(params: HarperParams, sites: int) -> np.ndarray:
-    """Ascending eigenvalues of the open-boundary direct-space truncation.
-
-    sites x sites tridiagonal matrix with diagonal 2*lam*cos(2*pi*n*p/q + theta)
-    and unit hopping; lam, p/q and theta all come from ``params``.
-    """
-    return eigensolve(tridiagonal(_direct_space_diag(params, sites)), flux=params.flux)
-
-
 def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
     """Onsite energies 2*lam*cos(2*pi*n*p/q + theta) for n < sites, all read from ``params``."""
     if sites < params.flux.q:
@@ -205,72 +182,27 @@ def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
     return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + params.theta)
 
 
-def _edge_weight(diag: np.ndarray, w: np.ndarray, edge: int) -> np.ndarray:
-    """Share of the spectral weight at each eigenvalue on the outer ``edge`` sites at either end.
+def direct_space_count(params: HarperParams, sites: int, energies) -> np.ndarray:
+    """Number of eigenvalues below each energy of the open direct-space chain.
 
-    With G = (J - z)^-1 for the chain J (``diag``, unit hopping, eigenvalues
-    ``w``) and z_i = w_i + i*eta, the weight of w_i is the sum of Im G_jj(z_i)
-    over the end sites j (a site in both ends counts twice) divided by
-    Im tr G(z_i).  For w_i farther than eta from every other eigenvalue this
-    is its eigenvector's end mass; for a cluster narrower than eta it is the
-    cluster's mean end mass, which no choice of basis inside the cluster
-    changes.
-
-    G_jj = 1 / (d_j - z - (L_j + R_j)), where L_j and R_j are the Schur
-    complements of the chain left and right of site j: L_0 = 0 and
-    L_{j+1} = t^2 / (d_j - z - L_j), and R alike from the other end.  Both
-    sweeps run over all eigenvalues at once and keep only the end sites.
-    Every denominator has imaginary part at most -eta, so none vanishes and
-    no sign cancels.  Im tr G(z_i) = sum_k eta / ((w_k - w_i)^2 + eta^2) is
-    summed TRACE_BLOCK rows at a time, so no n x n array is held.  All of it
-    runs in units of max(1, max |w|), where eta = EDGE_ETA and the hopping
-    is t = 1 / max(1, max |w|), so nothing overflows at any coupling.
+    The chain is the sites x sites tridiagonal matrix with diagonal
+    ``_direct_space_diag`` and unit hopping.  By Sylvester's law of inertia
+    the count below E is the number of negative pivots of the LDL^T
+    factorisation of the chain minus E, d_n = (a_n - E) - 1/d_(n-1) (Kahan
+    1966; Demmel, Applied Numerical Linear Algebra, sec. 5.3).  A zero pivot
+    becomes -tiny.  One pass over the sites, vectorised over the energies;
+    no matrix is built.
     """
-    n = diag.size
-    scale = max(1.0, float(np.abs(w).max()))
-    d, x, hop2 = diag / scale, w / scale, scale ** -2.0
-    count = np.zeros(n, dtype=int)
-    count[:edge] += 1
-    count[n - edge:] += 1
-    shift = -x - 1j * EDGE_ETA  # d_j - z_i = d_j + shift_i
-    left = np.empty((np.count_nonzero(count), n), dtype=complex)
-    L = np.zeros(n, dtype=complex)
-    slot = 0
-    for j in range(n):
-        if count[j]:
-            left[slot] = L
-            slot += 1
-        L = hop2 / (d[j] + shift - L)
-    num = np.zeros(n)
-    R = np.zeros(n, dtype=complex)
-    for j in range(n - 1, -1, -1):
-        if count[j]:
-            slot -= 1
-            num += count[j] * (EDGE_ETA / (d[j] + shift - (left[slot] + R))).imag
-        R = hop2 / (d[j] + shift - R)
-    den = np.empty(n)
-    for i in range(0, n, TRACE_BLOCK):
-        gap = (x - x[i:i + TRACE_BLOCK, None]) / EDGE_ETA
-        den[i:i + TRACE_BLOCK] = (1.0 / (1.0 + gap * gap)).sum(axis=1)
-    return num / den
-
-
-def direct_space_bulk(params: HarperParams, sites: int):
-    """Split the direct-space spectrum of ``direct_space_harper`` (phase
-    offset ``params.theta``) into bulk and boundary eigenvalues.
-
-    An eigenvalue counts as boundary-localized when more than
-    EDGE_MASS_THRESHOLD of its spectral weight lies on the outer 2q sites at
-    either end (``_edge_weight``), by more than EDGE_MASS_MARGIN; those are
-    artifacts of the open boundary.
-    Only eigenvalues are computed: the weights come from the resolvent's
-    diagonal at the chain ends, so no eigenvector is formed.
-    """
-    w = direct_space_harper(params, sites)
-    diag = _direct_space_diag(params, sites)
-    weight = _edge_weight(diag, w, min(2 * params.flux.q, sites))
-    is_edge = weight > EDGE_MASS_THRESHOLD + EDGE_MASS_MARGIN
-    return w[~is_edge], w[is_edge]
+    e = np.asarray(energies, dtype=float)
+    tiny = np.finfo(float).tiny
+    count = np.zeros(e.shape, dtype=int)
+    inv = np.zeros(e.shape)
+    for a in _direct_space_diag(params, sites).tolist():
+        d = (a - e) - inv
+        d[d == 0.0] = -tiny
+        count += d < 0.0
+        inv = 1.0 / d
+    return count
 
 
 def farey_fractions(max_q: int) -> list:

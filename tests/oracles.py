@@ -1,10 +1,10 @@
 """Test oracles that no production path calls: k-grid sweeps of the Harper
 Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
-their spectral projections, block-circulant synthesis, and the eigenvector
-end mass of the open direct-space chain.
+their spectral projections, block-circulant synthesis, the eigenvalues of the
+open direct-space chain, and the distance from values to a band set.
 
 The matrices are written here entry by entry, so these oracles share no code
-with ``harper.band_edges``, ``harper.direct_space_bulk`` or
+with ``harper.band_edges``, ``harper.direct_space_count`` or
 ``model.tridiagonal``.
 """
 
@@ -99,13 +99,21 @@ def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
     return big
 
 
-def chain_edge_mass(params, sites, edge):
-    """Eigenvalues of the open direct-space Harper chain and the mass of each
-    eigenvector on the outer ``edge`` sites at either end (a site in both ends
-    counts twice), from ``numpy.linalg.eigh`` on the chain written out here."""
+def chain_eigenvalues(params, sites):
+    """Ascending eigenvalues of the open direct-space Harper chain, from
+    ``numpy.linalg.eigvalsh`` on the chain written out here."""
     p, q = params.flux.p, params.flux.q
     n = np.arange(sites)
     chain = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + params.theta))
     chain += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
-    w, v = np.linalg.eigh(chain)
-    return w, (v[:edge] ** 2).sum(axis=0) + (v[sites - edge:] ** 2).sum(axis=0)
+    return np.linalg.eigvalsh(chain)
+
+
+def distance_to_bands(bands, values) -> np.ndarray:
+    """Distance from each value to the band set (0 inside a band)."""
+    x = np.asarray(values, dtype=float)
+    d = np.full_like(x, np.inf)
+    for a, b in bands.intervals:
+        outside = np.minimum(np.abs(x - a), np.abs(x - b))
+        d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, outside))
+    return d

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import eigenvalue_grid
+from oracles import distance_to_bands, eigenvalue_grid
 
 import blochspec as bs
 from blochspec.cli import DEFAULT_APPROXIMANTS, main
@@ -94,7 +94,7 @@ def test_criterion_04_harper_closed_forms():
     # the symbolic 2x2 formula +-sqrt(4 cos^2 k2 + 2 + 2 cos k1)
     evals = eigenvalue_grid(half_params)
     assert abs(evals[:, :, 0].max()) <= 1e-6 and abs(evals[:, :, 1].min()) <= 1e-6
-    assert bs.distance_to_bands(half, [0.0])[0] == 0.0
+    assert distance_to_bands(half, [0.0])[0] == 0.0
     k1s = bs.uniform_k_grid(64)[:, None]
     k2s = bs.uniform_k_grid(64)[None, :]
     closed = np.sqrt(4 * np.cos(k2s) ** 2 + 2 + 2 * np.cos(k1s))
@@ -150,18 +150,17 @@ def test_criterion_06_cocycle_relations():
     report(6, "cocycle relations", elapsed, 1.0, f"{pairs} pairs, max residual {worst:.2e}")
 
 
-def test_criterion_07_direct_space_oracle():
+def test_criterion_07_direct_space_oracle(tmp_path):
     start = time.perf_counter()
-    params = bs.HarperParams(flux=bs.RationalFlux(1, 3))
-    bands = bs.harper_spectrum(params)
-    bulk, edge = bs.direct_space_bulk(params, 600)
-    dist = bs.distance_to_bands(bands, bulk)
-    frac = float((dist <= 1e-2).mean())
+    out = tmp_path / "direct.json"
+    argv = ["oracle-check", "--which", "direct-space", "--flux", "1/3", "--sites", "600"]
+    assert main(argv + ["--output", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"]["direct_space"]
     elapsed = time.perf_counter() - start
-    assert frac >= 0.99
+    assert check["pass"] is True and check["max_count_excess"] == 0
     assert elapsed < 10.0
     report(7, "direct-space oracle", elapsed, 10.0,
-           f"{frac:.4f} of {bulk.size} bulk states within 1e-2 ({edge.size} edge modes dropped)")
+           f"inertia counts at {check['probes']} gap-edge probes within the gap-label bound")
 
 
 def test_criterion_08_cantor_proxy():

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import branch_ranges
+from oracles import branch_ranges, distance_to_bands
 
 from blochspec.assembly import (
     BandSet,
     IDSCurve,
     bands_from_edges,
-    distance_to_bands,
     interior_gaps,
     lebesgue_measure,
 )
@@ -102,6 +101,7 @@ def test_lebesgue_measure():
 
 
 def test_distance_to_bands():
+    # the test oracle that the band-set checks of the other modules measure with
     bands = BandSet(((0.0, 1.0), (3.0, 4.0)))
     d = distance_to_bands(bands, [0.5, 2.0, 5.0])
     assert np.allclose(d, [0.0, 1.0, 1.0])

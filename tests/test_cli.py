@@ -39,7 +39,7 @@ def test_butterfly_json_closed_forms(tmp_path):
     code, text = run_cli(["butterfly", "--max-q", "2", "--lambda", "1"], tmp_path)
     assert code == 0
     doc = json.loads(text)
-    assert doc["schema"] == 1 and "version" in doc and doc["config"]["max_q"] == 2
+    assert doc["schema"] == 2 and "version" in doc and doc["config"]["max_q"] == 2
     rows = doc["rows"]
     assert [(r["p"], r["q"]) for r in rows] == [(0, 1), (1, 2)]
     assert rows[0]["bands"] == [[-4.0, 4.0]]
@@ -93,7 +93,7 @@ def test_cantor_output(tmp_path):
     )
     assert code == 0
     lines = text.splitlines()
-    assert lines[0] == "# schema=1"
+    assert lines[0] == "# schema=2"
     assert lines[3] == "i,p,q,measure"
     assert len(lines) == 6
 
@@ -216,7 +216,7 @@ def test_svg_outputs_are_well_formed(tmp_path):
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     assert svg.startswith("<?xml")
-    assert "schema=1" in svg
+    assert "schema=2" in svg
     _, svg2 = run_cli(["bands", "--potential", "1:1", "--bands", "3", "--kpoints", "31",
                        "--cutoff", "8", "--format", "svg"], tmp_path, "bands.svg")
     assert sum(1 for el in ET.fromstring(svg2).iter() if el.tag.endswith("polyline")) == 3
@@ -348,13 +348,10 @@ def test_exact_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_direct_space_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
-    # LAPACK failing on the direct-space chain (not the q x q edge fibers) carries the flux
-    eigvalsh = np.linalg.eigvalsh
-
+    # the direct-space check solves only the q x q band-edge fibers; LAPACK
+    # failing there carries the flux
     def boom(a):
-        if np.shape(a)[-1] == 600:
-            raise np.linalg.LinAlgError("no convergence")
-        return eigvalsh(a)
+        raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     assert main(["oracle-check", "--which", "direct-space", "--flux", "2/5"]) == 3
@@ -362,7 +359,7 @@ def test_direct_space_eigensolve_failure_maps_to_exit_3(capsys, monkeypatch):
     assert out == ""
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "numerical" and record["flux"] == "2/5"
-    assert "600x600" in record["message"]  # the default --sites
+    assert "5x5" in record["message"]
 
 
 def test_eigensolver_failure_maps_to_exit_3(capsys, monkeypatch):
@@ -413,22 +410,6 @@ def test_oracle_check_rejects_bad_harper_parameters_it_would_not_use(capsys, fla
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
-
-
-def test_empty_direct_space_bulk_writes_null_not_nan(capsys):
-    # with 3 sites at flux 1/3 every state is an edge state, so no distance exists
-    def reject(name):
-        raise AssertionError(f"{name} is not valid JSON")
-
-    argv = ["oracle-check", "--which", "direct-space", "--flux", "1/3", "--sites", "3"]
-    assert main(argv) == 1
-    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
-    check = doc["checks"]["direct_space"]
-    assert check["bulk_states"] == 0 and check["max_distance"] is None
-    assert check["pass"] is False and doc["pass"] is False
-    assert main(argv + ["--format", "csv"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert "direct_space,max_distance," in out and "overall,pass,0" in out
 
 
 class Reached(Exception):

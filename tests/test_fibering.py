@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_circulant_from_fibers, branch_ranges
+from oracles import block_circulant_from_fibers, branch_ranges, distance_to_bands
 
 from blochspec import assembly
 from blochspec.fibering import (
@@ -140,7 +140,7 @@ def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
     # the k-grid samples never leave the exact bands, even on odd grids
     for kpoints in (101, 400):
         _, energies = band_sweep(COSINE, 32, bands=4, kpoints=kpoints)
-        assert assembly.distance_to_bands(bands, energies).max() <= 1e-9
+        assert distance_to_bands(bands, energies).max() <= 1e-9
     # a grid through k = pi reaches every band edge
     _, energies = band_sweep(COSINE, 32, bands=4, kpoints=100)
     got = np.sort(np.array(branch_ranges(energies)), axis=None)
@@ -188,7 +188,7 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     assert len(bandset.intervals) == len(oracle.intervals)
     assert_close(bandset.intervals, oracle.intervals)
     # the samples never leave the band intervals built from the same arithmetic
-    assert assembly.distance_to_bands(bandset, energies).max() <= 1e-9 * np.abs(energies).max()
+    assert distance_to_bands(bandset, energies).max() <= 1e-9 * np.abs(energies).max()
 
 
 def test_fibers_are_real_exactly_when_every_coefficient_is():

@@ -9,20 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_edge_mass, eigenvalue_grid
+from oracles import chain_eigenvalues, distance_to_bands, eigenvalue_grid
 
 from blochspec import assembly
 from blochspec.harper import (
-    EDGE_MASS_MARGIN,
-    EDGE_MASS_THRESHOLD,
     LAM_MAX,
     HarperParams,
-    _direct_space_diag,
-    _edge_weight,
     _onsite,
     butterfly,
-    direct_space_bulk,
-    direct_space_harper,
+    direct_space_count,
     farey_fractions,
     harper_spectrum,
 )
@@ -111,7 +106,7 @@ def test_flux_half_bands_touch_at_zero():
     lo, hi = bands.intervals[0][0], bands.intervals[-1][1]
     assert abs(lo + 2 * SQRT2) <= 1e-12 and abs(hi - 2 * SQRT2) <= 1e-12
     # branches touch at E = 0, so the merged set has no gap there
-    assert assembly.distance_to_bands(bands, [0.0])[0] == 0.0
+    assert distance_to_bands(bands, [0.0])[0] == 0.0
     assert assembly.interior_gaps(bands) == []
     # the two eigenvalue branches really do meet at zero
     evals = eigenvalue_grid(params(1, 2))
@@ -135,128 +130,109 @@ def test_flux_third_bands_match_cubic_closed_form():
 def test_flux_quarter_central_touching_gives_three_bands():
     bands = harper_spectrum(params(1, 4))
     assert len(bands.intervals) == 3
-    assert assembly.distance_to_bands(bands, [0.0])[0] == 0.0
+    assert distance_to_bands(bands, [0.0])[0] == 0.0
 
 
 # ---------------------------------------------------------------- direct space
 
 def test_direct_space_flux_zero_closed_form():
-    w = direct_space_harper(params(0, 1), 100)
-    j = np.arange(1, 101)
-    expected = np.sort(2.0 + 2.0 * np.cos(np.pi * j / 101))
-    assert np.allclose(w, expected, atol=1e-10)
-    assert w.min() >= -4.01 and w.max() <= 4.01
+    # the free chain of 100 sites: eigenvalues 2 + 2 cos(pi j / 101), j = 1..100
+    w = np.sort(2.0 + 2.0 * np.cos(np.pi * np.arange(1, 101) / 101))
+    e = np.concatenate([[-4.01], w - 1e-9, w + 1e-9, [4.01]])
+    assert np.array_equal(direct_space_count(params(0, 1), 100, e), np.searchsorted(w, e))
 
 
 def test_direct_space_flux_half_concentrates_on_closed_form_bands():
-    w = direct_space_harper(params(1, 2), 400)
-    dist = np.abs(w - np.clip(w, -2 * SQRT2, 2 * SQRT2))
-    assert (dist <= 1e-2).mean() >= 0.99
+    # every eigenvalue lies in the band hull [-2 sqrt 2, 2 sqrt 2]
+    count = direct_space_count(params(1, 2), 400, [-2 * SQRT2 - 1e-12, 2 * SQRT2 + 1e-12])
+    assert count.tolist() == [0, 400]
 
 
 def test_direct_space_small_lambda_is_free_hopping():
-    w = direct_space_harper(params(1, 2, lam=1e-8), 400)
-    assert w.min() >= -2 - 1e-6 and w.max() <= 2 + 1e-6
+    count = direct_space_count(params(1, 2, lam=1e-8), 400, [-2 - 1e-6, 2 + 1e-6])
+    assert count.tolist() == [0, 400]
 
 
-def test_direct_space_bulk_filter_drops_edge_modes():
-    bulk, edge = direct_space_bulk(params(1, 3), 600)
+def test_direct_space_count_follows_the_gap_labels():
+    # 600 sites are m = 200 cells of flux 1/3: below gap j, j*m eigenvalues up
+    # to one boundary state either way
     bands = harper_spectrum(params(1, 3))
-    dist = assembly.distance_to_bands(bands, bulk)
-    assert (dist <= 1e-2).mean() >= 0.99
-    assert bulk.size + edge.size == 600
-    assert edge.size <= 2 * 3  # at most 2q boundary modes
+    mid = [(a + b) / 2 for a, b in assembly.interior_gaps(bands)]
+    for theta in (0.0, 1.0, 4.0):
+        count = direct_space_count(params(1, 3, theta=theta), 600, mid)
+        assert np.abs(count - [200, 400]).max() <= 1
 
 
-def nearest_gap(w):
-    gap = np.full(w.size, np.inf)
-    gap[:-1] = np.diff(w)
-    gap[1:] = np.minimum(gap[1:], gap[:-1])
-    return gap
+PAIRS = [(1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (7, 30), (13, 40)]
 
 
-@pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (7, 30), (13, 40)])
-def test_edge_weight_matches_the_eigenvector_end_mass(p, q):
-    # the weight smears each eigenvalue over eta ~ 1e-11, so it is the end mass
-    # up to ~(eta / gap)^2; inside a tighter cluster eigh's split is arbitrary
-    for lam in (0.5, 1.0):
-        for theta in (0.0, 1.1, 4.4):
-            for sites in (4 * q, 7 * q + 3):
-                prm = params(p, q, lam, theta)
-                w, mass = chain_edge_mass(prm, sites, 2 * q)
-                diag = _direct_space_diag(prm, sites)
-                ws = direct_space_harper(prm, sites)
-                weight = _edge_weight(diag, ws, 2 * q)
-                gap = nearest_gap(w)
-                assert np.abs(weight - mass)[gap > 1e-6].max() <= 1e-5
-                # a mass within the weight's error of the threshold is a tie
-                apart = (gap > 1e-8) & (np.abs(mass - EDGE_MASS_THRESHOLD) > 1e-4)
-                assert np.array_equal((weight > EDGE_MASS_THRESHOLD)[apart],
-                                      (mass > EDGE_MASS_THRESHOLD)[apart])
-                bulk, edge = direct_space_bulk(prm, sites)
-                is_edge = weight > EDGE_MASS_THRESHOLD + EDGE_MASS_MARGIN
-                assert np.array_equal(edge, ws[is_edge])
-                assert np.array_equal(bulk, ws[~is_edge])
-                # the reversed chain swaps the two ends, which count alike
-                assert np.abs(_edge_weight(diag[::-1], ws, 2 * q) - weight).max() <= 1e-9
+@pytest.mark.parametrize("p, q", PAIRS)
+def test_direct_space_count_matches_the_dense_count(p, q):
+    # Sylvester's inertia against the eigenvalues of the chain written out
+    # entry by entry, 1e-9 on either side of every eigenvalue
+    rng = np.random.default_rng(100 * q + p)
+    for lam in (0.01, 0.5, 1.0, 2.0, 30.0):
+        for sites in (q, int(rng.integers(q, 301)), 300):
+            prm = params(p, q, lam, float(rng.uniform(0.0, 2 * np.pi)))
+            w = chain_eigenvalues(prm, sites)
+            e = np.concatenate([w - 1e-9, w + 1e-9])
+            assert np.array_equal(direct_space_count(prm, sites, e), np.searchsorted(w, e))
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])
 def test_mirror_chain_has_the_same_edge_states(theta):
     # reversing the chain maps site n to 468 - n, i.e. theta to -theta - 2 pi 468 p/q:
-    # the same spectrum with both ends swapped, which the edge rule counts alike.
-    # Roundoff alone put weights within 1e-11 of 0.5 on either side of the
-    # threshold here (268 against 269 edge states at theta = 0)
+    # the same spectrum, factorised from the other end, so every gap holds
+    # the same number of boundary states
     p, q, sites = 39, 59, 469
     mirror = (-theta - 2 * np.pi * (sites - 1) * p / q) % (2 * np.pi)
-    bulk, edge = direct_space_bulk(params(p, q, 1.0, theta), sites)
-    bulk_m, edge_m = direct_space_bulk(params(p, q, 1.0, mirror), sites)
-    assert edge.size == edge_m.size
-    assert np.abs(np.concatenate([bulk, edge]) - np.concatenate([bulk_m, edge_m])).max() <= 1e-9
+    gaps = np.array(assembly.interior_gaps(harper_spectrum(params(p, q))))
+    e = np.concatenate([gaps.mean(axis=1), gaps[:, 0] + 1e-9, gaps[:, 1] - 1e-9])
+    count = direct_space_count(params(p, q, 1.0, theta), sites, e)
+    assert np.array_equal(count, direct_space_count(params(p, q, 1.0, mirror), sites, e))
 
 
-def test_edge_weight_overlapping_ends_count_twice():
-    # with sites < 4q every site in both end windows counts twice, as a sum of
-    # the two eigenvector masses does: sites = 2q gives weight 2 everywhere
-    prm = params(2, 5)
-    weight = _edge_weight(_direct_space_diag(prm, 10), direct_space_harper(prm, 10), 10)
-    assert np.abs(weight - 2.0).max() <= 1e-6
-    bulk, edge = direct_space_bulk(prm, 10)
-    assert bulk.size == 0 and edge.size == 10
-
-
-def test_edge_weight_stays_finite_at_the_largest_coupling():
-    # the sweeps run in units of the spectral norm, so nothing overflows
+def test_direct_space_count_at_the_largest_coupling():
+    # pivots of size lam ~ max float / 8 and their reciprocals stay finite; the
+    # eigenvalues sit in four clusters at the four onsite values, probed between
     prm = params(2, 7, lam=LAM_MAX)
-    weight = _edge_weight(_direct_space_diag(prm, 70), direct_space_harper(prm, 70), 14)
-    assert np.all(np.isfinite(weight)) and np.all(weight >= 0.0)
+    w = chain_eigenvalues(prm, 70)
+    apart = np.diff(w) > 1e-3 * LAM_MAX
+    e = np.concatenate([[-4 * LAM_MAX], ((w[1:] + w[:-1]) / 2)[apart], [4 * LAM_MAX]])
+    count = direct_space_count(prm, 70, e)
+    assert count.tolist() == [0, 20, 40, 60, 70]
+    assert np.array_equal(count, np.searchsorted(w, e))
 
 
-def test_direct_space_bulk_never_forms_eigenvectors(monkeypatch):
-    # the 1200-site chain is 11.5 MB; its eigenvector matrix would be as much again
+def test_direct_space_count_builds_no_matrix(monkeypatch):
+    # the dense 1200-site chain was 11.5 MB; the count holds a few rows of floats
     def boom(*args, **kwargs):
-        raise AssertionError("eigenvectors requested")
+        raise AssertionError("LAPACK called")
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     monkeypatch.setattr(np.linalg, "eigh", boom)
-    direct_space_bulk(params(13, 21), 60)  # warm caches outside the trace
+    e = np.linspace(-4.0, 4.0, 64)
+    direct_space_count(params(13, 21), 60, e)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        bulk, edge = direct_space_bulk(params(13, 21), 1200)
+        count = direct_space_count(params(13, 21), 1200, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bulk.size + edge.size == 1200
-    assert peak < 1.5 * 1200 ** 2 * 8
+    assert count[-1] == 1200
+    assert peak < 200 * 1024
 
 
 def test_direct_space_needs_a_full_cell():
     with pytest.raises(ValueError):
-        direct_space_harper(params(1, 5), 4)
+        direct_space_count(params(1, 5), 4, [0.0])
 
 
 def test_theta_override_shifts_the_diagonal():
-    w0 = direct_space_harper(params(0, 1, theta=np.pi), 50)
-    assert np.allclose(w0.max(), -2.0 + 2.0 * np.cos(np.pi / 51), atol=1e-10)
+    # theta = pi turns the flux-0 diagonal +2 into -2: top eigenvalue -2 + 2 cos(pi / 51)
+    top = -2.0 + 2.0 * np.cos(np.pi / 51)
+    count = direct_space_count(params(0, 1, theta=np.pi), 50, [top - 1e-9, top + 1e-9])
+    assert count.tolist() == [49, 50]
 
 
 # ---------------------------------------------------------------- flux enumeration

@@ -1,8 +1,8 @@
 """oracle-check's memory peak, record order and random stream.
 
-The dense direct-space chain is the largest allocation of ``oracle-check``.
-Its peak resident set should be that of the chain alone plus a little, not the
-chain stacked on top of numpy.random and the random checks' arrays.
+The direct-space check counts eigenvalues by inertia and builds no matrix, so
+it should peak near the imported CLI alone, and the full check near its
+largest random check, ``union``, alone.
 """
 
 import json
@@ -35,10 +35,10 @@ code = cli.main(["oracle-check", "--flux", "13/21", "--sites", "1200",
                  "--output", os.devnull])
 assert code == 0, code
 """
-_CHAIN_ONLY = """
-from blochspec import harper
-from blochspec.model import RationalFlux
-harper.direct_space_bulk(harper.HarperParams(flux=RationalFlux(13, 21)), 1200)
+_DIRECT_ONLY = _FULL_CHECK.replace('"--flux"', '"--which", "direct-space", "--flux"')
+_UNION_ONLY = _FULL_CHECK.replace('"--flux"', '"--which", "union", "--flux"')
+_IMPORT_ONLY = """
+from blochspec import cli
 """
 
 
@@ -50,10 +50,17 @@ def _child_hwm_kb(code: str) -> int:
 
 
 @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
-def test_oracle_check_peaks_near_the_direct_space_chain_alone():
+def test_direct_space_check_peaks_near_the_import_alone():
+    direct = _child_hwm_kb(_DIRECT_ONLY)
+    imported = _child_hwm_kb(_IMPORT_ONLY)
+    assert direct <= imported + HWM_SLACK_KB, (direct, imported)
+
+
+@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
+def test_oracle_check_peaks_near_the_union_check_alone():
     full = _child_hwm_kb(_FULL_CHECK)
-    chain = _child_hwm_kb(_CHAIN_ONLY)
-    assert full <= chain + HWM_SLACK_KB, (full, chain)
+    union = _child_hwm_kb(_UNION_ONLY)
+    assert full <= union + HWM_SLACK_KB, (full, union)
 
 
 SMALL = ["oracle-check", "--vectors", "4", "--trials", "3", "--sites", "90", "--seed", "3"]

@@ -1,14 +1,17 @@
 """Independent oracles for the exact band edges: band counts, Aubry duality,
-Thouless' bandwidth limit, the k-grid sweep, and random quasimomenta."""
+Thouless' bandwidth limit, the k-grid sweep, random quasimomenta, and the
+direct-space inertia counts of ``oracle-check``."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import bloch_matrices, branch_ranges, eigenvalue_grid
+from oracles import bloch_matrices, branch_ranges, distance_to_bands, eigenvalue_grid
 
-from blochspec.assembly import distance_to_bands, lebesgue_measure
+from blochspec.assembly import lebesgue_measure
+from blochspec import cli, harper
 from blochspec.harper import (
     HarperParams,
     band_edges,
@@ -89,3 +92,37 @@ def test_random_quasimomenta_stay_inside_the_exact_bands(p, q):
         inside = w[(w >= a) & (w <= b)]
         slack = 0.1 * (b - a)
         assert inside.min() - a <= slack and b - inside.max() <= slack
+
+
+# ---------------------------------------------------------------- direct-space counts
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_direct_space_check_passes_on_the_true_edges(lam):
+    for flux in farey_fractions(20):
+        check = cli._oracle_direct_space(HarperParams(flux=flux, lam=lam), 240)
+        assert check["pass"] and check["max_count_excess"] == 0, flux
+
+
+TRUE_EDGES = harper.band_edges
+BENCH_CALLS = [["--flux", "1/3", "--sites", "600"], ["--flux", "13/21", "--sites", "1200"]]
+
+
+def second_fiber_at_k2_zero(params):
+    """Band edges from the fibers (0, 0) and (pi, 0), not (pi, pi/q): the
+    Chambers extremum put in the wrong place."""
+    mats = bloch_matrices(params, [0.0, math.pi], [0.0, 0.0])
+    return np.sort(np.linalg.eigvalsh(mats), axis=None)
+
+
+def shrunk_bands(params):
+    """The true band edges with every band narrowed by 1e-4 at both ends."""
+    return TRUE_EDGES(params) + np.tile([1e-4, -1e-4], params.flux.q)
+
+
+@pytest.mark.parametrize("wrong", [second_fiber_at_k2_zero, shrunk_bands])
+@pytest.mark.parametrize("call", BENCH_CALLS, ids=["1/3", "13/21"])
+def test_direct_space_check_fails_on_bands_too_narrow(monkeypatch, capsys, wrong, call):
+    monkeypatch.setattr(harper, "band_edges", wrong)
+    assert cli.main(["oracle-check", "--which", "direct-space"] + call) == 1
+    check = json.loads(capsys.readouterr().out)["checks"]["direct_space"]
+    assert check["pass"] is False and check["max_count_excess"] > 0
