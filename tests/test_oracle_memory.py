@@ -1,8 +1,8 @@
 """oracle-check's memory peak, record order and random stream.
 
 The direct-space check counts eigenvalues by inertia and builds no matrix, so
-it should peak near the imported CLI alone, and the full check near its
-largest random check, ``union``, alone.
+it should peak near the imported CLI alone and near counting its chain alone,
+and the full check near its largest random check, ``union``, alone.
 """
 
 import json
@@ -40,6 +40,13 @@ _UNION_ONLY = _FULL_CHECK.replace('"--flux"', '"--which", "union", "--flux"')
 _IMPORT_ONLY = """
 from blochspec import cli
 """
+_CHAIN_ONLY = """
+import numpy as np
+from blochspec import harper
+from blochspec.model import RationalFlux
+harper.direct_space_count(harper.HarperParams(flux=RationalFlux(13, 21)), 1200,
+                          np.linspace(-4.0, 4.0, 44))
+"""
 
 
 def _child_hwm_kb(code: str) -> int:
@@ -54,6 +61,15 @@ def test_direct_space_check_peaks_near_the_import_alone():
     direct = _child_hwm_kb(_DIRECT_ONLY)
     imported = _child_hwm_kb(_IMPORT_ONLY)
     assert direct <= imported + HWM_SLACK_KB, (direct, imported)
+
+
+@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
+def test_oracle_check_peaks_near_the_direct_space_chain_alone():
+    # the band edges, gap probes and second phase of the direct-space check
+    # add nothing resident to counting its 1200-site chain
+    direct = _child_hwm_kb(_DIRECT_ONLY)
+    chain = _child_hwm_kb(_CHAIN_ONLY)
+    assert direct <= chain + HWM_SLACK_KB, (direct, chain)
 
 
 @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
