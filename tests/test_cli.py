@@ -121,6 +121,38 @@ def test_failed_oracle_check_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert last_stderr_record(capsys)["error"] == "verification"
 
 
+# a relative error of 1e-9 in the transform or the fiber spectra, far above
+# both tolerances, planted in the function each randomized check calls
+PLANTED_FAULTS = {
+    "unitarity": ("discrete_bloch_transform", lambda blocks: blocks * (1 + 1e-9)),
+    "union": ("fiber_union_spectrum", lambda spectrum: spectrum + 1e-9),
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("which", sorted(PLANTED_FAULTS))
+def test_randomized_oracles_catch_a_planted_fault(tmp_path, capsys, monkeypatch, which, seed):
+    name, fault = PLANTED_FAULTS[which]
+    exact = getattr(fibering, name)
+    monkeypatch.setattr(fibering, name, lambda *args: fault(exact(*args)))
+    code, text = run_cli(["oracle-check", "--which", which, "--seed", seed], tmp_path)
+    assert code == 1
+    assert json.loads(text)["checks"][which]["pass"] is False
+    assert last_stderr_record(capsys)["error"] == "verification"
+
+
+def test_oracle_seed_is_read_and_fixes_the_output(tmp_path):
+    def output(seed: str, name: str) -> bytes:
+        path = tmp_path / name
+        assert main(["oracle-check", "--vectors", "10", "--trials", "5", "--sites", "90",
+                     "--seed", seed, "--output", str(path)]) == 0
+        return path.read_bytes()
+
+    first, again, other = output("0", "a"), output("0", "b"), output("1", "c")
+    assert first == again
+    assert json.loads(first)["checks"]["unitarity"] != json.loads(other)["checks"]["unitarity"]
+
+
 def test_main_writes_the_output_file_without_echoing_its_path(tmp_path, capsys):
     out = tmp_path / "direct.json"
     assert main(["algebra-check", "--flux", "1/3", "--output", str(out)]) == 0

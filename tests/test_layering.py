@@ -152,7 +152,8 @@ def test_k_grid_oracles_live_only_in_the_tests():
     assert defined & oracles == set()
 
 
-def _uses_numpy_linalg(tree: ast.Module) -> bool:
+def _numpy_submodules(tree: ast.Module) -> set:
+    """The ``numpy`` submodules a module imports or looks up, e.g. ``linalg``."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -161,12 +162,23 @@ def _uses_numpy_linalg(tree: ast.Module) -> bool:
             names += [f"{node.module}.{a.name}" for a in node.names]  # from numpy import linalg
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]  # import numpy.linalg
-    return any(name.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"]) for name in names)
+    return {parts[1] for parts in (name.split(".") for name in names)
+            if parts[0] in ("np", "numpy") and len(parts) > 1}
+
+
+def _modules_using_numpy(submodule: str) -> set:
+    return {module for module in MODULES if submodule in _numpy_submodules(_tree(module))}
 
 
 def test_numpy_linalg_is_used_only_in_model():
     # ``model.eigensolve`` is the one boundary to LAPACK
-    assert {module for module in MODULES if _uses_numpy_linalg(_tree(module))} == {"model"}
+    assert _modules_using_numpy("linalg") == {"model"}
+
+
+def test_no_module_uses_numpy_random():
+    # the randomized oracles draw from a seeded ``random.Random``; importing
+    # numpy.random would add about 5.6 MB resident to every oracle-check call
+    assert _modules_using_numpy("random") == set()
 
 
 def test_no_module_asks_lapack_for_eigenvectors():

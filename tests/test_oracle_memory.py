@@ -2,7 +2,10 @@
 
 The direct-space check counts eigenvalues by inertia and builds no matrix, so
 it should peak near the imported CLI alone and near counting its chain alone,
-and the full check near its largest random check, ``union``, alone.
+and the full check near its largest random check, ``union``, alone.  The
+randomized checks draw from Python's ``random.Random``, so the full check never
+loads ``numpy.random`` (about 5.6 MB resident) and peaks near the import alone
+as well.
 """
 
 import json
@@ -11,7 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from blochspec.cli import main
@@ -40,6 +42,10 @@ _UNION_ONLY = _FULL_CHECK.replace('"--flux"', '"--which", "union", "--flux"')
 _IMPORT_ONLY = """
 from blochspec import cli
 """
+_NO_NUMPY_RANDOM = """
+import sys
+assert "numpy.random" not in sys.modules, "oracle-check loaded numpy.random"
+"""
 _CHAIN_ONLY = """
 import numpy as np
 from blochspec import harper
@@ -52,7 +58,8 @@ harper.direct_space_count(harper.HarperParams(flux=RationalFlux(13, 21)), 1200,
 def _child_hwm_kb(code: str) -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code + _PRINT_HWM], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1])
 
 
@@ -70,6 +77,13 @@ def test_oracle_check_peaks_near_the_direct_space_chain_alone():
     direct = _child_hwm_kb(_DIRECT_ONLY)
     chain = _child_hwm_kb(_CHAIN_ONLY)
     assert direct <= chain + HWM_SLACK_KB, (direct, chain)
+
+
+@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
+def test_oracle_check_loads_no_numpy_random_and_peaks_near_the_import_alone():
+    full = _child_hwm_kb(_FULL_CHECK + _NO_NUMPY_RANDOM)
+    imported = _child_hwm_kb(_IMPORT_ONLY)
+    assert full <= imported + HWM_SLACK_KB, (full, imported)
 
 
 @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
@@ -94,22 +108,11 @@ def test_records_keep_their_order(tmp_path):
 
 
 def test_direct_space_check_leaves_the_random_stream_alone(tmp_path):
-    alone, full = tmp_path / "alone.json", tmp_path / "full.json"
+    alone, full, direct = tmp_path / "alone.json", tmp_path / "full.json", tmp_path / "d.json"
     assert main(SMALL + ["--which", "unitarity", "--output", str(alone)]) == 0
     assert main(SMALL + ["--output", str(full)]) == 0
-    unitarity = json.loads(alone.read_text())["checks"]["unitarity"]
-    assert json.loads(full.read_text())["checks"]["unitarity"] == unitarity
+    assert main(SMALL + ["--which", "direct-space", "--output", str(direct)]) == 0
+    checks = json.loads(full.read_text())["checks"]
+    assert checks["unitarity"] == json.loads(alone.read_text())["checks"]["unitarity"]
+    assert json.loads(direct.read_text())["checks"] == {"direct_space": checks["direct_space"]}
 
-
-def test_direct_space_check_creates_no_random_generator(tmp_path, monkeypatch):
-    full = tmp_path / "full.json"
-    assert main(SMALL + ["--output", str(full)]) == 0
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy.random used by the direct-space check")
-
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    alone = tmp_path / "alone.json"
-    assert main(SMALL + ["--which", "direct-space", "--output", str(alone)]) == 0
-    checks = json.loads(alone.read_text())["checks"]
-    assert checks == {"direct_space": json.loads(full.read_text())["checks"]["direct_space"]}
