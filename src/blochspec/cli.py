@@ -74,8 +74,6 @@ def parse_potential(text: str) -> FourierPotential:
 
 def _fmt_cell(value) -> str:
     """One CSV cell from a builtin value (payloads and rows hold no numpy types)."""
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     return value if isinstance(value, str) else repr(value)

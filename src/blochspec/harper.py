@@ -4,8 +4,9 @@ At flux p/q the magnetic translations reduce the lattice operator to a q x q
 Bloch matrix over the magnetic Brillouin zone.  The spectrum is exactly q
 bands, q - 1 for even q where the centre pair touches (van Mouche, CMP 122,
 1989; Choi-Elliott-Yui, Invent. Math. 1990).  By the Chambers relation their
-edges are the eigenvalues of two real Bloch matrices, and the same relation
-gives the IDS through the discriminant Delta(E) (``ids``); ``cantor_proxy``
+edges are the eigenvalues of two real Bloch matrices, the edge fibers H_0 and
+H_pi, and det(E - H_0) + det(E - H_pi) = 2 Delta(E) gives the IDS from the same
+eigenvalues through the discriminant Delta (``ids``); ``cantor_proxy``
 follows the band measure along rational approximants.  An independent
 oracle for both is the long open direct-space chain: ``direct_space_count``
 counts its eigenvalues below any energy by Sylvester's law of inertia, and
@@ -62,45 +63,26 @@ def _onsite(params: HarperParams, k2) -> np.ndarray:
                                      + TWO_PI * p * np.arange(q) / q)
 
 
+def _edge_fibers(params: HarperParams) -> np.ndarray:
+    """Eigenvalues of the two edge fibers, shape (2, q), each row ascending.
+
+    The fibers are the real Bloch matrices at (k1, k2) = (0, 0) and
+    (pi, pi/q), with corner phases +1 and -1.
+    """
+    mats = tridiagonal(_onsite(params, [0.0, math.pi / params.flux.q]), [1.0, -1.0])
+    return eigensolve(mats, flux=params.flux)
+
+
 def band_edges(params: HarperParams) -> np.ndarray:
     """All 2q band edges at rational flux, ascending.
 
     Chambers (Phys. Rev. 140, A135, 1965): det(E - H(k)) = Delta(E) - c(k),
     where c(k) = 2 cos k1 + 2 lam^q cos(q k2) up to a sign, so every band
-    edge solves Delta(E) = c at an extremum of c.  The extrema are (k1, k2) =
-    (0, 0) and (pi, pi/q), where the Bloch matrices are real (corner phases
-    +1 and -1); each fiber contributes one edge per band.
+    edge solves Delta(E) = c at an extremum of c.  The extrema c = +-(2 +
+    2 lam^q) are the two edge fibers (``_edge_fibers``), so det(E - H_0) +
+    det(E - H_pi) = 2 Delta(E); each fiber contributes one edge per band.
     """
-    mats = tridiagonal(_onsite(params, [0.0, math.pi / params.flux.q]), [1.0, -1.0])
-    return np.sort(eigensolve(mats, flux=params.flux), axis=None)
-
-
-def scaled_discriminant(params: HarperParams, energies) -> np.ndarray:
-    """Chambers' discriminant Delta(E) in units of 2 * max(1, lam^q).
-
-    det(E - H(k1, k2)) = D(E, k2) - 2 cos k1, where D is the trace of the
-    period-q transfer-matrix product prod_n [[E - d_n(k2), -1], [1, 0]] and
-    D(E, k2) = Delta(E) +- 2 lam^q cos(q k2); the mean over k2 = 0 and pi/q
-    is Delta.  The product is rescaled by a power of two after every step, so
-    neither it nor lam^q overflows at large q.  Inside the bands the result
-    lies in [-2, 2].
-    """
-    q, lam = params.flux.q, params.lam
-    e = np.asarray(energies, dtype=float)[..., None]
-    diag = _onsite(params, [0.0, math.pi / q]).T
-    # columns (a, c) and (b, d) of the product, started at the identity
-    a, b = np.ones(e.shape[:-1] + (2,)), np.zeros(e.shape[:-1] + (2,))
-    c, d = b.copy(), a.copy()
-    log2_scale = np.zeros(e.shape)
-    for dn in diag:
-        x = e - dn
-        a, b, c, d = x * a - c, x * b - d, a, b
-        big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-        exp2 = np.frexp(big.max(axis=-1, keepdims=True))[1]
-        a, b, c, d = (np.ldexp(v, -exp2) for v in (a, b, c, d))
-        log2_scale += exp2
-    trace = (a + d).sum(axis=-1, keepdims=True) / 4.0
-    return (trace * np.exp2(log2_scale - max(q * math.log2(lam), 0.0)))[..., 0]
+    return np.sort(_edge_fibers(params), axis=None)
 
 
 def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
@@ -124,14 +106,18 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     Chambers relation E is an eigenvalue at (k1, k2) exactly when Delta(E) =
     2 cos k1 +- 2 lam^q cos(q k2), and Delta is monotone on each branch
     [e_2j, e_2j+1] of the sorted band edges, increasing on the top one.  So
-    inside branch j, IDS(E) = (j + F(s_j Delta(E))) / q with s_j =
-    (-1)^(q-1-j) and F the distribution function of 2 cos k1 + 2 lam^q cos k2
-    (``_torus_fraction``, with the larger of the two amplitudes integrated in
-    closed form and ``kgrid`` nodes for the other), and in gap j it is
-    exactly j/q.  With ``egrid=None`` a uniform grid of ``points`` energies
-    spans the band hull padded by IDS_HULL_PADDING on each side; a given
-    ``egrid`` must be a 1-d, ascending array of energies.  A NaN energy is
-    rejected; -inf and +inf give 0 and 1.
+    inside branch j, IDS(E) = (j + F(s_j y)) / q with y = Delta(E) / (2 max(1,
+    lam^q)), s_j = (-1)^(q-1-j) and F the distribution function of cos k1 +
+    min(lam^q, lam^-q) cos k2 (``_torus_fraction``, the larger amplitude
+    integrated in closed form and ``kgrid`` nodes for the other), and in gap j
+    it is exactly j/q.  Delta comes from the edge fibers' eigenvalues mu:
+    2 Delta(E) = det(E - H_0) + det(E - H_pi), each the product of E - mu over
+    its fiber.  Each factor is divided by max(1, lam) and the running product
+    is renormalised by a power of two, so nothing overflows at q near 1000 or
+    where lam^q does.  With ``egrid=None`` a uniform grid of ``points``
+    energies spans the band hull padded by IDS_HULL_PADDING on each side; a
+    given ``egrid`` must be a 1-d, ascending array of energies.  A NaN energy
+    is rejected; -inf and +inf give 0 and 1.
     """
     if kgrid < 1:
         raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
@@ -139,11 +125,12 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
         raise ValueError(f"need at least two energies, got points={points}")
     if egrid is not None and np.ndim(egrid) != 1:
         raise ValueError(f"IDS energy grid must be one-dimensional, got shape {np.shape(egrid)}")
-    edges = band_edges(params)
+    fibers = _edge_fibers(params)
+    edges = np.sort(fibers, axis=None)
     q = params.flux.q
     if egrid is None:
         lo, hi = float(edges[0]), float(edges[-1])
-        pad = IDS_HULL_PADDING * (hi - lo if hi > lo else 1.0)
+        pad = IDS_HULL_PADDING * (hi - lo)
         egrid = np.linspace(lo - pad, hi + pad, points)
     egrid = np.asarray(egrid, dtype=float)
     if np.isnan(egrid).any():
@@ -153,8 +140,18 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     inside = below % 2 == 1
     if inside.any():
         j = below[inside] // 2
+        scale = max(1.0, params.lam)
+        e = egrid[inside] / scale
+        # det(E - H_f) / max(1, lam)^q for both fibers f, as mantissa * 2**exponent
+        mant, exponent = np.ones((2, e.size)), np.zeros((2, e.size), dtype=np.intc)
+        factor, step = np.empty_like(mant), np.empty_like(exponent)
+        for mu in fibers.T / scale:
+            np.subtract(e, mu[:, None], out=factor)
+            mant *= factor
+            np.frexp(mant, out=(mant, step))
+            exponent += step
         sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
-        y = sign * scaled_discriminant(params, egrid[inside])
+        y = sign * np.ldexp(mant, exponent).sum(axis=0) / 4.0
         rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
         values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
     return assembly.IDSCurve(egrid, values)

@@ -41,27 +41,27 @@ def uniform_k_grid(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def tridiagonal(diag, corner_phase=None) -> np.ndarray:
+def tridiagonal(diag, corner_phase) -> np.ndarray:
     """Nearest-neighbour matrices of shape (..., n, n) with unit hopping.
 
-    ``diag`` of shape (..., n) goes on the diagonal.  A ``corner_phase``
+    ``diag`` of shape (..., n) goes on the diagonal.  The ``corner_phase``
     closes the cycle: it goes at (n-1, 0) and its conjugate at (0, n-1), and
-    its shape broadcasts against the batch axes of ``diag``.  Terms add, so
-    n = 1 and n = 2 (where the corners meet the diagonal or a bond) come out
-    right.  The result is real unless ``diag`` or the phase is complex.
+    its shape broadcasts against the batch axes of ``diag``; a phase of 0
+    leaves the chain open.  Terms add, so n = 1 and n = 2 (where the corners
+    meet the diagonal or a bond) come out right.  The result is real unless
+    ``diag`` or the phase is complex.
     """
     d = np.asarray(diag)
     n = d.shape[-1]
-    phase = np.asarray(0.0 if corner_phase is None else corner_phase)
+    phase = np.asarray(corner_phase)
     shape = np.broadcast_shapes(d.shape[:-1], phase.shape) + (n, n)
     mat = np.zeros(shape, dtype=np.result_type(d, phase, float))
     i = np.arange(n)
     mat[..., i, i] = d
     mat[..., i[:-1], i[1:]] += 1.0
     mat[..., i[1:], i[:-1]] += 1.0
-    if corner_phase is not None:
-        mat[..., n - 1, 0] += phase
-        mat[..., 0, n - 1] += phase.conj()
+    mat[..., n - 1, 0] += phase
+    mat[..., 0, n - 1] += phase.conj()
     return mat
 
 

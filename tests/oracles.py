@@ -1,12 +1,16 @@
 """Test oracles that no production path calls: k-grid sweeps of the Harper
 Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
 their spectral projections, block-circulant synthesis, the eigenvalues of the
-open direct-space chain, and the distance from values to a band set.
+open direct-space chain, the distance from values to a band set, and the
+Chambers discriminant in high-precision decimal arithmetic.
 
 The matrices are written here entry by entry, so these oracles share no code
-with ``harper.band_edges``, ``harper.direct_space_count`` or
+with ``harper.band_edges``, ``harper.direct_space_count``, ``harper.ids`` or
 ``model.tridiagonal``.
 """
+
+import decimal
+from decimal import Decimal
 
 import numpy as np
 
@@ -117,3 +121,66 @@ def distance_to_bands(bands, values) -> np.ndarray:
         outside = np.minimum(np.abs(x - a), np.abs(x - b))
         d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, outside))
     return d
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the current precision (the ``decimal`` documentation's recipe)."""
+    decimal.getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_cos(x: Decimal) -> Decimal:
+    """cos(x) to the current precision by its Taylor series (the ``decimal``
+    documentation's recipe); meant for |x| <= pi."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def decimal_discriminant(p, q, lam, energies) -> np.ndarray:
+    """Chambers' discriminant Delta(E) / (2 max(1, lam^q)) at flux p/q, as floats.
+
+    Delta is the mean over k2 = 0 and pi/q of the trace of the period-q
+    transfer-matrix product prod_n [[E - d_n(k2), -1], [1, 0]], with d_n(k2) =
+    2 lam cos(k2 + 2 pi p n / q).  The recurrence runs in ``decimal`` at
+    50 + q digits, from the exact binary values of ``lam`` and the energies;
+    the 2q onsite cosines take angles pi m / q reduced to [0, pi].
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + q
+        pi, lam = _decimal_pi(), Decimal(lam)
+        fibers = []
+        for shift in (0, 1):  # k2 = shift * pi / q
+            diag = []
+            for n in range(q):
+                m = 2 * (p * n % q) + shift
+                diag.append(2 * lam * _decimal_cos(pi * min(m, 2 * q - m) / q))
+            fibers.append(diag)
+        scale = 4 * max(Decimal(1), lam ** q)
+        out = []
+        for energy in np.asarray(energies, dtype=float).tolist():
+            e, total = Decimal(energy), Decimal(0)
+            for diag in fibers:
+                a, b, c, d = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
+                for dn in diag:
+                    x = e - dn
+                    a, b, c, d = x * a - c, x * b - d, a, b
+                total += a + d
+            out.append(float(total / scale))
+    return np.array(out)

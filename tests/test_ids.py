@@ -1,5 +1,6 @@
 """Independent oracles for the Chambers IDS: k-grid eigenvalue counts, convergence
-in the quadrature, Aubry duality, exact gap labels, monotonicity, and large q."""
+in the quadrature, Aubry duality, exact gap labels, a high-precision discriminant,
+monotonicity, and large q."""
 
 import json
 import math
@@ -9,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import eigenvalue_grid
+from oracles import decimal_discriminant, eigenvalue_grid
 
 from blochspec.assembly import interior_gaps
 from blochspec.cli import main
 from blochspec.harper import (
     HarperParams,
+    _torus_fraction,
     band_edges,
     farey_fractions,
     harper_spectrum,
@@ -112,9 +114,9 @@ def test_ids_rejects_a_grid_that_is_not_one_dimensional(monkeypatch, egrid, shap
     import blochspec.harper as harper
 
     def no_edges(_params):
-        raise AssertionError("band_edges ran before the grid was checked")
+        raise AssertionError("the edge fibers were solved before the grid was checked")
 
-    monkeypatch.setattr(harper, "band_edges", no_edges)
+    monkeypatch.setattr(harper, "_edge_fibers", no_edges)
     with pytest.raises(ValueError, match=f"one-dimensional, got shape {re.escape(shape)}"):
         ids(params(1, 3), egrid=egrid)
 
@@ -128,6 +130,46 @@ def test_ids_is_monotone_on_fine_grids():
                 v = ids(params(p, q, lam), points=4096).values
                 assert v[0] == 0.0 and v[-1] == 1.0
                 assert np.all(np.diff(v) >= 0.0), (p, q, lam)
+
+
+def band_interior(prm, t, min_width):
+    """Energies at fractions ``t`` of every branch wider than ``min_width``,
+    ascending, with each energy's branch index and branch width."""
+    edges = band_edges(prm)
+    lo, width = edges[0::2], edges[1::2] - edges[0::2]
+    j = np.flatnonzero(width > min_width)
+    energies = (lo[j, None] + width[j, None] * np.asarray(t)).ravel()
+    return energies, np.repeat(j, len(t)), np.repeat(width[j], len(t))
+
+
+def test_ids_matches_a_high_precision_discriminant_inside_narrow_bands():
+    # Delta from the edge-fiber eigenvalues is off by about eps * ||H|| / width
+    # relative to its in-band range, so the bound grows as the band narrows;
+    # the reference runs the transfer recurrence in decimal at 50 + q digits
+    for p, q in [(2, 45), (3, 47), (1, 48), (46, 49), (13, 21), (34, 55)]:
+        for lam in (0.5, 1.0, 2.0):
+            prm = params(p, q, lam)
+            energies, branch, width = band_interior(prm, [0.25, 0.5, 0.75], 1e-9)
+            sign = np.where((q - 1 - branch) % 2, -1.0, 1.0)
+            delta = decimal_discriminant(p, q, lam, energies)
+            rho = min(lam ** q, lam ** -q)
+            reference = (branch + _torus_fraction(sign * delta, rho, 64)) / q
+            error = np.abs(ids(prm, egrid=energies).values - reference)
+            bound = np.maximum(1e-12, 1e-14 * (4 + 4 * lam) / width)
+            assert np.all(error <= bound), (p, q, lam, (error / bound).max())
+
+
+def test_ids_is_monotone_inside_narrow_bands():
+    # 32 interior energies of every band wider than 1e-12, one call per flux
+    fluxes = [(p, q) for q in range(40, 51) for p in sorted({1, 2, q - 2, q - 1})
+              if math.gcd(p, q) == 1]
+    for p, q in fluxes:
+        for lam in (0.5, 1.0, 2.0):
+            prm = params(p, q, lam)
+            energies, branch, _ = band_interior(prm, np.arange(1, 33) / 33, 1e-12)
+            values = ids(prm, egrid=energies).values
+            assert np.all(values >= branch / q), (p, q, lam)
+            assert np.all(values <= (branch + 1) / q), (p, q, lam)
 
 
 def test_ids_at_q_987_runs_in_under_two_seconds(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_real_symmetric_input_stays_real():
 
 def test_tridiagonal_entries_and_dtype():
     d = np.array([0.5, -1.0, 2.0, 0.25])
-    open_chain = tridiagonal(d)
+    open_chain = tridiagonal(d, 0.0)
     assert open_chain.dtype == np.float64
     assert np.array_equal(open_chain, np.diag(d) + np.eye(4, k=1) + np.eye(4, k=-1))
     assert tridiagonal(d, -1.0).dtype == np.float64
@@ -96,7 +96,7 @@ def test_tridiagonal_entries_and_dtype():
     assert cyclic.dtype == np.complex128
     assert cyclic[3, 0] == phase and cyclic[0, 3] == phase.conjugate()
     assert np.array_equal(cyclic[1:3], open_chain[1:3])
-    assert tridiagonal(d.astype(complex)).dtype == np.complex128
+    assert tridiagonal(d.astype(complex), 0.0).dtype == np.complex128
 
 
 def test_tridiagonal_terms_add_for_one_and_two_sites():
