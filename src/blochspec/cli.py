@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import algebra, assembly, fibering, harper, svgplot
-from .model import TWO_PI, EigensolverError, FourierPotential, RationalFlux
+from .model import EigensolverError, FourierPotential, RationalFlux
 
 SCHEMA = 2
 
@@ -236,10 +236,10 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     a rank-2 term of inertia (1, 1), and its r = sites - q*m further sites add
     at most r by Cauchy interlacing, so the chain's count N obeys
     j*m - 1 <= N <= j*m + 1 + r.  Being a compression of the infinite
-    operator, the chain has no eigenvalue outside the band hull.  Phases theta
-    and theta + pi/q realise the edge fibers k2 = 0 and pi/q, so bands
-    computed too narrow fail.  eta covers the roundoff of both the edges and
-    the count.
+    operator, the chain has no eigenvalue outside the band hull.  The count
+    runs at the fixed phases 0 and pi/q, which realise the edge fibers k2 = 0
+    and pi/q where every band edge lies, so bands computed too narrow fail.
+    eta covers the roundoff of both the edges and the count.
     """
     q = params.flux.q
     m, r = divmod(sites, q)
@@ -252,11 +252,8 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     label = np.searchsorted(edges, energies) // 2
     lower, upper = label * m - 1, label * m + 1 + r
     lower[:2] = upper[:2] = [0, sites]
-    excess = 0
-    for theta in (params.theta, (params.theta + np.pi / q) % TWO_PI):
-        shifted = harper.HarperParams(params.flux, params.lam, theta)
-        count = harper.direct_space_count(shifted, sites, energies)
-        excess = max(excess, int(np.maximum(lower - count, count - upper).max()))
+    count = harper.direct_space_count(params, sites, energies)
+    excess = max(0, int(np.maximum(lower - count, count - upper).max()))
     return {
         "flux": str(params.flux),
         "sites": sites,
@@ -268,7 +265,9 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
 
 def _cmd_oracle_check(ns: argparse.Namespace):
     # every echoed parameter is validated before any check runs, used or not
-    params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam, theta=ns.theta)
+    params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam)
+    if ns.sites < params.flux.q:
+        raise ValueError("direct-space truncation must cover at least one magnetic cell")
     checks = {}
     # the direct-space check draws no random numbers, so it leaves their stream alone
     if ns.which != "direct-space":
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", default="all",
                    choices=["all", "unitarity", "union", "direct-space"])
     p.add_argument("--sites", type=_int_in(1, MAX_DIM), default=600)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--trials", type=_int_in(1, MAX_GRID), default=20)
     p.add_argument("--vectors", type=_int_in(1, MAX_GRID), default=100)
     common(p)

@@ -8,9 +8,10 @@ edges are the eigenvalues of two real Bloch matrices, the edge fibers H_0 and
 H_pi, and det(E - H_0) + det(E - H_pi) = 2 Delta(E) gives the IDS from the same
 eigenvalues through the discriminant Delta (``ids``); ``cantor_proxy``
 follows the band measure along rational approximants.  An independent
-oracle for both is the long open direct-space chain: ``direct_space_count``
-counts its eigenvalues below any energy by Sylvester's law of inertia, and
-in gap j a chain of m cells has j*m of them up to a fixed boundary slack.
+oracle for both is the pair of long open direct-space chains at the phases 0
+and pi/q, those of the two edge fibers: ``direct_space_count`` counts the
+eigenvalues of both below any energy by Sylvester's law of inertia, and in
+gap j a chain of m cells has j*m of them up to a fixed boundary slack.
 No path here diagonalises a k-grid or the chain, or forms an eigenvector.
 """
 
@@ -35,22 +36,14 @@ IDS_HULL_PADDING = 0.05
 
 @dataclass(frozen=True)
 class HarperParams:
-    """Almost-Mathieu parameters: flux p/q, coupling lam, phase offset theta.
-
-    lam = 1 is the isotropic Hofstadter case.  theta shifts the cosine in the
-    direct-space operator; the Bloch matrices absorb it into k2, so spectra
-    over a full k-grid do not depend on it.
-    """
+    """Almost-Mathieu parameters: flux p/q and coupling lam (lam = 1: isotropic Hofstadter)."""
 
     flux: RationalFlux
     lam: float = 1.0
-    theta: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.lam <= LAM_MAX:
             raise ValueError(f"coupling lam must lie in (0, {LAM_MAX!r}], got {self.lam}")
-        if not (0.0 <= self.theta < TWO_PI):
-            raise ValueError(f"phase offset {self.theta} outside [0, 2*pi)")
 
 
 def _onsite(params: HarperParams, k2) -> np.ndarray:
@@ -170,31 +163,33 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
 
 
 def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
-    """Onsite energies 2*lam*cos(2*pi*n*p/q + theta) for n < sites, all read from ``params``."""
+    """Onsite energies 2*lam*cos(2*pi*n*p/q + phase) for n < sites, shape (2, sites):
+    row 0 at phase 0, row 1 at phase pi/q."""
     if sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
     # the onsite term is written out here, not taken from ``_onsite``, so the
     # direct-space oracle stays an independent definition of the operator
-    n = np.arange(sites)
-    return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + params.theta)
+    n, phase = np.arange(sites), np.array([[0.0], [np.pi / params.flux.q]])
+    return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + phase)
 
 
 def direct_space_count(params: HarperParams, sites: int, energies) -> np.ndarray:
-    """Number of eigenvalues below each energy of the open direct-space chain.
+    """Eigenvalues below each of P energies of the two open direct-space chains, shape (2, P).
 
-    The chain is the sites x sites tridiagonal matrix with diagonal
-    ``_direct_space_diag`` and unit hopping.  By Sylvester's law of inertia
-    the count below E is the number of negative pivots of the LDL^T
-    factorisation of the chain minus E, d_n = (a_n - E) - 1/d_(n-1) (Kahan
-    1966; Demmel, Applied Numerical Linear Algebra, sec. 5.3).  A zero pivot
-    becomes -tiny.  One pass over the sites, vectorised over the energies;
-    no matrix is built.
+    Row r counts the sites x sites tridiagonal matrix with diagonal
+    ``_direct_space_diag`` row r and unit hopping: row 0 the chain at phase 0,
+    whose cells are the edge fiber H_0, and row 1 the chain at phase pi/q,
+    whose cells are H_pi.  By Sylvester's law of inertia the count below E is
+    the number of negative pivots of the LDL^T factorisation of the chain
+    minus E, d_n = (a_n - E) - 1/d_(n-1) (Kahan 1966; Demmel, Applied
+    Numerical Linear Algebra, sec. 5.3).  A zero pivot becomes -tiny.  One
+    pass over the sites carries the (2, P) pivots; no matrix is built.
     """
     e = np.asarray(energies, dtype=float)
     tiny = np.finfo(float).tiny
-    count = np.zeros(e.shape, dtype=int)
-    inv = np.zeros(e.shape)
-    for a in _direct_space_diag(params, sites).tolist():
+    count = np.zeros((2, e.size), dtype=int)
+    inv = np.zeros((2, e.size))
+    for a in _direct_space_diag(params, sites).T[:, :, None]:
         d = (a - e) - inv
         d[d == 0.0] = -tiny
         count += d < 0.0

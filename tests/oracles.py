@@ -103,12 +103,13 @@ def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
     return big
 
 
-def chain_eigenvalues(params, sites):
-    """Ascending eigenvalues of the open direct-space Harper chain, from
-    ``numpy.linalg.eigvalsh`` on the chain written out here."""
+def chain_eigenvalues(params, sites, phase):
+    """Ascending eigenvalues of the open direct-space Harper chain with onsite
+    energies 2 lam cos(2 pi n p/q + phase), from ``numpy.linalg.eigvalsh`` on
+    the chain written out here."""
     p, q = params.flux.p, params.flux.q
     n = np.arange(sites)
-    chain = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + params.theta))
+    chain = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + phase))
     chain += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
     return np.linalg.eigvalsh(chain)
 

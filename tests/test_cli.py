@@ -182,7 +182,7 @@ ECHOES = [
      ["command", "lam", "kgrid", "flux", "epoints", "fmt"]),
     (["algebra-check", "--flux", "1/2"], ["command", "flux", "fmt"]),
     (["oracle-check", "--vectors", "1", "--trials", "1", "--sites", "30"],
-     ["command", "lam", "flux", "which", "sites", "theta", "trials", "vectors", "fmt", "seed"]),
+     ["command", "lam", "flux", "which", "sites", "trials", "vectors", "fmt", "seed"]),
     (["cantor", "--approximants", "1/2"], ["command", "lam", "approximants", "fmt"]),
 ]
 
@@ -435,11 +435,26 @@ def test_oracle_check_rejects_a_bad_flux_it_would_not_use(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
-@pytest.mark.parametrize("flags", [["--lambda", "-1"], ["--theta", "9"],
-                                   ["--lambda", "-1", "--theta", "9"]])
-def test_oracle_check_rejects_bad_harper_parameters_it_would_not_use(capsys, flags):
-    # lam and theta are echoed in every header, like the flux
+@pytest.mark.parametrize("flags", [["--lambda", "-1"], ["--sites", "2", "--flux", "1/3"],
+                                   ["--which", "all", "--sites", "2"]])
+def test_oracle_check_rejects_bad_harper_parameters_it_would_not_use(monkeypatch, capsys,
+                                                                     flags):
+    # lam and the chain length are echoed in every header, like the flux, so
+    # they are checked before any check runs, whatever --which says
+    def ran(*args):
+        raise AssertionError("a check ran before the arguments were validated")
+
+    monkeypatch.setattr(cli, "_oracle_unitarity", ran)
+    monkeypatch.setattr(cli, "_oracle_union", ran)
     assert main(["oracle-check", "--which", "unitarity", "--vectors", "1"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+def test_oracle_check_takes_no_phase(capsys):
+    # the chain's phases are fixed at 0 and pi/q, the two edge fibers
+    assert main(["oracle-check", "--which", "direct-space", "--theta", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
@@ -486,7 +501,7 @@ def test_seed_is_an_oracle_check_option_only(capsys, argv):
     (["oracle-check", "--which", "direct-space", "--sites"], str(MAX_DIM), str(MAX_DIM + 1)),
     (["ids", "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
     (["algebra-check", "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
-    (["oracle-check", "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
+    (["oracle-check", "--sites", str(MAX_DIM), "--flux"], f"1/{MAX_DIM}", f"1/{MAX_DIM + 1}"),
     (["cantor", "--approximants"], f"1/2,1/{MAX_DIM}", f"1/2,1/{MAX_DIM + 1}"),
 ], ids=["cutoff", "max-q", "sites", "ids-flux", "algebra-flux", "oracle-flux", "cantor-flux"])
 def test_arguments_that_size_a_dense_matrix_are_capped(capsys, no_builders, argv, largest,

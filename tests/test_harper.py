@@ -26,8 +26,8 @@ from blochspec.model import EigensolverError, RationalFlux, tridiagonal
 SQRT2 = math.sqrt(2.0)
 
 
-def params(p, q, lam=1.0, theta=0.0):
-    return HarperParams(flux=RationalFlux(p, q), lam=lam, theta=theta)
+def params(p, q, lam=1.0):
+    return HarperParams(flux=RationalFlux(p, q), lam=lam)
 
 
 def flux_half_eigenvalue(k1, k2, lam=1.0):
@@ -65,11 +65,10 @@ def test_lambda_must_be_positive():
         HarperParams(flux=RationalFlux(1, 2), lam=0.0)
 
 
-@pytest.mark.parametrize("lam, theta", [(math.inf, 0.0), (math.nan, 0.0),
-                                        (1.0, math.inf), (1.0, math.nan)])
-def test_non_finite_parameters_are_rejected(lam, theta):
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_non_finite_parameters_are_rejected(lam):
     with pytest.raises(ValueError):
-        HarperParams(flux=RationalFlux(1, 2), lam=lam, theta=theta)
+        HarperParams(flux=RationalFlux(1, 2), lam=lam)
 
 
 def test_lambda_is_capped_where_the_band_hull_stays_finite():
@@ -139,29 +138,28 @@ def test_direct_space_flux_zero_closed_form():
     # the free chain of 100 sites: eigenvalues 2 + 2 cos(pi j / 101), j = 1..100
     w = np.sort(2.0 + 2.0 * np.cos(np.pi * np.arange(1, 101) / 101))
     e = np.concatenate([[-4.01], w - 1e-9, w + 1e-9, [4.01]])
-    assert np.array_equal(direct_space_count(params(0, 1), 100, e), np.searchsorted(w, e))
+    assert np.array_equal(direct_space_count(params(0, 1), 100, e)[0], np.searchsorted(w, e))
 
 
 def test_direct_space_flux_half_concentrates_on_closed_form_bands():
     # every eigenvalue lies in the band hull [-2 sqrt 2, 2 sqrt 2]
     count = direct_space_count(params(1, 2), 400, [-2 * SQRT2 - 1e-12, 2 * SQRT2 + 1e-12])
-    assert count.tolist() == [0, 400]
+    assert count.tolist() == [[0, 400], [0, 400]]
 
 
 def test_direct_space_small_lambda_is_free_hopping():
     count = direct_space_count(params(1, 2, lam=1e-8), 400, [-2 - 1e-6, 2 + 1e-6])
-    assert count.tolist() == [0, 400]
+    assert count.tolist() == [[0, 400], [0, 400]]
 
 
 def test_direct_space_bulk_filter_drops_edge_modes():
     # 600 sites are m = 200 cells of flux 1/3: below gap j the bulk holds j*m
     # eigenvalues, and the check's slack of one state either way absorbs the
-    # boundary modes, which do appear in a gap at some phases
+    # boundary modes: the chain at phase pi/3 has one in the upper gap
     bands = harper_spectrum(params(1, 3))
     mid = [(a + b) / 2 for a, b in assembly.interior_gaps(bands)]
-    excess = np.array([direct_space_count(params(1, 3, theta=theta), 600, mid) - [200, 400]
-                       for theta in np.arange(12) * np.pi / 6])
-    assert np.abs(excess).max() == 1
+    excess = direct_space_count(params(1, 3), 600, mid) - [200, 400]
+    assert excess.tolist() == [[0, 0], [0, 1]]
 
 
 PAIRS = [(1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (7, 30), (13, 40)]
@@ -169,40 +167,46 @@ PAIRS = [(1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (7, 30), (13, 40)]
 
 @pytest.mark.parametrize("p, q", PAIRS)
 def test_direct_space_count_matches_the_dense_count(p, q):
-    # Sylvester's inertia against the eigenvalues of the chain written out
-    # entry by entry, 1e-9 on either side of every eigenvalue
+    # Sylvester's inertia against the eigenvalues of both chains written out
+    # entry by entry, 1e-9 on either side of every eigenvalue of each
     rng = np.random.default_rng(100 * q + p)
     for lam in (0.01, 0.5, 1.0, 2.0, 30.0):
         for sites in (q, int(rng.integers(q, 301)), 300):
-            prm = params(p, q, lam, float(rng.uniform(0.0, 2 * np.pi)))
-            w = chain_eigenvalues(prm, sites)
-            e = np.concatenate([w - 1e-9, w + 1e-9])
-            assert np.array_equal(direct_space_count(prm, sites, e), np.searchsorted(w, e))
+            prm = params(p, q, lam)
+            for row, phase in enumerate((0.0, np.pi / q)):
+                w = chain_eigenvalues(prm, sites, phase)
+                e = np.concatenate([w - 1e-9, w + 1e-9])
+                count = direct_space_count(prm, sites, e)[row]
+                assert np.array_equal(count, np.searchsorted(w, e))
 
 
-@pytest.mark.parametrize("theta", [0.0, 1.0])
-def test_mirror_chain_has_the_same_edge_states(theta):
-    # reversing the chain maps site n to 468 - n, i.e. theta to -theta - 2 pi 468 p/q:
-    # the same spectrum, factorised from the other end, so every gap holds
-    # the same number of boundary states
+@pytest.mark.parametrize("row", [0, 1])
+def test_mirror_chain_has_the_same_edge_states(row):
+    # reversing the chain maps site n to 468 - n, i.e. the phase to -phase -
+    # 2 pi 468 p/q: the same spectrum, written out densely from the other end,
+    # so every gap holds the same number of boundary states
     p, q, sites = 39, 59, 469
-    mirror = (-theta - 2 * np.pi * (sites - 1) * p / q) % (2 * np.pi)
+    mirror = -row * np.pi / q - 2 * np.pi * (sites - 1) * p / q
     gaps = np.array(assembly.interior_gaps(harper_spectrum(params(p, q))))
     e = np.concatenate([gaps.mean(axis=1), gaps[:, 0] + 1e-9, gaps[:, 1] - 1e-9])
-    count = direct_space_count(params(p, q, 1.0, theta), sites, e)
-    assert np.array_equal(count, direct_space_count(params(p, q, 1.0, mirror), sites, e))
+    count = direct_space_count(params(p, q), sites, e)[row]
+    w = chain_eigenvalues(params(p, q), sites, mirror)
+    assert np.array_equal(count, np.searchsorted(w, e))
 
 
 def test_direct_space_count_at_the_largest_coupling():
     # pivots of size lam ~ max float / 8 and their reciprocals stay finite; the
-    # eigenvalues sit in four clusters at the four onsite values, probed between
+    # eigenvalues of each chain sit in four clusters at its four onsite
+    # values, probed between
     prm = params(2, 7, lam=LAM_MAX)
-    w = chain_eigenvalues(prm, 70)
-    apart = np.diff(w) > 1e-3 * LAM_MAX
-    e = np.concatenate([[-4 * LAM_MAX], ((w[1:] + w[:-1]) / 2)[apart], [4 * LAM_MAX]])
-    count = direct_space_count(prm, 70, e)
-    assert count.tolist() == [0, 20, 40, 60, 70]
-    assert np.array_equal(count, np.searchsorted(w, e))
+    clusters = ([0, 20, 40, 60, 70], [0, 10, 30, 50, 70])
+    for row, phase in enumerate((0.0, np.pi / 7)):
+        w = chain_eigenvalues(prm, 70, phase)
+        apart = np.diff(w) > 1e-3 * LAM_MAX
+        e = np.concatenate([[-4 * LAM_MAX], ((w[1:] + w[:-1]) / 2)[apart], [4 * LAM_MAX]])
+        count = direct_space_count(prm, 70, e)[row]
+        assert count.tolist() == clusters[row]
+        assert np.array_equal(count, np.searchsorted(w, e))
 
 
 def test_direct_space_bulk_never_forms_eigenvectors(monkeypatch):
@@ -221,7 +225,7 @@ def test_direct_space_bulk_never_forms_eigenvectors(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count[-1] == 1200
+    assert count[:, -1].tolist() == [1200, 1200]
     assert peak < 200 * 1024
 
 
@@ -230,11 +234,12 @@ def test_direct_space_needs_a_full_cell():
         direct_space_count(params(1, 5), 4, [0.0])
 
 
-def test_theta_override_shifts_the_diagonal():
-    # theta = pi turns the flux-0 diagonal +2 into -2: top eigenvalue -2 + 2 cos(pi / 51)
+def test_second_row_counts_the_chain_at_phase_pi_over_q():
+    # at flux 0/1 the phase pi/q = pi turns the diagonal +2 into -2: top
+    # eigenvalue -2 + 2 cos(pi / 51), below every eigenvalue of row 0
     top = -2.0 + 2.0 * np.cos(np.pi / 51)
-    count = direct_space_count(params(0, 1, theta=np.pi), 50, [top - 1e-9, top + 1e-9])
-    assert count.tolist() == [49, 50]
+    count = direct_space_count(params(0, 1), 50, [top - 1e-9, top + 1e-9])
+    assert count.tolist() == [[0, 0], [49, 50]]
 
 
 # ---------------------------------------------------------------- flux enumeration

@@ -119,6 +119,17 @@ def shrunk_bands(params):
     return TRUE_EDGES(params) + np.tile([1e-4, -1e-4], params.flux.q)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_direct_space_check_fails_on_narrowed_bands_at_every_flux(monkeypatch, lam):
+    # the chains at phases 0 and pi/q reach every band edge: at the default
+    # 600 sites the check sees every band narrowed by 1e-4, at every flux
+    monkeypatch.setattr(harper, "band_edges", shrunk_bands)
+    sites = cli.build_parser().parse_args(["oracle-check"]).sites
+    for flux in farey_fractions(20)[1:]:  # every reduced p/q with 2 <= q <= 20
+        check = cli._oracle_direct_space(HarperParams(flux=flux, lam=lam), sites)
+        assert not check["pass"] and check["max_count_excess"] > 0, flux
+
+
 @pytest.mark.parametrize("wrong", [second_fiber_at_k2_zero, shrunk_bands])
 @pytest.mark.parametrize("call", BENCH_CALLS, ids=["1/3", "13/21"])
 def test_direct_space_check_fails_on_bands_too_narrow(monkeypatch, capsys, wrong, call):
