@@ -23,15 +23,17 @@ from .model import EigensolverError, FourierPotential, RationalFlux
 SCHEMA = 2
 
 DEFAULT_APPROXIMANTS = "1/2,2/3,3/5,5/8,8/13,13/21"
-ORACLE_UNITARITY_TOL = 1e-12
-ORACLE_UNION_TOL = 1e-10
+ORACLE_VECTORS = 100
+ORACLE_CELLS = 20
+# each oracle verdict allows ORACLE_ROUNDOFF * n * ||H|| of roundoff on n sites
+# of an operator of norm ||H|| (an isometry has norm 1)
+ORACLE_ROUNDOFF = 8 * sys.float_info.epsilon
 
 # Largest dense matrix dimension a command may build: 2*cutoff + 1 for
 # ``bands`` and every flux denominator; --sites, the length of the
 # direct-space chain, stays under it too.  ``butterfly`` output grows like
 # max_q^3, so --max-q has its own cap.  MAX_GRID caps the sampling grids
-# (--kpoints, --epoints, --kgrid), which size 1d arrays and loops, and the
-# oracle loop counts (--trials, --vectors).
+# (--kpoints, --epoints, --kgrid), which size 1d arrays and loops.
 MAX_DIM = 2048
 MAX_Q = 200
 MAX_GRID = 1 << 16
@@ -204,32 +206,38 @@ def _random_cell(rng: random.Random, max_cells: int) -> fibering.DiscreteCell:
     return fibering.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2) for _ in range(q)))
 
 
-def _oracle_unitarity(rng: random.Random, vectors: int) -> dict:
-    worst = 0.0
-    for _ in range(vectors):
+def _oracle_unitarity(rng: random.Random) -> dict:
+    """Relative norm defect of the Bloch transform, an isometry, on random vectors."""
+    worst, ok = 0.0, True
+    for _ in range(ORACLE_VECTORS):
         cell = _random_cell(rng, 16)
         # any nonzero vector tests an isometry: entries uniform on a square about 0
         f = (np.array([rng.random() for _ in range(2 * cell.sites)]) - 0.5).view(complex)
         blocks = fibering.discrete_bloch_transform(f, cell)
         n_in = float(np.vdot(f, f).real)
         n_out = float(np.vdot(blocks, blocks).real)
-        worst = max(worst, abs(n_out - n_in) / n_in)
-    return {"vectors": vectors, "max_relative_defect": worst,
-            "pass": worst <= ORACLE_UNITARITY_TOL}
+        defect = abs(n_out - n_in) / n_in
+        worst, ok = max(worst, defect), ok and defect <= ORACLE_ROUNDOFF * cell.sites
+    return {"vectors": ORACLE_VECTORS, "max_relative_defect": worst, "pass": ok}
 
 
-def _oracle_union(rng: random.Random, trials: int) -> dict:
-    worst = 0.0
-    for _ in range(trials):
+def _oracle_union(rng: random.Random) -> dict:
+    """Ring spectrum against the union of its fiber spectra on random cells: both
+    are backward stable, so by Weyl's inequality each eigenvalue pair differs by
+    roundoff in ||H|| <= max|onsite| + 2 (Gershgorin)."""
+    worst, ok = 0.0, True
+    for _ in range(ORACLE_CELLS):
         cell = _random_cell(rng, 12)
         direct = fibering.periodic_truncation_spectrum(cell)
         union = fibering.fiber_union_spectrum(cell)
-        worst = max(worst, float(np.abs(direct - union).max()))
-    return {"trials": trials, "max_deviation": worst, "pass": worst <= ORACLE_UNION_TOL}
+        deviation = float(np.abs(direct - union).max())
+        bound = ORACLE_ROUNDOFF * cell.sites * (max(map(abs, cell.onsite)) + 2.0)
+        worst, ok = max(worst, deviation), ok and deviation <= bound
+    return {"trials": ORACLE_CELLS, "max_deviation": worst, "pass": ok}
 
 
 def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
-    """Inertia counts of the open chain against the gap labels of the band edges.
+    """Inertia counts of the open chain against the gap labels j = q * IDS.
 
     Below any energy in gap j a ring of q*m sites has exactly j*m eigenvalues
     (j per Bloch fiber).  The chain's first q*m sites differ from that ring by
@@ -239,19 +247,20 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     operator, the chain has no eigenvalue outside the band hull.  The count
     runs at the fixed phases 0 and pi/q, which realise the edge fibers k2 = 0
     and pi/q where every band edge lies, so bands computed too narrow fail.
-    eta covers the roundoff of both the edges and the count.
+    The hull and the gaps come from ``harper_spectrum``, each probe's label
+    from ``harper.ids``; eta covers the roundoff of both the edges and the count.
     """
     q = params.flux.q
     m, r = divmod(sites, q)
-    eta = 8 * sites * np.finfo(float).eps * max(1.0, 2.0 + 2.0 * params.lam)
-    edges = harper.band_edges(params)
-    gaps = [(a, b) for a, b in assembly.interior_gaps(harper.harper_spectrum(params))
-            if b - a > 2 * eta]
-    energies = np.array([edges[0] - eta, edges[-1] + eta]
-                        + [e for a, b in gaps for e in (a + eta, b - eta)])
-    label = np.searchsorted(edges, energies) // 2
+    eta = ORACLE_ROUNDOFF * sites * max(1.0, 2.0 + 2.0 * params.lam)
+    spectrum = harper.harper_spectrum(params)
+    gaps = [(a, b) for a, b in assembly.interior_gaps(spectrum) if b - a > 2 * eta]
+    energies = np.array([spectrum.intervals[0][0] - eta]
+                        + [e for a, b in gaps for e in (a + eta, b - eta)]
+                        + [spectrum.intervals[-1][1] + eta])
+    label = np.rint(q * harper.ids(params, egrid=energies).values).astype(int)
     lower, upper = label * m - 1, label * m + 1 + r
-    lower[:2] = upper[:2] = [0, sites]
+    lower[[0, -1]] = upper[[0, -1]] = [0, sites]
     count = harper.direct_space_count(params, sites, energies)
     excess = max(0, int(np.maximum(lower - count, count - upper).max()))
     return {
@@ -264,20 +273,13 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
 
 
 def _cmd_oracle_check(ns: argparse.Namespace):
-    # every echoed parameter is validated before any check runs, used or not
+    # every echoed parameter is validated before any check runs
     params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam)
     if ns.sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
-    checks = {}
-    # the direct-space check draws no random numbers, so it leaves their stream alone
-    if ns.which != "direct-space":
-        rng = random.Random(ns.seed)
-        if ns.which in ("all", "unitarity"):
-            checks["unitarity"] = _oracle_unitarity(rng, ns.vectors)
-        if ns.which in ("all", "union"):
-            checks["union"] = _oracle_union(rng, ns.trials)
-    if ns.which in ("all", "direct-space"):
-        checks["direct_space"] = _oracle_direct_space(params, ns.sites)
+    rng = random.Random(ns.seed)
+    checks = {"unitarity": _oracle_unitarity(rng), "union": _oracle_union(rng),
+              "direct_space": _oracle_direct_space(params, ns.sites)}
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
     header = ["check", "key", "value"]
     rows = []
@@ -393,11 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="independent verification oracles")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--flux", default="1/3")
-    p.add_argument("--which", default="all",
-                   choices=["all", "unitarity", "union", "direct-space"])
     p.add_argument("--sites", type=_int_in(1, MAX_DIM), default=600)
-    p.add_argument("--trials", type=_int_in(1, MAX_GRID), default=20)
-    p.add_argument("--vectors", type=_int_in(1, MAX_GRID), default=100)
     common(p)
     p.add_argument("--seed", type=_int_in(0, float("inf")), default=0,
                    help="seed for the randomized checks (unitarity, union)")

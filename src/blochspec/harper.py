@@ -130,7 +130,8 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
         raise ValueError("IDS energy grid contains NaN")
     below = np.searchsorted(edges, egrid, side="right")
     values = (below // 2) / q
-    inside = below % 2 == 1
+    # a cast, not ``== 1``: oracle-check then loads no integer comparison loop (128 kB)
+    inside = (below % 2).astype(bool)
     if inside.any():
         j = below[inside] // 2
         scale = max(1.0, params.lam)

@@ -153,7 +153,7 @@ def test_criterion_06_cocycle_relations():
 def test_criterion_07_direct_space_oracle(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "direct.json"
-    argv = ["oracle-check", "--which", "direct-space", "--flux", "1/3", "--sites", "600"]
+    argv = ["oracle-check", "--flux", "1/3", "--sites", "600"]
     assert main(argv + ["--output", str(out)]) == 0
     check = json.loads(out.read_text())["checks"]["direct_space"]
     elapsed = time.perf_counter() - start

@@ -1,8 +1,9 @@
-"""oracle-check's memory peak, record order and random stream.
+"""oracle-check's memory peak and record order.
 
 The direct-space check counts eigenvalues by inertia and builds no matrix, so
 it should peak near the imported CLI alone and near counting its chain alone,
 and the full check near its largest random check, ``union``, alone.  The
+children that run one check alone call it directly.  The
 randomized checks draw from Python's ``random.Random``, so the full check never
 loads ``numpy.random`` (about 5.6 MB resident) and peaks near the import alone
 as well.
@@ -37,8 +38,18 @@ code = cli.main(["oracle-check", "--flux", "13/21", "--sites", "1200",
                  "--output", os.devnull])
 assert code == 0, code
 """
-_DIRECT_ONLY = _FULL_CHECK.replace('"--flux"', '"--which", "direct-space", "--flux"')
-_UNION_ONLY = _FULL_CHECK.replace('"--flux"', '"--which", "union", "--flux"')
+_DIRECT_ONLY = """
+from blochspec import cli, harper
+from blochspec.model import RationalFlux
+check = cli._oracle_direct_space(harper.HarperParams(flux=RationalFlux(13, 21)), 1200)
+assert check["pass"], check
+"""
+_UNION_ONLY = """
+import random
+from blochspec import cli
+check = cli._oracle_union(random.Random(0))
+assert check["pass"], check
+"""
 _IMPORT_ONLY = """
 from blochspec import cli
 """
@@ -93,7 +104,7 @@ def test_oracle_check_peaks_near_the_union_check_alone():
     assert full <= union + HWM_SLACK_KB, (full, union)
 
 
-SMALL = ["oracle-check", "--vectors", "4", "--trials", "3", "--sites", "90", "--seed", "3"]
+SMALL = ["oracle-check", "--sites", "90", "--seed", "3"]
 
 
 def test_records_keep_their_order(tmp_path):
@@ -105,14 +116,4 @@ def test_records_keep_their_order(tmp_path):
     rows = out.read_text().splitlines()[4:]
     names = list(dict.fromkeys(row.split(",")[0] for row in rows))
     assert names == ["unitarity", "union", "direct_space", "overall"]
-
-
-def test_direct_space_check_leaves_the_random_stream_alone(tmp_path):
-    alone, full, direct = tmp_path / "alone.json", tmp_path / "full.json", tmp_path / "d.json"
-    assert main(SMALL + ["--which", "unitarity", "--output", str(alone)]) == 0
-    assert main(SMALL + ["--output", str(full)]) == 0
-    assert main(SMALL + ["--which", "direct-space", "--output", str(direct)]) == 0
-    checks = json.loads(full.read_text())["checks"]
-    assert checks["unitarity"] == json.loads(alone.read_text())["checks"]["unitarity"]
-    assert json.loads(direct.read_text())["checks"] == {"direct_space": checks["direct_space"]}
 

@@ -65,6 +65,37 @@ def test_thouless_bandwidth_limit(p, q):
     assert abs(q * measure - THOULESS_LIMIT) <= 1e-3
 
 
+# Avron-van Mouche-Simon (CMP 132, 1990): at rational flux the spectrum of the
+# operator with unit hopping and potential 2 lam cos has measure at least
+# 4 |1 - lam|.  Along Fibonacci q >= 144 the measure meets the bound to within
+# roundoff summed over q bands, so the inequality is asserted only for q <= 50.
+MEASURE_BOUND_LAMS = [0.5, 0.9, 1.1, 2.0]
+
+
+def fluxes_below_the_measure_bound(lam):
+    bound = 4.0 * abs(1.0 - lam)
+    return [flux for flux in farey_fractions(50)
+            if lebesgue_measure(harper_spectrum(HarperParams(flux=flux, lam=lam))) < bound]
+
+
+def misplaced_edge_fibers(params):
+    """Eigenvalues of the fibers (0, 0) and (pi, 0) in place of the edge fibers
+    (0, 0) and (pi, pi/q), shape (2, q)."""
+    return np.linalg.eigvalsh(bloch_matrices(params, [0.0, math.pi], [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("lam", MEASURE_BOUND_LAMS)
+def test_band_measure_is_at_least_four_times_one_minus_lambda(lam):
+    assert fluxes_below_the_measure_bound(lam) == []
+
+
+@pytest.mark.parametrize("lam", [1.1, 2.0])
+def test_band_measure_bound_catches_a_misplaced_edge_fiber(monkeypatch, lam):
+    # with the second edge fiber at k2 = 0 nearly every flux falls below the bound
+    monkeypatch.setattr(harper, "_edge_fibers", misplaced_edge_fibers)
+    assert len(fluxes_below_the_measure_bound(lam)) > 0.9 * len(farey_fractions(50))
+
+
 @pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (1, 4), (3, 7), (1, 6)])
 def test_grid_through_the_extremal_points_reaches_the_exact_edges(p, q):
     # a grid divisible by 2q contains (0, 0) and (pi, pi/q)
@@ -110,8 +141,7 @@ BENCH_CALLS = [["--flux", "1/3", "--sites", "600"], ["--flux", "13/21", "--sites
 def second_fiber_at_k2_zero(params):
     """Band edges from the fibers (0, 0) and (pi, 0), not (pi, pi/q): the
     Chambers extremum put in the wrong place."""
-    mats = bloch_matrices(params, [0.0, math.pi], [0.0, 0.0])
-    return np.sort(np.linalg.eigvalsh(mats), axis=None)
+    return np.sort(misplaced_edge_fibers(params), axis=None)
 
 
 def shrunk_bands(params):
@@ -134,6 +164,8 @@ def test_direct_space_check_fails_on_narrowed_bands_at_every_flux(monkeypatch, l
 @pytest.mark.parametrize("call", BENCH_CALLS, ids=["1/3", "13/21"])
 def test_direct_space_check_fails_on_bands_too_narrow(monkeypatch, capsys, wrong, call):
     monkeypatch.setattr(harper, "band_edges", wrong)
-    assert cli.main(["oracle-check", "--which", "direct-space"] + call) == 1
-    check = json.loads(capsys.readouterr().out)["checks"]["direct_space"]
+    assert cli.main(["oracle-check"] + call) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["unitarity"]["pass"] and checks["union"]["pass"]
+    check = checks["direct_space"]
     assert check["pass"] is False and check["max_count_excess"] > 0
