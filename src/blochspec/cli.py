@@ -40,8 +40,8 @@ MAX_GRID = 1 << 16
 
 
 def parse_potential(text: str) -> FourierPotential:
-    """Parse 'n:re[,im]' pairs, comma separated; conjugate frequencies are
-    filled in automatically so the potential is real."""
+    """Parse 'n:re[,im]' pairs, comma separated; ``FourierPotential`` fills in
+    the missing conjugate frequencies so the potential is real."""
     coeffs = {}
     current = None
     for token in text.split(","):
@@ -68,9 +68,6 @@ def parse_potential(text: str) -> FourierPotential:
                 raise ValueError(f"bad potential entry {token!r}") from None
             coeffs[current] = complex(coeffs[current].real, im)
             current = None
-    for n in list(coeffs):
-        if -n not in coeffs:
-            coeffs[-n] = coeffs[n].conjugate()
     return FourierPotential(coeffs)
 
 

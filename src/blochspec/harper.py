@@ -46,24 +46,17 @@ class HarperParams:
             raise ValueError(f"coupling lam must lie in (0, {LAM_MAX!r}], got {self.lam}")
 
 
-def _onsite(params: HarperParams, k2) -> np.ndarray:
-    """Bloch onsite energies 2*lam*cos(k2 + 2*pi*p*j/q), shape (..., q) for k2 of shape (...).
-
-    The Bloch matrix at (k1, k2) is ``tridiagonal(_onsite(params, k2), exp(i*k1))``.
-    """
-    p, q = params.flux.p, params.flux.q
-    return 2.0 * params.lam * np.cos(np.asarray(k2, dtype=float)[..., None]
-                                     + TWO_PI * p * np.arange(q) / q)
-
-
 def _edge_fibers(params: HarperParams) -> np.ndarray:
     """Eigenvalues of the two edge fibers, shape (2, q), each row ascending.
 
     The fibers are the real Bloch matrices at (k1, k2) = (0, 0) and
-    (pi, pi/q), with corner phases +1 and -1.
+    (pi, pi/q): onsite energies 2*lam*cos(k2 + 2*pi*p*j/q) for j < q, unit
+    hopping, and corner phases +1 and -1.
     """
-    mats = tridiagonal(_onsite(params, [0.0, math.pi / params.flux.q]), [1.0, -1.0])
-    return eigensolve(mats, flux=params.flux)
+    p, q = params.flux.p, params.flux.q
+    k2 = np.array([[0.0], [math.pi / q]])
+    diag = 2.0 * params.lam * np.cos(k2 + TWO_PI * p * np.arange(q) / q)
+    return eigensolve(tridiagonal(diag, [1.0, -1.0]), flux=params.flux)
 
 
 def band_edges(params: HarperParams) -> np.ndarray:
@@ -138,11 +131,8 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
         e = egrid[inside] / scale
         # det(E - H_f) / max(1, lam)^q for both fibers f, as mantissa * 2**exponent
         mant, exponent = np.ones((2, e.size)), np.zeros((2, e.size), dtype=np.intc)
-        factor, step = np.empty_like(mant), np.empty_like(exponent)
         for mu in fibers.T / scale:
-            np.subtract(e, mu[:, None], out=factor)
-            mant *= factor
-            np.frexp(mant, out=(mant, step))
+            mant, step = np.frexp(mant * (e - mu[:, None]))
             exponent += step
         sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
         y = sign * np.ldexp(mant, exponent).sum(axis=0) / 4.0
@@ -168,7 +158,7 @@ def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
     row 0 at phase 0, row 1 at phase pi/q."""
     if sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
-    # the onsite term is written out here, not taken from ``_onsite``, so the
+    # the onsite term is written out here, not taken from ``_edge_fibers``, so the
     # direct-space oracle stays an independent definition of the operator
     n, phase = np.arange(sites), np.array([[0.0], [np.pi / params.flux.q]])
     return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + phase)

@@ -70,12 +70,14 @@ class FourierPotential:
     """Real periodic potential given by finitely many Fourier coefficients.
 
     ``coefficients[n]`` is the amplitude of exp(2*pi*i*n*x); the period is
-    normalized to 1.  Reality of the potential requires v(-n) == conj(v(n)),
-    which is validated on construction to 1e-14 and then stored exactly: v(n)
-    for n >= 0 (or conj v(-n) where only that is given) fixes both members of
-    its pair, and v(0) is real.  So every plane-wave fiber is Hermitian by
-    construction.  Missing frequencies are exactly zero.  The sum of |v(n)|
-    over all n must stay at most POTENTIAL_MAX.
+    normalized to 1.  Reality of the potential requires v(-n) == conj(v(n)).
+    A missing partner is filled with its conjugate, so {1: 1.0} is
+    2 cos(2 pi x); a given pair, zeros included, must agree to 1e-14.  Each
+    pair is then stored exactly: v(n) for n >= 0 fixes both members, v(0) is
+    real, and a zero pair is dropped.  So every plane-wave fiber is Hermitian
+    by construction.  Missing frequencies are exactly zero.  The sum of
+    |v(n)| over all n, both members of each pair, must stay at most
+    POTENTIAL_MAX.
     """
 
     coefficients: dict
@@ -88,21 +90,21 @@ class FourierPotential:
             v = complex(v)
             if not cmath.isfinite(v):
                 raise ValueError(f"coefficient v({n}) = {v} is not finite")
-            if v != 0:
-                clean[int(n)] = v
+            clean[int(n)] = v
+        for n in list(clean):
+            clean.setdefault(-n, clean[n].conjugate())
         if 8 * sum(abs(v / 8) for v in clean.values()) > POTENTIAL_MAX:  # v / 8: abs stays finite
             raise ValueError(f"coefficients sum |v(n)| above {POTENTIAL_MAX!r}: the fiber "
                              f"eigenvalues would overflow")
         for n, v in clean.items():
-            if not np.isclose(clean.get(-n, 0.0), v.conjugate(), rtol=0, atol=1e-14):
+            if not np.isclose(clean[-n], v.conjugate(), rtol=0, atol=1e-14):
                 raise ValueError(
                     f"coefficients break Hermitian symmetry at n={n}: "
                     f"v({-n}) != conj(v({n}))"
                 )
         exact = {}
         for n in sorted({abs(m) for m in clean}):
-            v = clean[n] if n in clean else clean[-n].conjugate()
-            v = v if n else complex(v.real)
+            v = clean[n] if n else complex(clean[0].real)
             if v != 0:
                 exact[-n], exact[n] = v.conjugate(), v
         object.__setattr__(self, "coefficients", exact)

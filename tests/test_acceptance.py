@@ -168,7 +168,7 @@ def test_criterion_08_cantor_proxy():
     fluxes = [bs.RationalFlux.parse(t) for t in DEFAULT_APPROXIMANTS.split(",")]
     rows = bs.cantor_proxy(fluxes, lam=1.0)
     elapsed = time.perf_counter() - start
-    fixture = json.load(open(DATA / "cantor_measures.json"))
+    fixture = json.loads((DATA / "cantor_measures.json").read_text())
     for (flux, measure), (p, q, frozen) in zip(rows, fixture["rows"]):
         assert (flux.p, flux.q) == (p, q)
         assert abs(measure - frozen) <= 1e-8

@@ -67,7 +67,7 @@ def test_bands_regression_pinned(tmp_path):
     doc = json.loads(text)
     assert len(doc["band_intervals"]) == 4
     assert len(doc["k"]) == 101 and len(doc["band_energies"]) == 4
-    fixture = json.load(open(DATA / "bands_cosine.json"))
+    fixture = json.loads((DATA / "bands_cosine.json").read_text())
     got_iv = np.array(doc["band_intervals"])
     exp_iv = np.array(fixture["band_intervals"])
     assert np.abs(got_iv - exp_iv).max() <= 1e-9

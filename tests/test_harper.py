@@ -9,19 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_eigenvalues, distance_to_bands, eigenvalue_grid
+from oracles import bloch_matrices, chain_eigenvalues, distance_to_bands, eigenvalue_grid
 
 from blochspec import assembly
 from blochspec.harper import (
     LAM_MAX,
     HarperParams,
-    _onsite,
+    _edge_fibers,
     butterfly,
     direct_space_count,
     farey_fractions,
     harper_spectrum,
 )
-from blochspec.model import EigensolverError, RationalFlux, tridiagonal
+from blochspec.model import EigensolverError, RationalFlux
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,13 +37,8 @@ def flux_half_eigenvalue(k1, k2, lam=1.0):
 
 # ---------------------------------------------------------------- Bloch matrices
 
-def bloch_matrix(prm, k1, k2):
-    """The Bloch matrix at (k1, k2) as the package builds it."""
-    return tridiagonal(_onsite(prm, k2), np.exp(1j * k1))
-
-
 def test_flux_zero_scalar_formula():
-    m = bloch_matrix(params(0, 1), 0.0, 0.0)
+    m = bloch_matrices(params(0, 1), 0.0, 0.0)
     assert m.shape == (1, 1)
     assert np.allclose(m, [[4.0]])
 
@@ -55,9 +50,19 @@ def test_flux_zero_scalar_formula():
     lam=st.floats(0.2, 3.0),
 )
 def test_flux_half_closed_form_eigenvalues(k1v, k2v, lam):
-    w = np.linalg.eigvalsh(bloch_matrix(params(1, 2, lam), k1v, k2v))
+    w = np.linalg.eigvalsh(bloch_matrices(params(1, 2, lam), k1v, k2v))
     e = flux_half_eigenvalue(k1v, k2v, lam)
     assert np.allclose(w, [-e, e], atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_edge_fibers_match_the_oracle_bloch_matrices(lam):
+    # the package's two fibers against the test oracle's Bloch matrices at
+    # (k1, k2) = (0, 0) and (pi, pi/q), built entry by entry
+    for flux in farey_fractions(20):
+        prm = HarperParams(flux=flux, lam=lam)
+        want = np.linalg.eigvalsh(bloch_matrices(prm, [0.0, math.pi], [0.0, math.pi / flux.q]))
+        assert np.abs(_edge_fibers(prm) - want).max() <= 1e-12, flux
 
 
 def test_lambda_must_be_positive():

@@ -133,7 +133,7 @@ def test_potential_norm_is_capped():
     assert FourierPotential({1: half, -1: half}).coefficients[-1] == half
     assert FourierPotential({0: half, 1: half / 2, -1: half / 2}).coefficients[0] == half
     above = np.nextafter(half, np.inf)
-    for coeffs in ({1: above, -1: above},
+    for coeffs in ({1: above, -1: above}, {1: above},  # a filled partner counts too
                    {0: POTENTIAL_MAX, 1: POTENTIAL_MAX / 2**40, -1: POTENTIAL_MAX / 2**40},
                    {1: complex(1.7e308, 1.7e308), -1: complex(1.7e308, -1.7e308)}):
         with pytest.raises(ValueError, match="would overflow"):
@@ -141,12 +141,14 @@ def test_potential_norm_is_capped():
 
 
 def test_potential_rejects_broken_symmetry():
-    with pytest.raises(ValueError):
-        FourierPotential({1: 1.0, -1: 2.0})
-    with pytest.raises(ValueError):
-        FourierPotential({1: 1.0})  # missing conjugate partner
-    with pytest.raises(ValueError):
-        FourierPotential({0: 1j})  # v0 must be real
+    # a missing partner is filled with the conjugate; a given one must agree
+    for one_sided, pair in (({1: 1.0}, {1: 1.0, -1: 1.0}),
+                            ({-2: 1.0 + 0.5j}, {2: 1.0 - 0.5j, -2: 1.0 + 0.5j})):
+        assert FourierPotential(one_sided).coefficients == FourierPotential(pair).coefficients
+    for broken in ({1: 1.0, -1: 2.0}, {1: 1.0, -1: 0.0},  # a given zero is a partner too
+                   {0: 1j}):  # v0 must be real
+        with pytest.raises(ValueError):
+            FourierPotential(broken)
 
 
 def test_rational_flux_validation():

@@ -78,9 +78,10 @@ def fluxes_below_the_measure_bound(lam):
             if lebesgue_measure(harper_spectrum(HarperParams(flux=flux, lam=lam))) < bound]
 
 
-def misplaced_edge_fibers(params):
+def second_fiber_at_k2_zero(params):
     """Eigenvalues of the fibers (0, 0) and (pi, 0) in place of the edge fibers
-    (0, 0) and (pi, pi/q), shape (2, q)."""
+    (0, 0) and (pi, pi/q), shape (2, q): the Chambers extremum put in the
+    wrong place."""
     return np.linalg.eigvalsh(bloch_matrices(params, [0.0, math.pi], [0.0, 0.0]))
 
 
@@ -92,7 +93,7 @@ def test_band_measure_is_at_least_four_times_one_minus_lambda(lam):
 @pytest.mark.parametrize("lam", [1.1, 2.0])
 def test_band_measure_bound_catches_a_misplaced_edge_fiber(monkeypatch, lam):
     # with the second edge fiber at k2 = 0 nearly every flux falls below the bound
-    monkeypatch.setattr(harper, "_edge_fibers", misplaced_edge_fibers)
+    monkeypatch.setattr(harper, "_edge_fibers", second_fiber_at_k2_zero)
     assert len(fluxes_below_the_measure_bound(lam)) > 0.9 * len(farey_fractions(50))
 
 
@@ -134,26 +135,24 @@ def test_direct_space_check_passes_on_the_true_edges(lam):
         assert check["pass"] and check["max_count_excess"] == 0, flux
 
 
-TRUE_EDGES = harper.band_edges
+TRUE_EDGES = harper._edge_fibers
 BENCH_CALLS = [["--flux", "1/3", "--sites", "600"], ["--flux", "13/21", "--sites", "1200"]]
 
 
-def second_fiber_at_k2_zero(params):
-    """Band edges from the fibers (0, 0) and (pi, 0), not (pi, pi/q): the
-    Chambers extremum put in the wrong place."""
-    return np.sort(misplaced_edge_fibers(params), axis=None)
-
-
 def shrunk_bands(params):
-    """The true band edges with every band narrowed by 1e-4 at both ends."""
-    return TRUE_EDGES(params) + np.tile([1e-4, -1e-4], params.flux.q)
+    """The true band edges with every band narrowed by 1e-4 at both ends, in
+    place of the edge-fiber eigenvalues, shape (2, q).  Both the spectrum and
+    the gap labels of ``harper.ids`` see them."""
+    q = params.flux.q
+    edges = np.sort(TRUE_EDGES(params), axis=None) + np.tile([1e-4, -1e-4], q)
+    return edges.reshape(2, q)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_direct_space_check_fails_on_narrowed_bands_at_every_flux(monkeypatch, lam):
     # the chains at phases 0 and pi/q reach every band edge: at the default
     # 600 sites the check sees every band narrowed by 1e-4, at every flux
-    monkeypatch.setattr(harper, "band_edges", shrunk_bands)
+    monkeypatch.setattr(harper, "_edge_fibers", shrunk_bands)
     sites = cli.build_parser().parse_args(["oracle-check"]).sites
     for flux in farey_fractions(20)[1:]:  # every reduced p/q with 2 <= q <= 20
         check = cli._oracle_direct_space(HarperParams(flux=flux, lam=lam), sites)
@@ -163,7 +162,7 @@ def test_direct_space_check_fails_on_narrowed_bands_at_every_flux(monkeypatch, l
 @pytest.mark.parametrize("wrong", [second_fiber_at_k2_zero, shrunk_bands])
 @pytest.mark.parametrize("call", BENCH_CALLS, ids=["1/3", "13/21"])
 def test_direct_space_check_fails_on_bands_too_narrow(monkeypatch, capsys, wrong, call):
-    monkeypatch.setattr(harper, "band_edges", wrong)
+    monkeypatch.setattr(harper, "_edge_fibers", wrong)
     assert cli.main(["oracle-check"] + call) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["unitarity"]["pass"] and checks["union"]["pass"]
