@@ -101,10 +101,6 @@ def render_csv(ns: argparse.Namespace, header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_metadata(ns: argparse.Namespace) -> str:
-    return f"schema={SCHEMA} version={VERSION} config={json.dumps(_echo(ns))}"
-
-
 def _flux(text: str) -> RationalFlux:
     """Parse a reduced fraction p/q whose q x q matrices stay within MAX_DIM."""
     flux = RationalFlux.parse(text)
@@ -138,10 +134,7 @@ def _cmd_bands(ns: argparse.Namespace):
         rows.append(["interval", b, ""] + [""] * len(ecols) + [a, bb])
     for g, (a, bb) in enumerate(gap_list):
         rows.append(["gap", g, ""] + [""] * len(ecols) + [a, bb])
-    svg = None
-    if ns.fmt == "svg":
-        svg = svgplot.render_bands_svg(ks, energies, _svg_metadata(ns))
-    return payload, header, rows, svg
+    return payload, header, rows
 
 
 def _cmd_butterfly(ns: argparse.Namespace):
@@ -159,10 +152,7 @@ def _cmd_butterfly(ns: argparse.Namespace):
             csv_rows.append([flux.p, flux.q, flux.value, b, a, bb])
     payload = {"rows": payload_rows}
     header = ["p", "q", "flux", "band", "lo", "hi"]
-    svg = None
-    if ns.fmt == "svg":
-        svg = svgplot.render_butterfly_svg(data, _svg_metadata(ns))
-    return payload, header, csv_rows, svg
+    return payload, header, csv_rows
 
 
 def _cmd_ids(ns: argparse.Namespace):
@@ -176,7 +166,7 @@ def _cmd_ids(ns: argparse.Namespace):
     }
     header = ["i", "energy", "ids"]
     rows = [[i, e, v] for i, (e, v) in enumerate(zip(payload["energies"], payload["values"]))]
-    return payload, header, rows, None
+    return payload, header, rows
 
 
 def _cmd_algebra_check(ns: argparse.Namespace):
@@ -194,7 +184,7 @@ def _cmd_algebra_check(ns: argparse.Namespace):
     }
     header = ["key", "value"]
     rows = [[k, v] for k, v in payload.items()]
-    return payload, header, rows, None
+    return payload, header, rows
 
 
 def _random_cell(rng: random.Random, max_cells: int) -> fibering.DiscreteCell:
@@ -284,7 +274,7 @@ def _cmd_oracle_check(ns: argparse.Namespace):
         for k, v in stats.items():
             rows.append([name, k, v])
     rows.append(["overall", "pass", payload["pass"]])
-    return payload, header, rows, None
+    return payload, header, rows
 
 
 def _cmd_cantor(ns: argparse.Namespace):
@@ -295,7 +285,7 @@ def _cmd_cantor(ns: argparse.Namespace):
     }
     header = ["i", "p", "q", "measure"]
     rows = [[i, f.p, f.q, m] for i, (f, m) in enumerate(measures)]
-    return payload, header, rows, None
+    return payload, header, rows
 
 
 _COMMANDS = {
@@ -309,14 +299,18 @@ _COMMANDS = {
 
 
 def run(ns: argparse.Namespace) -> int:
-    """Execute parsed arguments: compute, then write the report in one shot."""
-    payload, header, rows, svg = _COMMANDS[ns.command](ns)
+    """Compute (payload, header, rows), then write the report in one shot: the
+    payload as JSON, header and rows as CSV, or the payload of ``bands`` or
+    ``butterfly`` drawn as SVG.  A payload whose "pass" is False exits 1."""
+    payload, header, rows = _COMMANDS[ns.command](ns)
     if ns.fmt == "json":
         text = render_json(ns, payload)
     elif ns.fmt == "csv":
         text = render_csv(ns, header, rows)
     else:
-        text = svg
+        render = {"bands": svgplot.render_bands_svg, "butterfly": svgplot.render_butterfly_svg}
+        text = render[ns.command](payload, f"schema={SCHEMA} version={VERSION} "
+                                           f"config={json.dumps(_echo(ns))}")
     if ns.output:
         try:
             fh = open(ns.output, "w", encoding="utf-8")
@@ -326,7 +320,7 @@ def run(ns: argparse.Namespace) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if ns.command == "oracle-check" and not payload["pass"]:
+    if payload.get("pass") is False:
         _emit_error("verification", "one or more oracle checks failed")
         return 1
     return 0

@@ -1,13 +1,12 @@
 """Static SVG band diagrams and butterflies.
 
-Plain text emitters, no plotting dependencies: band structures as
-energy-vs-k polylines, butterflies as horizontal band segments per flux row.
-Output is deterministic for fixed input.
+Pure-text encoders of the ``bands`` and ``butterfly`` payloads, standard
+library only: band structures as energy-vs-k polylines, butterflies as
+horizontal band segments per flux row.  They draw the very numbers that JSON
+and CSV print, and the output is deterministic for a fixed payload.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 WIDTH = 800
 HEIGHT = 600
@@ -51,37 +50,35 @@ def _scaler(lo: float, hi: float, out_lo: float, out_hi: float):
     return scale
 
 
-def render_bands_svg(ks: np.ndarray, energies: np.ndarray, metadata: str) -> str:
-    """Band functions as one polyline per band over the k-grid."""
-    ks = np.asarray(ks, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    e_lo, e_hi = float(energies.min()), float(energies.max())
+def render_bands_svg(payload: dict, metadata: str) -> str:
+    """One polyline per band: the payload's "band_energies" (one row per band)
+    over its k-grid "k"."""
+    ks, energies = payload["k"], payload["band_energies"]
+    e_lo, e_hi = min(map(min, energies)), max(map(max, energies))
     pad = 0.05 * (e_hi - e_lo if e_hi > e_lo else 1.0)
-    sx = _scaler(float(ks.min()), float(ks.max()), MARGIN, WIDTH - MARGIN)
+    sx = _scaler(min(ks), max(ks), MARGIN, WIDTH - MARGIN)
     sy = _scaler(e_lo - pad, e_hi + pad, HEIGHT - MARGIN, MARGIN)
     body = _axes("quasimomentum k", "energy")
-    for b in range(energies.shape[1]):
-        pts = " ".join(f"{_fmt(sx(k))},{_fmt(sy(e))}" for k, e in zip(ks, energies[:, b]))
+    for band in energies:
+        pts = " ".join(f"{_fmt(sx(k))},{_fmt(sy(e))}" for k, e in zip(ks, band))
         body.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>')
     return _svg_document(body, metadata)
 
 
-def render_butterfly_svg(rows, metadata: str) -> str:
-    """Butterfly rows (flux, band intervals) as horizontal segments.
-
-    Energy runs along x, flux along y, the classic orientation.
-    """
-    rows = list(rows)
-    los = [iv[0] for _, bands in rows for iv in bands.intervals]
-    his = [iv[1] for _, bands in rows for iv in bands.intervals]
+def render_butterfly_svg(payload: dict, metadata: str) -> str:
+    """The payload's "rows" as horizontal segments, each [lo, hi] of a row's
+    "bands" at the height of its "flux": energy along x, flux along y."""
+    rows = payload["rows"]
+    los = [lo for row in rows for lo, _ in row["bands"]]
+    his = [hi for row in rows for _, hi in row["bands"]]
     e_lo, e_hi = min(los), max(his)
     pad = 0.02 * (e_hi - e_lo if e_hi > e_lo else 1.0)
     sx = _scaler(e_lo - pad, e_hi + pad, MARGIN, WIDTH - MARGIN)
     sy = _scaler(0.0, 1.0, HEIGHT - MARGIN, MARGIN)
     body = _axes("energy", "flux p/q")
-    for flux, bands in rows:
-        y = _fmt(sy(flux.value))
-        for a, b in bands.intervals:
+    for row in rows:
+        y = _fmt(sy(row["flux"]))
+        for a, b in row["bands"]:
             body.append(
                 f'<line x1="{_fmt(sx(a))}" y1="{y}" x2="{_fmt(sx(b))}" y2="{y}" '
                 'stroke="black" stroke-width="1"/>'

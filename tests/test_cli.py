@@ -218,7 +218,7 @@ def test_payloads_and_rows_hold_only_builtins(argv):
                 walk(item)
 
     ns = build_parser().parse_args(argv)
-    payload, _, rows, _ = cli._COMMANDS[ns.command](ns)
+    payload, _, rows = cli._COMMANDS[ns.command](ns)
     walk(payload)
     walk([list(row) for row in rows])
 

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 from blochspec import cli
@@ -54,6 +55,18 @@ def test_every_module_is_covered():
 def test_package_imports_follow_the_layers():
     actual = {module: _package_imports(_tree(module)) for module in MODULES}
     assert actual == EXPECTED
+
+
+def test_svgplot_imports_only_the_standard_library():
+    # the SVG encoders draw the payload's builtin lists, the numbers JSON and
+    # CSV print, so they need neither numpy nor the rest of the package
+    imported = set()
+    for node in ast.walk(_tree("svgplot")):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported - sys.stdlib_module_names == set()
 
 
 def _name(node: ast.AST):
