@@ -51,24 +51,17 @@ def _edge_fibers(params: HarperParams) -> np.ndarray:
 
     The fibers are the real Bloch matrices at (k1, k2) = (0, 0) and
     (pi, pi/q): onsite energies 2*lam*cos(k2 + 2*pi*p*j/q) for j < q, unit
-    hopping, and corner phases +1 and -1.
+    hopping, and corner phases +1 and -1.  Chambers (Phys. Rev. 140, A135,
+    1965): det(E - H(k)) = Delta(E) - c(k), where c(k) = 2 cos k1 + 2 lam^q
+    cos(q k2) up to a sign, so every band edge solves Delta(E) = c at an
+    extremum of c.  The extrema c = +-(2 + 2 lam^q) are these two fibers, so
+    det(E - H_0) + det(E - H_pi) = 2 Delta(E); each fiber contributes one
+    edge per band, and all 2q values sorted are the band edges.
     """
     p, q = params.flux.p, params.flux.q
     k2 = np.array([[0.0], [math.pi / q]])
     diag = 2.0 * params.lam * np.cos(k2 + TWO_PI * p * np.arange(q) / q)
     return eigensolve(tridiagonal(diag, [1.0, -1.0]), flux=params.flux)
-
-
-def band_edges(params: HarperParams) -> np.ndarray:
-    """All 2q band edges at rational flux, ascending.
-
-    Chambers (Phys. Rev. 140, A135, 1965): det(E - H(k)) = Delta(E) - c(k),
-    where c(k) = 2 cos k1 + 2 lam^q cos(q k2) up to a sign, so every band
-    edge solves Delta(E) = c at an extremum of c.  The extrema c = +-(2 +
-    2 lam^q) are the two edge fibers (``_edge_fibers``), so det(E - H_0) +
-    det(E - H_pi) = 2 Delta(E); each fiber contributes one edge per band.
-    """
-    return np.sort(_edge_fibers(params), axis=None)
 
 
 def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
@@ -125,19 +118,18 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     values = (below // 2) / q
     # a cast, not ``== 1``: oracle-check then loads no integer comparison loop (128 kB)
     inside = (below % 2).astype(bool)
-    if inside.any():
-        j = below[inside] // 2
-        scale = max(1.0, params.lam)
-        e = egrid[inside] / scale
-        # det(E - H_f) / max(1, lam)^q for both fibers f, as mantissa * 2**exponent
-        mant, exponent = np.ones((2, e.size)), np.zeros((2, e.size), dtype=np.intc)
-        for mu in fibers.T / scale:
-            mant, step = np.frexp(mant * (e - mu[:, None]))
-            exponent += step
-        sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
-        y = sign * np.ldexp(mant, exponent).sum(axis=0) / 4.0
-        rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
-        values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
+    j = below[inside] // 2
+    scale = max(1.0, params.lam)
+    e = egrid[inside] / scale
+    # det(E - H_f) / max(1, lam)^q for both fibers f, as mantissa * 2**exponent
+    mant, exponent = np.ones((2, e.size)), np.zeros((2, e.size), dtype=np.intc)
+    for mu in fibers.T / scale:
+        mant, step = np.frexp(mant * (e - mu[:, None]))
+        exponent += step
+    sign = np.where((q - 1 - j) % 2, -1.0, 1.0)
+    y = sign * np.ldexp(mant, exponent).sum(axis=0) / 4.0
+    rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
+    values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
     return assembly.IDSCurve(egrid, values)
 
 
@@ -147,7 +139,7 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
     Every gap is open but the centre gap at even q (van Mouche, CMP 122, 1989;
     Choi-Elliott-Yui, Invent. Math. 1990): only it and gaps between equal doubles merge.
     """
-    edges, q = band_edges(params), params.flux.q
+    edges, q = np.sort(_edge_fibers(params), axis=None), params.flux.q
     if q % 2 == 0:
         edges = np.delete(edges, [q - 1, q])
     return assembly.bands_from_edges(edges, 0.0)

@@ -1,11 +1,12 @@
 """Test oracles that no production path calls: k-grid sweeps of the Harper
 Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
 their spectral projections, block-circulant synthesis, the eigenvalues of the
-open direct-space chain, the distance from values to a band set, and the
-Chambers discriminant in high-precision decimal arithmetic.
+open direct-space chain and of the closed ring, a misplaced second edge fiber
+to plant in place of the true ones, the distance from values to a band set,
+and the Chambers discriminant in high-precision decimal arithmetic.
 
 The matrices are written here entry by entry, so these oracles share no code
-with ``harper.band_edges``, ``harper.direct_space_count``, ``harper.ids`` or
+with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids`` or
 ``model.tridiagonal``.
 """
 
@@ -112,6 +113,28 @@ def chain_eigenvalues(params, sites, phase):
     chain = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + phase))
     chain += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
     return np.linalg.eigvalsh(chain)
+
+
+def ring_eigenvalues(params, cells, phase):
+    """Ascending eigenvalues of the direct-space Harper ring of q * cells sites
+    with onsite energies 2 lam cos(2 pi n p/q + phase): the open chain of
+    ``chain_eigenvalues`` with a unit bond closing it, from
+    ``numpy.linalg.eigvalsh`` on the ring written out here."""
+    p, q = params.flux.p, params.flux.q
+    sites = q * cells
+    n = np.arange(sites)
+    ring = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + phase))
+    ring += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
+    ring[0, sites - 1] += 1.0
+    ring[sites - 1, 0] += 1.0
+    return np.linalg.eigvalsh(ring)
+
+
+def second_fiber_at_k2_zero(params):
+    """Eigenvalues of the fibers (0, 0) and (pi, 0) in place of the edge fibers
+    (0, 0) and (pi, pi/q), shape (2, q): the Chambers extremum put in the
+    wrong place."""
+    return np.linalg.eigvalsh(bloch_matrices(params, [0.0, np.pi], [0.0, 0.0]))
 
 
 def distance_to_bands(bands, values) -> np.ndarray:

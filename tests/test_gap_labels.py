@@ -10,7 +10,7 @@ every flux between alpha and a Farey neighbour alpha'.  With j and j' the
 numbers of bands below it and j = s q + t p, the integer identity
 j' q - j q' = t (p' q - p q') must then hold.  Only the integers of the fluxes
 and band endpoints are used, no IDS code.  The endpoints come from two
-sources: the raw edges of ``band_edges``, with no band merging, and the
+sources: the sorted raw edge-fiber eigenvalues, with no band merging, and the
 output intervals of ``harper_spectrum``, whose merged centre interval at even
 q holds two bands.
 """
@@ -20,7 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from blochspec.harper import HarperParams, band_edges, farey_fractions, harper_spectrum
+from blochspec import harper
+from blochspec.harper import HarperParams, farey_fractions, harper_spectrum
 
 MAX_Q = 50
 HOELDER_CONSTANT = 6.0
@@ -34,7 +35,7 @@ def _label(j: int, p: int, q: int) -> int:
 
 def _raw_edges(params):
     """Sorted band endpoints, and whether the even-q centre pair is merged."""
-    return band_edges(params), False
+    return np.sort(harper._edge_fibers(params), axis=None), False
 
 
 def _output_intervals(params):

@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import decimal_discriminant, eigenvalue_grid
+from oracles import decimal_discriminant, eigenvalue_grid, ring_eigenvalues
 
+from blochspec import harper
 from blochspec.assembly import interior_gaps
 from blochspec.cli import main
 from blochspec.harper import (
     HarperParams,
     _torus_fraction,
-    band_edges,
     farey_fractions,
     harper_spectrum,
     ids,
@@ -30,7 +30,7 @@ def params(p, q, lam=1.0):
 
 
 def padded_grid(prm, points=257):
-    e = band_edges(prm)
+    e = np.sort(harper._edge_fibers(prm), axis=None)
     return np.linspace(e[0] - 0.1, e[-1] + 0.1, points)
 
 
@@ -111,8 +111,6 @@ def test_ids_rejects_nan_and_takes_infinities(lam):
     ([[-1.0, 0.0], [1.0, 2.5]], "(2, 2)"),
 ], ids=["scalar-in-band", "scalar-in-gap", "2d-grid"])
 def test_ids_rejects_a_grid_that_is_not_one_dimensional(monkeypatch, egrid, shape):
-    import blochspec.harper as harper
-
     def no_edges(_params):
         raise AssertionError("the edge fibers were solved before the grid was checked")
 
@@ -135,7 +133,7 @@ def test_ids_is_monotone_on_fine_grids():
 def band_interior(prm, t, min_width):
     """Energies at fractions ``t`` of every branch wider than ``min_width``,
     ascending, with each energy's branch index and branch width."""
-    edges = band_edges(prm)
+    edges = np.sort(harper._edge_fibers(prm), axis=None)
     lo, width = edges[0::2], edges[1::2] - edges[0::2]
     j = np.flatnonzero(width > min_width)
     energies = (lo[j, None] + width[j, None] * np.asarray(t)).ravel()
@@ -170,6 +168,59 @@ def test_ids_is_monotone_inside_narrow_bands():
             values = ids(prm, egrid=energies).values
             assert np.all(values >= branch / q), (p, q, lam)
             assert np.all(values <= (branch + 1) / q), (p, q, lam)
+
+
+RING_PHASES = (0.3, 2.1)
+RING_CELLS = (3, 8)
+RING_MARGIN = 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_in_band_ids_matches_exact_ring_counts(monkeypatch, lam):
+    # at finite volume the trace of a spectral projection is an eigenvalue
+    # count: the ring of M cells at phase theta is the union of the fibers at
+    # k1 = 2 pi l / M, k2 = theta, so E in band j has the j * M eigenvalues of
+    # the bands below it, and by Chambers' relation it lies at or above the
+    # branch-j eigenvalue at l exactly when s_j c~_l <= y, with c~_l =
+    # (cos(2 pi l / M) + lam^q cos(q theta)) / max(1, lam^q).  y = s_j Delta(E)
+    # / (2 max(1, lam^q)) is recorded where ``ids`` hands it to
+    # ``_torus_fraction``, one energy per call, since on a longer grid a wrong
+    # sign already breaks monotonicity.
+    recorded = []
+    torus_fraction = harper._torus_fraction
+
+    def recording(y, rho, nodes):
+        recorded.append(y)
+        return torus_fraction(y, rho, nodes)
+
+    monkeypatch.setattr(harper, "_torus_fraction", recording)
+    compared, mismatches = 0, []
+    for flux in farey_fractions(13):
+        prm, q = params(flux.p, flux.q, lam), flux.q
+        energies, branch, _ = band_interior(prm, [0.25, 0.5, 0.75], 1e-6)
+        recorded.clear()
+        for e in energies:
+            ids(prm, egrid=[e])
+        ys = np.concatenate(recorded)
+        assert ys.size == energies.size, flux
+        amplitude = max(1.0, lam ** q)
+        for theta in RING_PHASES:
+            for cells in RING_CELLS:
+                ring = ring_eigenvalues(prm, cells, theta)
+                ctilde = (np.cos(2 * np.pi * np.arange(cells) / cells)
+                          + lam ** q * math.cos(q * theta)) / amplitude
+                for e, j, y in zip(energies, branch, ys):
+                    thresholds = (-1.0) ** (q - 1 - j) * ctilde
+                    if (np.abs(thresholds - y).min() < RING_MARGIN
+                            or np.abs(ring - e).min() < RING_MARGIN):
+                        continue
+                    compared += 1
+                    predicted = j * cells + np.count_nonzero(thresholds <= y)
+                    count = np.searchsorted(ring, e, side="right")
+                    if count != predicted:
+                        mismatches.append((flux, theta, cells, float(e), count, predicted))
+    assert compared > 5000
+    assert mismatches == [], (len(mismatches), mismatches[:5])
 
 
 def test_ids_at_q_987_runs_in_under_two_seconds(tmp_path, capsys):

@@ -8,13 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bloch_matrices, branch_ranges, distance_to_bands, eigenvalue_grid
+from oracles import (
+    bloch_matrices,
+    branch_ranges,
+    distance_to_bands,
+    eigenvalue_grid,
+    second_fiber_at_k2_zero,
+)
 
 from blochspec.assembly import lebesgue_measure
 from blochspec import cli, harper
 from blochspec.harper import (
     HarperParams,
-    band_edges,
     farey_fractions,
     harper_spectrum,
 )
@@ -42,7 +47,7 @@ def test_band_count_is_exact_up_to_q_50(lam):
     # band edges are the same double (11 gaps at q <= 50 over the three lam)
     for flux in farey_fractions(50):
         params = HarperParams(flux=flux, lam=lam)
-        e, q = band_edges(params), flux.q
+        e, q = np.sort(harper._edge_fibers(params), axis=None), flux.q
         tied = sum(e[2 * j - 1] == e[2 * j] for j in range(1, q) if 2 * j != q)
         assert len(harper_spectrum(params).intervals) == expected_bands(q) - tied, flux
 
@@ -78,13 +83,6 @@ def fluxes_below_the_measure_bound(lam):
             if lebesgue_measure(harper_spectrum(HarperParams(flux=flux, lam=lam))) < bound]
 
 
-def second_fiber_at_k2_zero(params):
-    """Eigenvalues of the fibers (0, 0) and (pi, 0) in place of the edge fibers
-    (0, 0) and (pi, pi/q), shape (2, q): the Chambers extremum put in the
-    wrong place."""
-    return np.linalg.eigvalsh(bloch_matrices(params, [0.0, math.pi], [0.0, 0.0]))
-
-
 @pytest.mark.parametrize("lam", MEASURE_BOUND_LAMS)
 def test_band_measure_is_at_least_four_times_one_minus_lambda(lam):
     assert fluxes_below_the_measure_bound(lam) == []
@@ -102,7 +100,8 @@ def test_grid_through_the_extremal_points_reaches_the_exact_edges(p, q):
     # a grid divisible by 2q contains (0, 0) and (pi, pi/q)
     n = 2 * q * 4
     grid = np.array(branch_ranges(eigenvalue_grid(params(p, q), (n, n))))
-    assert np.abs(np.sort(grid, axis=None) - band_edges(params(p, q))).max() <= 1e-12
+    assert np.abs(np.sort(grid, axis=None)
+                  - np.sort(harper._edge_fibers(params(p, q)), axis=None)).max() <= 1e-12
 
 
 def random_fiber_eigenvalues(p, q, rng, count):
