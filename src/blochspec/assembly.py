@@ -57,17 +57,19 @@ class IDSCurve:
         object.__setattr__(self, "values", v)
 
 
-def bands_from_edges(edges, tol: float) -> BandSet:
+def bands_from_edges(edges, closed=()) -> BandSet:
     """Band set from 2n band edges: sorted and paired as [e0, e1], [e2, e3], ...
 
-    Adjacent bands whose gap is at most ``tol`` touch and merge.
+    Gap j lies between bands j - 1 and j.  It merges only if ``closed`` (a
+    container of gap indices) names it or if its two edges are the same double;
+    which gaps close is a theorem about the operator, not a tolerance.
     """
     e = np.sort(np.asarray(edges, dtype=float), axis=None)
     if e.size == 0 or e.size % 2:
         raise ValueError(f"need a positive, even number of band edges, got {e.size}")
     merged = []
-    for a, b in zip(e[0::2].tolist(), e[1::2].tolist()):  # sorted pairs never overlap
-        if merged and a - merged[-1][1] <= tol:
+    for j, (a, b) in enumerate(zip(e[0::2].tolist(), e[1::2].tolist())):
+        if merged and (j in closed or a == merged[-1][1]):  # sorted pairs never overlap
             merged[-1][1] = b
         else:
             merged.append([a, b])

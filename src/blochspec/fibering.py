@@ -25,9 +25,6 @@ from .model import TWO_PI, FourierPotential, eigensolve, tridiagonal, uniform_k_
 DEFAULT_CUTOFF = 32
 DEFAULT_BANDS = 8
 DEFAULT_KPOINTS = 101
-# 1d bands closer than TOUCH_ULPS * eps * (fibers' norm) touch.  The norm grows like
-# cutoff^2, so genuine gaps merge too (cosine gap 5, 1.4e-9, vs 1.9e-8 at cutoff 32).
-TOUCH_ULPS = 2048.0
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,7 @@ def _fibers(potential: FourierPotential, cutoff: int, ks):
 
 
 def _fiber_eigenvalues(potential: FourierPotential, cutoff: int, ks, bands: int):
-    """Lowest ``bands`` fiber eigenvalues at each k in ``ks``, shape (len(ks), bands),
-    and the largest eigenvalue magnitude over all of them (the fibers' norm).
+    """Lowest ``bands`` fiber eigenvalues at each k in ``ks``, shape (len(ks), bands).
 
     The cutoff must cover every potential frequency, which rejects every
     negative cutoff before the band count is checked against 2*cutoff + 1.
@@ -91,12 +87,10 @@ def _fiber_eigenvalues(potential: FourierPotential, cutoff: int, ks, bands: int)
         raise ValueError("need at least one band")
     if bands > 2 * cutoff + 1:
         raise ValueError(f"requested {bands} bands from a {2 * cutoff + 1}-dimensional fiber")
-    energies, scale = np.empty((len(ks), bands)), 0.0
+    energies = np.empty((len(ks), bands))
     for i, (kval, fiber) in enumerate(zip(ks, _fibers(potential, cutoff, ks))):
-        w = eigensolve(fiber, k=float(kval))
-        energies[i] = w[:bands]
-        scale = max(scale, abs(w[0]), abs(w[-1]))
-    return energies, float(scale)
+        energies[i] = eigensolve(fiber, k=float(kval))[:bands]
+    return energies
 
 
 def band_sweep(potential: FourierPotential, cutoff: int,
@@ -113,21 +107,26 @@ def band_sweep(potential: FourierPotential, cutoff: int,
     ks = uniform_k_grid(kpoints)
     half = kpoints // 2 + 1
     energies = np.empty((kpoints, bands))
-    energies[:half], _ = _fiber_eigenvalues(potential, cutoff, ks[:half], bands)
+    energies[:half] = _fiber_eigenvalues(potential, cutoff, ks[:half], bands)
     energies[half:] = energies[kpoints - half:0:-1]
     return ks, energies
 
 
 def band_structure(potential: FourierPotential, cutoff: int,
                    bands: int = DEFAULT_BANDS) -> assembly.BandSet:
-    """Lowest ``bands`` bands of the periodic operator, touching bands merged.
+    """Lowest ``bands`` bands of the periodic operator, closed gaps merged.
 
-    Band b runs between the b-th eigenvalues of the fibers at k = 0 and
-    k = pi (Floquet/Hill theory); the roundoff scale is the fibers' norm, > 0
-    as their diagonals differ by pi^2.  Both come from the ``band_sweep`` builder.
+    The band edges are the eigenvalues of the fibers at k = 0 and k = pi
+    (Floquet/Hill theory), from the ``band_sweep`` builder.  Which gaps close is
+    a theorem, not a tolerance: if g is the gcd of the potential's frequencies,
+    V has period 1/g, so every gap n that is not a multiple of g is closed
+    (Magnus-Winkler, Hill's Equation, ch. 1); g = 0 (constant V) closes them
+    all, and a single frequency closes no other (Ince).  Any other gap merges
+    only where its two edges are the same double.
     """
-    edges, scale = _fiber_eigenvalues(potential, cutoff, (0.0, math.pi), bands)
-    return assembly.bands_from_edges(edges, TOUCH_ULPS * np.finfo(float).eps * scale)
+    edges = _fiber_eigenvalues(potential, cutoff, (0.0, math.pi), bands)
+    g = math.gcd(*potential.coefficients)
+    return assembly.bands_from_edges(edges, {n for n in range(bands) if not g or n % g})
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,12 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
 def harper_spectrum(params: HarperParams) -> assembly.BandSet:
     """Spectrum at rational flux: the band edges paired into bands.
 
-    Every gap is open but the centre gap at even q (van Mouche, CMP 122, 1989;
-    Choi-Elliott-Yui, Invent. Math. 1990): only it and gaps between equal doubles merge.
+    Every gap is open but the centre gap q/2 at even q (van Mouche, CMP 122, 1989;
+    Choi-Elliott-Yui, Invent. Math. 1990), which is passed as closed: only it and
+    gaps between equal doubles merge.
     """
-    edges, q = np.sort(_edge_fibers(params), axis=None), params.flux.q
-    if q % 2 == 0:
-        edges = np.delete(edges, [q - 1, q])
-    return assembly.bands_from_edges(edges, 0.0)
+    q = params.flux.q
+    return assembly.bands_from_edges(_edge_fibers(params), () if q % 2 else (q // 2,))
 
 
 def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 # largest sum |v(n)| of a potential's coefficients: it bounds |V|, so every
-# fiber's eigenvalues and the roundoff scale built on them stay finite
+# fiber's eigenvalues stay finite
 POTENTIAL_MAX = float(np.finfo(float).max) / 8
 
 

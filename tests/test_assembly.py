@@ -16,11 +16,8 @@ from blochspec.assembly import (
     interior_gaps,
     lebesgue_measure,
 )
-from blochspec.fibering import TOUCH_ULPS
 from blochspec.harper import HarperParams, cantor_proxy, ids
 from blochspec.model import RationalFlux
-
-EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------- band sets
@@ -35,16 +32,16 @@ def test_bandset_invariants():
 
 def test_merge_rejects_empty_and_ragged():
     with pytest.raises(ValueError):
-        bands_from_edges([], 0.0)
+        bands_from_edges([])
     with pytest.raises(ValueError):
-        bands_from_edges([0.0, 1.0, 2.0], 0.0)  # an odd number of edges cannot pair
+        bands_from_edges([0.0, 1.0, 2.0])  # an odd number of edges cannot pair
     with pytest.raises(ValueError):
         branch_ranges(np.zeros((0, 2)))
 
 
 def test_edges_pair_in_sorted_order():
     # edges arrive fiber by fiber; band b is [e_2b, e_2b+1] of the sorted list
-    bands = bands_from_edges([[-3.0, 0.5, 2.0], [-1.0, 1.0, 3.0]], 0.0)
+    bands = bands_from_edges([[-3.0, 0.5, 2.0], [-1.0, 1.0, 3.0]])
     assert bands.intervals == ((-3.0, -1.0), (0.5, 1.0), (2.0, 3.0))
 
 
@@ -55,27 +52,30 @@ def test_edges_pair_in_sorted_order():
         min_size=1,
         max_size=12,
     ),
-    st.floats(1e-6, 1.0),
 )
-def test_coalesce_is_idempotent(raw, eps):
+def test_coalesce_is_idempotent(raw):
     # the edges of a band set pair back into the same band set
-    merged = bands_from_edges([x for iv in raw for x in iv], eps)
-    again = bands_from_edges([x for iv in merged.intervals for x in iv], eps)
+    merged = bands_from_edges([x for iv in raw for x in iv])
+    again = bands_from_edges([x for iv in merged.intervals for x in iv])
     assert again.intervals == merged.intervals
-    # every reported gap exceeds the touch tolerance
+    # only equal doubles merge, so every reported gap is open
     for (_, b0), (a1, _) in zip(merged.intervals, merged.intervals[1:]):
-        assert a1 - b0 > eps
+        assert a1 - b0 > 0
 
 
-def test_touch_tolerance_scales_with_fiber_norm():
-    scale = 1e3
-    tol = TOUCH_ULPS * EPS * scale
-    touching = bands_from_edges([-1.0, 0.0, 0.5 * tol, 1.0], tol)
-    assert touching.intervals == ((-1.0, 1.0),)
-    apart = bands_from_edges([-1.0, 0.0, 2.0 * tol, 1.0], tol)
-    assert len(apart.intervals) == 2
-    # roundoff may order touching edges the wrong way round: still one band
-    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0], tol).intervals) == 1
+def test_closed_gap_merges_even_with_its_edges_the_wrong_way_round():
+    # roundoff may put the upper band's bottom edge below the lower band's top edge
+    assert bands_from_edges([-1.0, 1e-16, -1e-16, 1.0], closed={1}).intervals == ((-1.0, 1.0),)
+    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0]).intervals) == 2
+
+
+def test_exact_tie_merges():
+    assert bands_from_edges([-1.0, 0.5, 0.5, 1.0]).intervals == ((-1.0, 1.0),)
+
+
+def test_gap_one_ulp_wide_stays_open():
+    top = np.nextafter(0.5, 1.0)
+    assert bands_from_edges([-1.0, 0.5, top, 1.0]).intervals == ((-1.0, 0.5), (top, 1.0))
 
 
 # ---------------------------------------------------------------- gaps and measure
@@ -90,7 +90,7 @@ def test_gap_between_two_bands():
 
 def test_merged_touching_bands_leave_no_gap():
     # two bands meeting at 0 coalesce, so no gap is reported there
-    merged = bands_from_edges([-2.0, 0.0, 0.0, 2.0], 0.0)
+    merged = bands_from_edges([-2.0, 0.0, 0.0, 2.0])
     assert merged.intervals == ((-2.0, 2.0),)
     assert interior_gaps(merged) == []
 

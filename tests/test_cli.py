@@ -351,8 +351,8 @@ def test_lambda_whose_band_hull_overflows_is_usage_error(capsys, lam):
 
 @pytest.mark.parametrize("spec", ["0:1e308,1:1e308", "1:1.7e308,1.7e308"])
 def test_potential_whose_fiber_norm_overflows_is_usage_error(capsys, spec):
-    # sum |v(n)| past max float / 8 overflowed the top fiber eigenvalue, and the
-    # infinite touch scale then merged the real gap between the two bands
+    # sum |v(n)| past max float / 8 would overflow the top fiber eigenvalue and
+    # print an infinite band edge
     assert main(["bands", "--potential", spec, "--cutoff", "2", "--bands", "2",
                  "--kpoints", "2"]) == 2
     out, err = capsys.readouterr()
@@ -364,6 +364,17 @@ def test_large_finite_potential_keeps_its_gap(tmp_path):
     code, text = run_cli(["bands", "--potential", "1:1e300", "--cutoff", "2", "--bands", "2",
                           "--kpoints", "2", "--format", "json"], tmp_path)
     assert code == 0 and "Infinity" not in text
+    doc = json.loads(text)
+    assert len(doc["band_intervals"]) == 2 and len(doc["gaps"]) == 1
+
+
+@pytest.mark.parametrize("cutoff", ["4", "5"])
+def test_truncation_splits_of_closed_gaps_print_no_gap(tmp_path, cutoff):
+    # V = 2 cos 4 pi x has period 1/2, so gaps 1 and 3 are closed, although the
+    # truncated fibers split them by 2.26e-8 and 5.8e-9, far above roundoff
+    code, text = run_cli(["bands", "--potential", "2:1", "--bands", "4", "--kpoints", "3",
+                          "--cutoff", cutoff], tmp_path)
+    assert code == 0
     doc = json.loads(text)
     assert len(doc["band_intervals"]) == 2 and len(doc["gaps"]) == 1
 

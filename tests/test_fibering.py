@@ -13,7 +13,6 @@ from oracles import block_circulant_from_fibers, branch_ranges, distance_to_band
 
 from blochspec import assembly
 from blochspec.fibering import (
-    TOUCH_ULPS,
     DiscreteCell,
     _fiber_eigenvalues,
     _fibers,
@@ -46,7 +45,7 @@ def fiber(potential, k, cutoff):
 
 def lowest(potential, k, cutoff, bands):
     """The lowest ``bands`` fiber eigenvalues at k, ascending."""
-    return _fiber_eigenvalues(potential, cutoff, [k], bands)[0][0]
+    return _fiber_eigenvalues(potential, cutoff, [k], bands)[0]
 
 
 # ---------------------------------------------------------------- fiber matrices
@@ -151,19 +150,53 @@ def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
 HALF_PERIOD = FourierPotential({2: 1.0})
 
 
-@pytest.mark.parametrize("cutoff", [16, 32, 64])
+@pytest.mark.parametrize("cutoff", [5, 16, 32, 64, 128, 256])
 def test_half_period_potential_keeps_its_closed_gaps_merged(cutoff):
-    # roundoff splits the 5 closed gaps among the lowest 10 bands by at most
-    # 3.9e-12, 3.0e-11 and 1.5e-10 at these cutoffs, while the narrowest open gap
-    # is 1.41e-8: a touch rule without a roundoff margin prints the splits
+    # truncation and roundoff split the 5 closed gaps of the lowest 10 bands by up
+    # to 9.4e-9 at cutoff 256, while the narrowest open gap is 1.41e-8: the primitive
+    # period closes them, and no tolerance could tell the two apart
     bands = band_structure(HALF_PERIOD, cutoff, 10)
     gaps = sorted(b - a for a, b in assembly.interior_gaps(bands))
     assert gaps[0] > 1e-9
     assert gaps[-3:] == pytest.approx([2.005e-5, 1.266e-2, 2.0], rel=0.01)
-    # from cutoff 32 on the touch tolerance also swallows the 1.41e-8 gap
-    # (defect E of ROADMAP.md), so the exact count is pinned at 16 only
-    if cutoff == 16:
-        assert len(bands.intervals) == 5
+    assert len(bands.intervals) == 5
+
+
+@pytest.mark.parametrize("bands", [6, 8])
+def test_cosine_interval_count_does_not_depend_on_the_cutoff(bands):
+    # Ince: a single frequency closes no gap, so every gap prints at every cutoff,
+    # down to gap 7 (true width 1e-15); the half-period test pins 2 cos 4 pi x
+    counts = [len(band_structure(COSINE, c, bands).intervals) for c in (4, 8, 16, 32, 64, 128)]
+    assert counts == [bands] * 6
+
+
+# every frequency a multiple of g = 2, 3, 2, 1 and none at all (every gap closed)
+PERIOD_FIXTURES = [HALF_PERIOD, FourierPotential({3: 1.0, 6: 0.5}),
+                   FourierPotential({2: 1.0, 4: 0.3 + 0.2j}), FourierPotential({2: 1.0, 3: 0.5}),
+                   FourierPotential({})]
+
+
+@pytest.mark.parametrize("potential", PERIOD_FIXTURES, ids=["2", "3,6", "2,4c", "2,3", "free"])
+@pytest.mark.parametrize("cutoff", [16, 64])
+def test_gaps_closed_by_the_primitive_period_split_only_by_roundoff(monkeypatch, potential,
+                                                                    cutoff):
+    # the raw edges of every gap that band_structure passes as closed differ by at
+    # most the eigensolver's error 8 n eps |H|, n = 2N + 1, |H| = (pi n)^2 + sum |v|
+    seen = []
+    merge = assembly.bands_from_edges
+
+    def spy(edges, closed):
+        seen.append((np.sort(edges, axis=None), closed))
+        return merge(edges, closed)
+
+    monkeypatch.setattr(assembly, "bands_from_edges", spy)
+    band_structure(potential, cutoff, 12)
+    (e, closed), = seen
+    n = 2 * cutoff + 1
+    norm = (np.pi * n) ** 2 + sum(abs(v) for v in potential.coefficients.values())
+    for j in range(1, 12):
+        if j in closed:
+            assert abs(e[2 * j] - e[2 * j - 1]) <= 8 * n * np.finfo(float).eps * norm, j
 
 
 # ---------------------------------------------------------------- real fibers, one builder
@@ -179,12 +212,10 @@ def oracle_sweep(potential, cutoff, bands, ks):
     its own: the path the shared builder replaced."""
     freqs = np.arange(-cutoff, cutoff + 1)
     base = np.array([[potential.coefficients.get(m - n, 0) for n in freqs] for m in freqs], dtype=complex)
-    energies, scale = np.empty((len(ks), bands)), 0.0
+    energies = np.empty((len(ks), bands))
     for i, kval in enumerate(ks):
-        w = np.linalg.eigvalsh(base + np.diag((2 * np.pi * freqs + kval) ** 2))
-        energies[i] = w[:bands]
-        scale = max(scale, np.abs(w).max())
-    return energies, scale
+        energies[i] = np.linalg.eigvalsh(base + np.diag((2 * np.pi * freqs + kval) ** 2))[:bands]
+    return energies
 
 
 def assert_close(got, want):
@@ -199,11 +230,13 @@ def assert_close(got, want):
                                                       (COMPLEX, 32, 8)])
 def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     ks, energies = band_sweep(potential, cutoff, bands, kpoints=1001)
-    want, _ = oracle_sweep(potential, cutoff, bands, ks)
-    assert_close(energies, want)
+    assert_close(energies, oracle_sweep(potential, cutoff, bands, ks))
     bandset = band_structure(potential, cutoff, bands)
-    edges, scale = oracle_sweep(potential, cutoff, bands, (0.0, math.pi))
-    oracle = assembly.bands_from_edges(edges, TOUCH_ULPS * np.finfo(float).eps * scale)
+    # gap n is closed unless the gcd g of the frequencies divides n (all closed at g = 0)
+    g = math.gcd(*potential.coefficients)
+    closed = {n for n in range(bands) if not g or n % g}
+    oracle = assembly.bands_from_edges(oracle_sweep(potential, cutoff, bands, (0.0, math.pi)),
+                                       closed)
     assert len(bandset.intervals) == len(oracle.intervals)
     assert_close(bandset.intervals, oracle.intervals)
     # the samples never leave the band intervals built from the same arithmetic
