@@ -1,9 +1,10 @@
 """Band sets, gap detection, spectral measure, and IDS curves: interval algebra.
 
 Band edges come in as the eigenvalues of the few fibers where the band
-functions are extremal; this module pairs them into finite unions of disjoint
-closed intervals, finds the gaps and measures them.  The operators that
-produce the edges and IDS values live in ``harper`` and ``fibering``.
+functions are extremal; this module pairs them into bands (closed intervals
+in ascending order; neighbours may touch), finds the gaps and measures them.
+The operators that produce the edges and IDS values live in ``harper`` and
+``fibering``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BandSet:
-    """Finite union of disjoint closed intervals [a_i, b_i], sorted."""
+    """Closed intervals [a_i, b_i]: bands in ascending order; neighbours may touch."""
 
     intervals: tuple
 
@@ -26,10 +27,8 @@ class BandSet:
                 raise ValueError(f"interval [{a}, {b}] is reversed")
             clean.append((a, b))
         for (a0, b0), (a1, b1) in zip(clean, clean[1:]):
-            if a1 <= b0:
-                raise ValueError(
-                    f"intervals [{a0}, {b0}] and [{a1}, {b1}] are not strictly disjoint"
-                )
+            if a1 < b0:
+                raise ValueError(f"intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
         object.__setattr__(self, "intervals", tuple(clean))
 
 
@@ -61,15 +60,16 @@ def bands_from_edges(edges, closed=()) -> BandSet:
     """Band set from 2n band edges: sorted and paired as [e0, e1], [e2, e3], ...
 
     Gap j lies between bands j - 1 and j.  It merges only if ``closed`` (a
-    container of gap indices) names it or if its two edges are the same double;
-    which gaps close is a theorem about the operator, not a tolerance.
+    container of gap indices) names it: which gaps close is a theorem about the
+    operator, not a float comparison.  An open gap whose two edges are the same
+    double stays, as two bands that touch.
     """
     e = np.sort(np.asarray(edges, dtype=float), axis=None)
     if e.size == 0 or e.size % 2:
         raise ValueError(f"need a positive, even number of band edges, got {e.size}")
     merged = []
     for j, (a, b) in enumerate(zip(e[0::2].tolist(), e[1::2].tolist())):
-        if merged and (j in closed or a == merged[-1][1]):  # sorted pairs never overlap
+        if merged and j in closed:  # sorted pairs never overlap
             merged[-1][1] = b
         else:
             merged.append([a, b])
@@ -77,8 +77,8 @@ def bands_from_edges(edges, closed=()) -> BandSet:
 
 
 def interior_gaps(bands: BandSet) -> list:
-    """Open gaps strictly between the first and last band: (b_i, a_i+1) for
-    consecutive bands [a_i, b_i] and [a_i+1, b_i+1]."""
+    """Gaps between the first and last band: (b_i, a_i+1) for consecutive
+    bands [a_i, b_i] and [a_i+1, b_i+1]; touching bands give width 0."""
     return [(b, a) for (_, b), (a, _) in zip(bands.intervals, bands.intervals[1:])]
 
 

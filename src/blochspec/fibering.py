@@ -121,8 +121,7 @@ def band_structure(potential: FourierPotential, cutoff: int,
     a theorem, not a tolerance: if g is the gcd of the potential's frequencies,
     V has period 1/g, so every gap n that is not a multiple of g is closed
     (Magnus-Winkler, Hill's Equation, ch. 1); g = 0 (constant V) closes them
-    all, and a single frequency closes no other (Ince).  Any other gap merges
-    only where its two edges are the same double.
+    all, and a single frequency closes no other (Ince).  No other gap merges.
     """
     edges = _fiber_eigenvalues(potential, cutoff, (0.0, math.pi), bands)
     g = math.gcd(*potential.coefficients)

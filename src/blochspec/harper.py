@@ -137,8 +137,8 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
     """Spectrum at rational flux: the band edges paired into bands.
 
     Every gap is open but the centre gap q/2 at even q (van Mouche, CMP 122, 1989;
-    Choi-Elliott-Yui, Invent. Math. 1990), which is passed as closed: only it and
-    gaps between equal doubles merge.
+    Choi-Elliott-Yui, Invent. Math. 1990), which is passed as closed: only it
+    merges.
     """
     q = params.flux.q
     return assembly.bands_from_edges(_edge_fibers(params), () if q % 2 else (q // 2,))

@@ -24,8 +24,9 @@ from blochspec.model import RationalFlux
 
 def test_bandset_invariants():
     BandSet(((0.0, 1.0), (2.0, 3.0)))
+    BandSet(((0.0, 1.0), (1.0, 2.0)))  # neighbours may touch
     with pytest.raises(ValueError):
-        BandSet(((0.0, 1.0), (1.0, 2.0)))  # touching is not disjoint
+        BandSet(((0.0, 1.0), (0.5, 2.0)))  # but not overlap
     with pytest.raises(ValueError):
         BandSet(((1.0, 0.0),))
 
@@ -58,9 +59,10 @@ def test_coalesce_is_idempotent(raw):
     merged = bands_from_edges([x for iv in raw for x in iv])
     again = bands_from_edges([x for iv in merged.intervals for x in iv])
     assert again.intervals == merged.intervals
-    # only equal doubles merge, so every reported gap is open
+    # nothing merges unless named closed, so a tie is a gap of width 0
+    assert len(merged.intervals) == len(raw)
     for (_, b0), (a1, _) in zip(merged.intervals, merged.intervals[1:]):
-        assert a1 - b0 > 0
+        assert a1 - b0 >= 0
 
 
 def test_closed_gap_merges_even_with_its_edges_the_wrong_way_round():
@@ -69,8 +71,10 @@ def test_closed_gap_merges_even_with_its_edges_the_wrong_way_round():
     assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0]).intervals) == 2
 
 
-def test_exact_tie_merges():
-    assert bands_from_edges([-1.0, 0.5, 0.5, 1.0]).intervals == ((-1.0, 1.0),)
+def test_exact_tie_stays_a_gap_of_width_zero():
+    bands = bands_from_edges([-1.0, 0.5, 0.5, 1.0])
+    assert bands.intervals == ((-1.0, 0.5), (0.5, 1.0))
+    assert interior_gaps(bands) == [(0.5, 0.5)]
 
 
 def test_gap_one_ulp_wide_stays_open():
@@ -88,11 +92,12 @@ def test_gap_between_two_bands():
     assert interior_gaps(BandSet(((-4.0, 4.0),))) == interior_gaps(BandSet(())) == []
 
 
-def test_merged_touching_bands_leave_no_gap():
-    # two bands meeting at 0 coalesce, so no gap is reported there
-    merged = bands_from_edges([-2.0, 0.0, 0.0, 2.0])
-    assert merged.intervals == ((-2.0, 2.0),)
-    assert interior_gaps(merged) == []
+def test_touching_bands_leave_a_gap_of_width_zero():
+    # two bands meeting at 0 stay two unless the gap is named closed
+    bands = bands_from_edges([-2.0, 0.0, 0.0, 2.0])
+    assert bands.intervals == ((-2.0, 0.0), (0.0, 2.0))
+    assert interior_gaps(bands) == [(0.0, 0.0)]
+    assert interior_gaps(bands_from_edges([-2.0, 0.0, 0.0, 2.0], closed={1})) == []
 
 
 def test_lebesgue_measure():

@@ -368,6 +368,17 @@ def test_large_finite_potential_keeps_its_gap(tmp_path):
     assert len(doc["band_intervals"]) == 2 and len(doc["gaps"]) == 1
 
 
+def test_gap_whose_edges_are_one_double_prints_with_width_zero(tmp_path):
+    # the open gap 14 of the continuum benchmark's first potential has its two
+    # edges on the same double at cutoff 32: two touching bands, not one
+    code, text = run_cli(["bands", "--potential=0:-0.1376,1:0.7946,2:1.0835", "--cutoff", "32",
+                          "--bands", "16", "--format", "json"], tmp_path)
+    assert code == 0
+    doc = json.loads(text)
+    assert len(doc["band_intervals"]) == 16 and len(doc["gaps"]) == 15
+    assert [b - a for a, b in doc["gaps"]].count(0.0) == 1
+
+
 @pytest.mark.parametrize("cutoff", ["4", "5"])
 def test_truncation_splits_of_closed_gaps_print_no_gap(tmp_path, cutoff):
     # V = 2 cos 4 pi x has period 1/2, so gaps 1 and 3 are closed, although the

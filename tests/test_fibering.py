@@ -243,6 +243,15 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     assert distance_to_bands(bandset, energies).max() <= 1e-9 * np.abs(energies).max()
 
 
+@pytest.mark.parametrize("potential", CONTINUUM, ids=["901", "902"])
+def test_continuum_interval_count_does_not_depend_on_the_cutoff(potential):
+    # gcd 1 closes no gap, so all 16 bands print at every cutoff, also where a
+    # gap's two edges come out as the same double (cutoff 32 for 901, 16 for 902)
+    counts = [len(band_structure(potential, c, 16).intervals)
+              for c in (8, 16, 24, 32, 48, 64, 128, 256)]
+    assert counts == [16] * 8
+
+
 def test_fibers_are_real_exactly_when_every_coefficient_is():
     freqs = np.arange(-4, 5)
     for potential, dtype in ((COSINE, float), (CONTINUUM[0], float), (COMPLEX, complex),

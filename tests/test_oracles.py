@@ -43,13 +43,25 @@ def expected_bands(q):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_band_count_is_exact_up_to_q_50(lam):
-    # a genuine gap merges only where float64 cannot separate it: its two
-    # band edges are the same double (11 gaps at q <= 50 over the three lam)
+    # every open gap is counted, also one narrower than an ulp (e.g. 2/35),
+    # which prints as two bands that touch
     for flux in farey_fractions(50):
-        params = HarperParams(flux=flux, lam=lam)
-        e, q = np.sort(harper._edge_fibers(params), axis=None), flux.q
-        tied = sum(e[2 * j - 1] == e[2 * j] for j in range(1, q) if 2 * j != q)
-        assert len(harper_spectrum(params).intervals) == expected_bands(q) - tied, flux
+        bands = harper_spectrum(HarperParams(flux=flux, lam=lam))
+        assert len(bands.intervals) == expected_bands(flux.q), flux
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_mirror_rows_print_one_spectrum_up_to_q_50(lam):
+    # p/q and (q - p)/q share one spectrum (n -> -n), and it is symmetric
+    # under E -> -E (theta -> theta + pi with the gauge (-1)^n), so the two
+    # butterfly rows and the row's own mirror image agree band by band
+    rows = {(flux.p, flux.q): np.array(bands.intervals)
+            for flux, bands in harper.butterfly(50, lam)}
+    for (p, q), bands in rows.items():
+        mirror = rows[(q - p) % q, q]  # 1/1 is the flux 0/1
+        assert len(bands) == len(mirror), f"{p}/{q}"
+        assert np.abs(bands - mirror).max() <= 1e-13 * (4 + 4 * lam), f"{p}/{q}"
+        assert np.abs(bands + bands[::-1, ::-1]).max() <= 1e-13 * (4 + 4 * lam), f"{p}/{q}"
 
 
 def test_aubry_duality_up_to_q_15():
