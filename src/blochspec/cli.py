@@ -2,7 +2,7 @@
 oracle checks, and the band-measure sweep along rational approximants.
 
 Every output file starts with a metadata header (schema, tool version, config
-echo) and is byte-identical across re-runs with the same config.
+echo) and is byte-identical across re-runs of one config at one BLAS thread count.
 Exit codes: 0 success, 1 failed verification check, 2 invalid usage,
 3 eigensolver failure (offending flux/k in the error record on stderr).
 """
@@ -78,25 +78,25 @@ def _fmt_cell(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def _echo(ns: argparse.Namespace) -> dict:
-    """Config as echoed into output headers, in the parser's argument order; the
-    output path is omitted so identical computations produce identical bytes anywhere."""
-    return {k: v for k, v in vars(ns).items() if k != "output"}
+def _meta(ns: argparse.Namespace) -> dict:
+    """Schema, tool version and config echo (in the parser's argument order), which
+    head every output; the output path is omitted so identical computations
+    produce identical bytes anywhere."""
+    return {"schema": SCHEMA, "version": VERSION,
+            "config": {k: v for k, v in vars(ns).items() if k != "output"}}
+
+
+def _meta_fields(ns: argparse.Namespace) -> list:
+    """The header as key=value fields for the CSV and SVG comments."""
+    return [f"{k}={json.dumps(v) if k == 'config' else v}" for k, v in _meta(ns).items()]
 
 
 def render_json(ns: argparse.Namespace, payload: dict) -> str:
-    doc = {"schema": SCHEMA, "version": VERSION, "config": _echo(ns)}
-    doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({**_meta(ns), **payload}, indent=2) + "\n"
 
 
 def render_csv(ns: argparse.Namespace, header: list, rows: list) -> str:
-    lines = [
-        f"# schema={SCHEMA}",
-        f"# version={VERSION}",
-        f"# config={json.dumps(_echo(ns))}",
-        ",".join(header),
-    ]
+    lines = [f"# {field}" for field in _meta_fields(ns)] + [",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -117,62 +117,52 @@ def _cmd_bands(ns: argparse.Namespace):
     potential = parse_potential(ns.potential)
     ks, energies = fibering.band_sweep(potential, ns.cutoff, ns.bands, ns.kpoints)
     bands = fibering.band_structure(potential, ns.cutoff, ns.bands)
-    ranges = bands.intervals
-    gap_list = assembly.interior_gaps(bands)
-    payload = {
+    return {
         "k": ks.tolist(),
         "band_energies": energies.T.tolist(),  # one row per band
-        "band_intervals": [[a, b] for a, b in ranges],
-        "gaps": [[a, b] for a, b in gap_list],
+        "band_intervals": [[a, b] for a, b in bands.intervals],
+        "gaps": [[a, b] for a, b in assembly.interior_gaps(bands)],
     }
-    ecols = [f"e{b}" for b in range(energies.shape[1])]
-    header = ["kind", "i", "k"] + ecols + ["lo", "hi"]
-    rows = []
-    for i, (k, row) in enumerate(zip(payload["k"], energies.tolist())):
-        rows.append(["sample", i, k] + row + ["", ""])
-    for b, (a, bb) in enumerate(ranges):
-        rows.append(["interval", b, ""] + [""] * len(ecols) + [a, bb])
-    for g, (a, bb) in enumerate(gap_list):
-        rows.append(["gap", g, ""] + [""] * len(ecols) + [a, bb])
-    return payload, header, rows
+
+
+def _table_bands(payload: dict):
+    ecols = [f"e{b}" for b in range(len(payload["band_energies"]))]
+    rows = [["sample", i, k, *row, "", ""]
+            for i, (k, row) in enumerate(zip(payload["k"], zip(*payload["band_energies"])))]
+    for kind, key in (("interval", "band_intervals"), ("gap", "gaps")):
+        rows.extend([kind, b, "", *[""] * len(ecols), a, bb]
+                    for b, (a, bb) in enumerate(payload[key]))
+    return ["kind", "i", "k", *ecols, "lo", "hi"], rows
 
 
 def _cmd_butterfly(ns: argparse.Namespace):
-    data = harper.butterfly(ns.max_q, ns.lam)
-    payload_rows = []
-    csv_rows = []
-    for flux, bands in data:
-        payload_rows.append({
-            "p": flux.p,
-            "q": flux.q,
-            "flux": flux.value,
-            "bands": [[a, b] for a, b in bands.intervals],
-        })
-        for b, (a, bb) in enumerate(bands.intervals):
-            csv_rows.append([flux.p, flux.q, flux.value, b, a, bb])
-    payload = {"rows": payload_rows}
-    header = ["p", "q", "flux", "band", "lo", "hi"]
-    return payload, header, csv_rows
+    return {"rows": [{"p": flux.p, "q": flux.q, "flux": flux.value,
+                      "bands": [[a, b] for a, b in bands.intervals]}
+                     for flux, bands in harper.butterfly(ns.max_q, ns.lam)]}
+
+
+def _table_butterfly(payload: dict):
+    rows = [[r["p"], r["q"], r["flux"], b, a, bb]
+            for r in payload["rows"] for b, (a, bb) in enumerate(r["bands"])]
+    return ["p", "q", "flux", "band", "lo", "hi"], rows
 
 
 def _cmd_ids(ns: argparse.Namespace):
     params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam)
     curve = harper.ids(params, kgrid=ns.kgrid, points=ns.epoints)
-    payload = {
-        "flux": str(params.flux),
-        "lam": params.lam,
-        "energies": curve.energies.tolist(),
-        "values": curve.values.tolist(),
-    }
-    header = ["i", "energy", "ids"]
+    return {"flux": str(params.flux), "lam": params.lam,
+            "energies": curve.energies.tolist(), "values": curve.values.tolist()}
+
+
+def _table_ids(payload: dict):
     rows = [[i, e, v] for i, (e, v) in enumerate(zip(payload["energies"], payload["values"]))]
-    return payload, header, rows
+    return ["i", "energy", "ids"], rows
 
 
 def _cmd_algebra_check(ns: argparse.Namespace):
     flux = _flux(ns.flux)
     U, V, omega = algebra.clock_shift(flux)
-    payload = {
+    return {
         "p": flux.p,
         "q": flux.q,
         "omega_re": omega.real,
@@ -182,9 +172,10 @@ def _cmd_algebra_check(ns: argparse.Namespace):
         "cocycle_residual": algebra.commutation_residual(U, V, omega),
         "band_count_bound": flux.q,
     }
-    header = ["key", "value"]
-    rows = [[k, v] for k, v in payload.items()]
-    return payload, header, rows
+
+
+def _table_algebra_check(payload: dict):
+    return ["key", "value"], [[k, v] for k, v in payload.items()]
 
 
 def _random_cell(rng: random.Random, max_cells: int) -> fibering.DiscreteCell:
@@ -267,25 +258,23 @@ def _cmd_oracle_check(ns: argparse.Namespace):
     rng = random.Random(ns.seed)
     checks = {"unitarity": _oracle_unitarity(rng), "union": _oracle_union(rng),
               "direct_space": _oracle_direct_space(params, ns.sites)}
-    payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
-    header = ["check", "key", "value"]
-    rows = []
-    for name, stats in checks.items():
-        for k, v in stats.items():
-            rows.append([name, k, v])
-    rows.append(["overall", "pass", payload["pass"]])
-    return payload, header, rows
+    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
+
+
+def _table_oracle_check(payload: dict):
+    rows = [[name, k, v] for name, stats in payload["checks"].items() for k, v in stats.items()]
+    return ["check", "key", "value"], rows + [["overall", "pass", payload["pass"]]]
 
 
 def _cmd_cantor(ns: argparse.Namespace):
     fluxes = [_flux(t) for t in ns.approximants.split(",")]
-    measures = harper.cantor_proxy(fluxes, ns.lam)
-    payload = {
-        "rows": [{"p": f.p, "q": f.q, "flux": f.value, "measure": m} for f, m in measures]
-    }
-    header = ["i", "p", "q", "measure"]
-    rows = [[i, f.p, f.q, m] for i, (f, m) in enumerate(measures)]
-    return payload, header, rows
+    return {"rows": [{"p": f.p, "q": f.q, "flux": f.value, "measure": m}
+                     for f, m in harper.cantor_proxy(fluxes, ns.lam)]}
+
+
+def _table_cantor(payload: dict):
+    rows = [[i, r["p"], r["q"], r["measure"]] for i, r in enumerate(payload["rows"])]
+    return ["i", "p", "q", "measure"], rows
 
 
 _COMMANDS = {
@@ -296,21 +285,30 @@ _COMMANDS = {
     "oracle-check": _cmd_oracle_check,
     "cantor": _cmd_cantor,
 }
+# name -> function building the CSV header and rows from that command's payload
+_TABLES = {
+    "bands": _table_bands,
+    "butterfly": _table_butterfly,
+    "ids": _table_ids,
+    "algebra-check": _table_algebra_check,
+    "oracle-check": _table_oracle_check,
+    "cantor": _table_cantor,
+}
 
 
 def run(ns: argparse.Namespace) -> int:
-    """Compute (payload, header, rows), then write the report in one shot: the
-    payload as JSON, header and rows as CSV, or the payload of ``bands`` or
-    ``butterfly`` drawn as SVG.  A payload whose "pass" is False exits 1."""
-    payload, header, rows = _COMMANDS[ns.command](ns)
+    """Compute the command's payload, then write the report in one shot: the
+    payload as JSON, drawn as SVG (``bands`` and ``butterfly``), or, for CSV
+    only, as the header and rows that the command's table builds from it.  A
+    payload whose "pass" is False exits 1."""
+    payload = _COMMANDS[ns.command](ns)
     if ns.fmt == "json":
         text = render_json(ns, payload)
     elif ns.fmt == "csv":
-        text = render_csv(ns, header, rows)
+        text = render_csv(ns, *_TABLES[ns.command](payload))
     else:
         render = {"bands": svgplot.render_bands_svg, "butterfly": svgplot.render_butterfly_svg}
-        text = render[ns.command](payload, f"schema={SCHEMA} version={VERSION} "
-                                           f"config={json.dumps(_echo(ns))}")
+        text = render[ns.command](payload, " ".join(_meta_fields(ns)))
     if ns.output:
         try:
             fh = open(ns.output, "w", encoding="utf-8")

@@ -218,7 +218,8 @@ def test_payloads_and_rows_hold_only_builtins(argv):
                 walk(item)
 
     ns = build_parser().parse_args(argv)
-    payload, _, rows = cli._COMMANDS[ns.command](ns)
+    payload = cli._COMMANDS[ns.command](ns)
+    _, rows = cli._TABLES[ns.command](payload)
     walk(payload)
     walk([list(row) for row in rows])
 
@@ -235,22 +236,16 @@ def test_csv_cells_hold_no_numpy_scalar_repr(capsys, argv):
 # ---------------------------------------------------------------- formats
 
 def test_csv_and_json_carry_identical_numbers(tmp_path):
-    args = ["butterfly", "--max-q", "2"]
-    _, json_text = run_cli(args + ["--format", "json"], tmp_path, "out.json")
-    _, csv_text = run_cli(args + ["--format", "csv"], tmp_path, "out.csv")
-    doc = json.loads(json_text)
-    json_numbers = []
-    for row in doc["rows"]:
-        for lo, hi in row["bands"]:
-            json_numbers.extend([lo, hi])
-    csv_numbers = []
-    for line in csv_text.splitlines():
-        if line.startswith("#") or line.startswith("p,"):
-            continue
-        cells = line.split(",")
-        csv_numbers.extend([float(cells[4]), float(cells[5])])
-    # parsing back must reproduce the exact same floats (full printed precision)
-    assert csv_numbers == json_numbers
+    # the CSV table is built from the payload alone, so the JSON output parsed
+    # back (floats print at full precision) must give the CSV output's exact bytes
+    for argv, _ in ECHOES:
+        _, json_text = run_cli(argv + ["--format", "json"], tmp_path, "out.json")
+        _, csv_text = run_cli(argv + ["--format", "csv"], tmp_path, "out.csv")
+        payload = json.loads(json_text)
+        for key in ("schema", "version", "config"):
+            del payload[key]
+        ns = build_parser().parse_args(argv + ["--format", "csv"])
+        assert cli.render_csv(ns, *cli._TABLES[argv[0]](payload)) == csv_text, argv[0]
 
 
 def test_svg_outputs_are_well_formed(tmp_path):
@@ -292,6 +287,18 @@ def test_svg_is_rendered_only_on_request(tmp_path, monkeypatch):
         assert run_cli(["butterfly", "--max-q", "3", "--format", fmt], tmp_path)[0] == 0
         assert run_cli(["bands", "--potential", "1:1", "--cutoff", "8", "--kpoints", "11",
                         "--format", fmt], tmp_path)[0] == 0
+    # and the CSV table is built only for --format csv
+    monkeypatch.undo()
+
+    def no_table(payload):
+        raise AssertionError("csv table built for a non-csv format")
+
+    for name in cli._TABLES:
+        monkeypatch.setitem(cli._TABLES, name, no_table)
+    for argv, _ in ECHOES:
+        assert run_cli(argv + ["--format", "json"], tmp_path)[0] == 0, argv[0]
+        if argv[0] in ("bands", "butterfly"):
+            assert run_cli(argv + ["--format", "svg"], tmp_path)[0] == 0, argv[0]
 
 
 # ---------------------------------------------------------------- error records

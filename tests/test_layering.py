@@ -134,6 +134,8 @@ def test_every_cli_option_is_read_by_its_command():
 
     commands = next(action.choices for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
+    # every subcommand has a command and a CSV table, so none ends in a KeyError
+    assert sorted(commands) == sorted(cli._COMMANDS) == sorted(cli._TABLES)
     unread = sorted(f"{command}: {action.dest}" for command, parser in commands.items()
                     for action in parser._actions if action.dest != "help"
                     and action.dest not in reads(cli._COMMANDS[command].__name__) | reads("run"))
@@ -200,3 +202,13 @@ def test_no_module_asks_lapack_for_eigenvectors():
     used = {f"{module}.{node.attr}" for module in MODULES for node in ast.walk(_tree(module))
             if isinstance(node, ast.Attribute) and node.attr in solvers}
     assert used == set()
+
+
+def test_no_source_line_is_longer_than_99_characters():
+    # the src/ line count tracks the size of the design; this keeps it from
+    # shrinking by packing code onto fewer, longer lines
+    long_lines = []
+    for module in sorted(MODULES):
+        lines = (PACKAGE / f"{module}.py").read_text(encoding="utf-8").splitlines()
+        long_lines += [f"{module}.py:{n}" for n, line in enumerate(lines, 1) if len(line) > 99]
+    assert long_lines == []
