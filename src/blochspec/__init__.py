@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .algebra import clock_shift, commutation_residual
 from .assembly import (
     BandSet,
-    IDSCurve,
     interior_gaps,
     lebesgue_measure,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "EigensolverError",
     "FourierPotential",
     "HarperParams",
-    "IDSCurve",
     "RationalFlux",
     "band_structure",
     "band_sweep",

@@ -1,10 +1,9 @@
-"""Band sets, gap detection, spectral measure, and IDS curves: interval algebra.
+"""Band sets, gap detection and spectral measure: interval algebra.
 
 Band edges come in as the eigenvalues of the few fibers where the band
 functions are extremal; this module pairs them into bands (closed intervals
 in ascending order; neighbours may touch), finds the gaps and measures them.
-The operators that produce the edges and IDS values live in ``harper`` and
-``fibering``.
+The operators that produce the edges live in ``harper`` and ``fibering``.
 """
 
 from __future__ import annotations
@@ -30,30 +29,6 @@ class BandSet:
             if a1 < b0:
                 raise ValueError(f"intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
         object.__setattr__(self, "intervals", tuple(clean))
-
-
-@dataclass(frozen=True, eq=False)
-class IDSCurve:
-    """Integrated density of states on an energy grid, values in [0, 1]."""
-
-    energies: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
-        if e.shape != v.shape or e.ndim != 1:
-            raise ValueError("energies and values must be flat arrays of equal length")
-        if np.any(np.diff(e) < 0):
-            raise ValueError("energy grid must be ascending")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("IDS values must be non-decreasing")
-        if e.size and (v[0] < 0.0 or v[-1] > 1.0):
-            raise ValueError("IDS values must lie in [0, 1]")
-        e.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "values", v)
 
 
 def bands_from_edges(edges, closed=()) -> BandSet:

@@ -181,7 +181,7 @@ def _table_algebra_check(payload: dict):
 def _random_cell(rng: random.Random, max_cells: int) -> fibering.DiscreteCell:
     """1-4 sites repeated 1..max_cells times, onsite energies in [-2, 2]."""
     q, m = rng.randint(1, 4), rng.randint(1, max_cells)
-    return fibering.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2) for _ in range(q)))
+    return fibering.DiscreteCell(M=m, onsite=tuple(rng.uniform(-2, 2) for _ in range(q)))
 
 
 def _oracle_unitarity(rng: random.Random) -> dict:

@@ -29,21 +29,22 @@ DEFAULT_KPOINTS = 101
 
 @dataclass(frozen=True)
 class DiscreteCell:
-    """Period-q nearest-neighbor operator on q*M sites with unit hopping."""
+    """Period-q nearest-neighbor operator on q*M sites, q = len(onsite), unit hopping."""
 
-    q: int
     M: int
     onsite: tuple
 
     def __post_init__(self):
-        if self.q < 1 or self.M < 1:
-            raise ValueError("need q >= 1 sites per cell and M >= 1 cells")
         onsite = tuple(float(v) for v in self.onsite)
-        if len(onsite) != self.q:
-            raise ValueError(f"expected {self.q} onsite energies, got {len(onsite)}")
+        if not onsite or self.M < 1:
+            raise ValueError("need q >= 1 sites per cell and M >= 1 cells")
         if not all(math.isfinite(v) for v in onsite):
             raise ValueError(f"onsite energies {onsite} are not all finite")
         object.__setattr__(self, "onsite", onsite)
+
+    @property
+    def q(self) -> int:
+        return len(self.onsite)
 
     @property
     def sites(self) -> int:

@@ -76,8 +76,16 @@ def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
     return np.minimum(total / (np.pi * nodes), 1.0)  # a sum of pi's may round above n*pi
 
 
+@dataclass(frozen=True, eq=False)
+class IDSCurve:
+    """IDS ``values`` on the ascending grid ``energies``, as ``ids`` computed them."""
+
+    energies: np.ndarray
+    values: np.ndarray
+
+
 def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
-        points: int = IDS_DEFAULT_POINTS) -> assembly.IDSCurve:
+        points: int = IDS_DEFAULT_POINTS) -> IDSCurve:
     """Integrated density of states for a Harper family at rational flux.
 
     IDS(E) is the normalized trace of the spectral projection below E: the
@@ -95,15 +103,21 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     is renormalised by a power of two, so nothing overflows at q near 1000 or
     where lam^q does.  With ``egrid=None`` a uniform grid of ``points``
     energies spans the band hull padded by IDS_HULL_PADDING on each side; a
-    given ``egrid`` must be a 1-d, ascending array of energies.  A NaN energy
-    is rejected; -inf and +inf give 0 and 1.
+    given ``egrid`` must be a 1-d, ascending array of energies with no NaN,
+    and is checked before anything is solved; -inf and +inf give 0 and 1.
     """
     if kgrid < 1:
         raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
     if egrid is None and points < 2:
         raise ValueError(f"need at least two energies, got points={points}")
-    if egrid is not None and np.ndim(egrid) != 1:
-        raise ValueError(f"IDS energy grid must be one-dimensional, got shape {np.shape(egrid)}")
+    if egrid is not None:
+        egrid = np.asarray(egrid, dtype=float)
+        if egrid.ndim != 1:
+            raise ValueError(f"IDS energy grid must be one-dimensional, got shape {egrid.shape}")
+        if np.isnan(egrid).any():
+            raise ValueError("IDS energy grid contains NaN")
+        if np.any(np.diff(egrid) < 0):
+            raise ValueError("IDS energy grid must be ascending")
     fibers = _edge_fibers(params)
     edges = np.sort(fibers, axis=None)
     q = params.flux.q
@@ -111,9 +125,6 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
         lo, hi = float(edges[0]), float(edges[-1])
         pad = IDS_HULL_PADDING * (hi - lo)
         egrid = np.linspace(lo - pad, hi + pad, points)
-    egrid = np.asarray(egrid, dtype=float)
-    if np.isnan(egrid).any():
-        raise ValueError("IDS energy grid contains NaN")
     below = np.searchsorted(edges, egrid, side="right")
     values = (below // 2) / q
     # a cast, not ``== 1``: oracle-check then loads no integer comparison loop (128 kB)
@@ -130,7 +141,7 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     y = sign * np.ldexp(mant, exponent).sum(axis=0) / 4.0
     rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
     values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
-    return assembly.IDSCurve(egrid, values)
+    return IDSCurve(egrid, values)
 
 
 def harper_spectrum(params: HarperParams) -> assembly.BandSet:

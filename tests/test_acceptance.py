@@ -31,7 +31,7 @@ def test_criterion_01_finite_bloch_unitarity():
     for _ in range(100):
         q = int(rng.integers(1, 5))
         m = int(rng.integers(1, 17))
-        cell = bs.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+        cell = bs.DiscreteCell(M=m, onsite=tuple(rng.uniform(-2, 2, q)))
         f = rng.normal(size=cell.sites) + 1j * rng.normal(size=cell.sites)
         blocks = bs.discrete_bloch_transform(f, cell)
         norm_in = np.vdot(f, f).real
@@ -49,7 +49,7 @@ def test_criterion_02_union_of_fibers_identity():
     for _ in range(20):
         q = int(rng.integers(1, 5))
         m = int(rng.integers(1, 13))
-        cell = bs.DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+        cell = bs.DiscreteCell(M=m, onsite=tuple(rng.uniform(-2, 2, q)))
         direct = bs.periodic_truncation_spectrum(cell)
         union = bs.fiber_union_spectrum(cell)
         worst = max(worst, float(np.abs(direct - union).max()))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import branch_ranges, distance_to_bands
 
+from blochspec import harper
 from blochspec.assembly import (
     BandSet,
-    IDSCurve,
     bands_from_edges,
     interior_gaps,
     lebesgue_measure,
@@ -115,14 +115,18 @@ def test_distance_to_bands():
 
 # ---------------------------------------------------------------- IDS
 
-def test_ids_curve_invariants():
-    IDSCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        IDSCurve(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        IDSCurve(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        IDSCurve(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
+@pytest.mark.parametrize("egrid, message", [
+    ([1.0, 0.0], "ascending"),
+    ([0.0, np.nan], "NaN"),
+    ([[0.0, 1.0], [2.0, 3.0]], "one-dimensional"),
+], ids=["descending", "nan", "2d"])
+def test_ids_checks_its_grid_before_solving(monkeypatch, egrid, message):
+    def no_edges(_params):
+        raise AssertionError("the edge fibers were solved before the grid was checked")
+
+    monkeypatch.setattr(harper, "_edge_fibers", no_edges)
+    with pytest.raises(ValueError, match=message):
+        ids(HarperParams(flux=RationalFlux(1, 3)), egrid=egrid)
 
 
 def test_ids_above_and_below_spectrum():

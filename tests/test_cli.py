@@ -275,6 +275,26 @@ def test_reruns_are_byte_identical(tmp_path):
         assert first == second
 
 
+# the benchmark calls with the largest dense matrices: 129-row plane-wave fibers,
+# 55-row edge fibers and a 1200-site chain, all below the size (201-301 rows) where
+# OpenBLAS threading starts to move the printed bytes
+@pytest.mark.parametrize("argv", [
+    ["bands", "--potential", "0:0.6888,1:1.258,2:0.9206", "--cutoff", "64", "--kpoints", "11",
+     "--bands", "16", "--format", "csv"],
+    ["ids", "--flux", "34/55"],
+    ["oracle-check", "--flux", "13/21", "--sites", "1200"],
+], ids=["bands-cutoff-64", "ids-34/55", "oracle-1200-sites"])
+def test_bench_sized_outputs_do_not_depend_on_the_blas_thread_count(argv):
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "blochspec", *argv], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_svg_is_rendered_only_on_request(tmp_path, monkeypatch):
     import blochspec.svgplot as svgplot
 

@@ -323,7 +323,7 @@ def test_band_sweep_past_pi_keeps_the_lowest_kinetic_plane_waves():
 # ---------------------------------------------------------------- Bloch transform
 
 def test_transform_of_delta_is_flat():
-    cell = DiscreteCell(q=1, M=4, onsite=(0.0,))
+    cell = DiscreteCell(M=4, onsite=(0.0,))
     f = np.zeros(4)
     f[0] = 1.0
     blocks = discrete_bloch_transform(f, cell)
@@ -335,19 +335,19 @@ def test_cell_rejects_non_finite_onsite_energies(value):
     # LAPACK returns finite eigenvalues for a 2 x 2 fiber with a NaN on its
     # diagonal, so the union oracle would otherwise hide the bad input
     with pytest.raises(ValueError, match="not all finite"):
-        DiscreteCell(q=2, M=3, onsite=(value, 0.0))
+        DiscreteCell(M=3, onsite=(value, 0.0))
 
 
 def test_transform_rejects_wrong_length():
     with pytest.raises(ValueError):
-        discrete_bloch_transform(np.zeros(5), DiscreteCell(q=2, M=3, onsite=(0.0, 0.0)))
+        discrete_bloch_transform(np.zeros(5), DiscreteCell(M=3, onsite=(0.0, 0.0)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), q=st.integers(1, 4), m=st.integers(1, 16))
 def test_transform_is_unitary(seed, q, m):
     rng = np.random.default_rng(seed)
-    cell = DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+    cell = DiscreteCell(M=m, onsite=tuple(rng.uniform(-2, 2, q)))
     f = rng.normal(size=cell.sites) + 1j * rng.normal(size=cell.sites)
     blocks = discrete_bloch_transform(f, cell)
     norm_in = np.vdot(f, f).real
@@ -357,7 +357,7 @@ def test_transform_is_unitary(seed, q, m):
 
 def test_transform_decomposes_periodic_eigenvectors():
     # blocks of a big-operator eigenvector are fiber eigenvectors (same eigenvalue)
-    cell = DiscreteCell(q=2, M=6, onsite=(0.3, -0.7))
+    cell = DiscreteCell(M=6, onsite=(0.3, -0.7))
     big = dense_periodic_matrix(cell)
     w, v = np.linalg.eigh(big)
     fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
@@ -372,7 +372,7 @@ def test_transform_decomposes_periodic_eigenvectors():
 # ---------------------------------------------------------------- periodic truncation
 
 def test_pure_laplacian_circulant_spectrum():
-    cell = DiscreteCell(q=1, M=6, onsite=(0.0,))
+    cell = DiscreteCell(M=6, onsite=(0.0,))
     w = periodic_truncation_spectrum(cell)
     expected = np.sort(2 * np.cos(2 * np.pi * np.arange(6) / 6))
     assert np.allclose(w, expected, atol=1e-12)
@@ -381,7 +381,7 @@ def test_pure_laplacian_circulant_spectrum():
 
 
 def test_single_cell_reduces_to_zero_phase_fiber():
-    cell = DiscreteCell(q=3, M=1, onsite=(0.1, 0.2, 0.3))
+    cell = DiscreteCell(M=1, onsite=(0.1, 0.2, 0.3))
     w = periodic_truncation_spectrum(cell)
     assert np.allclose(w, np.linalg.eigvalsh(tridiagonal(cell.onsite, 1.0)), atol=1e-12)
 
@@ -389,7 +389,7 @@ def test_single_cell_reduces_to_zero_phase_fiber():
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(-3, 3), m=st.integers(1, 10))
 def test_two_site_cell_matches_fiber_union(a, m):
-    cell = DiscreteCell(q=2, M=m, onsite=(a, -a))
+    cell = DiscreteCell(M=m, onsite=(a, -a))
     direct = periodic_truncation_spectrum(cell)
     union = fiber_union_spectrum(cell)
     assert np.abs(direct - union).max() <= 1e-10
@@ -401,7 +401,7 @@ def test_tridiagonal_builder_reproduces_bond_by_bond_periodic_matrix():
     rng = np.random.default_rng(17)
     for q in range(1, 5):
         for m in range(1, 7):
-            cell = DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+            cell = DiscreteCell(M=m, onsite=tuple(rng.uniform(-2, 2, q)))
             built = tridiagonal(np.tile(cell.onsite, m), 1.0)
             assert np.array_equal(built, dense_periodic_matrix(cell))
 
@@ -410,14 +410,14 @@ def test_batched_fiber_union_equals_the_per_fiber_loop():
     rng = np.random.default_rng(23)
     for q in range(1, 5):
         for m in range(1, 7):
-            cell = DiscreteCell(q=q, M=m, onsite=tuple(rng.uniform(-2, 2, q)))
+            cell = DiscreteCell(M=m, onsite=tuple(rng.uniform(-2, 2, q)))
             loop = [np.linalg.eigvalsh(tridiagonal(cell.onsite, np.exp(1j * k)))
                     for k in uniform_k_grid(m)]
             assert np.array_equal(fiber_union_spectrum(cell), np.sort(np.concatenate(loop)))
 
 
 def test_block_circulant_synthesis_agrees_with_real_space():
-    cell = DiscreteCell(q=3, M=5, onsite=(0.4, -0.2, 1.1))
+    cell = DiscreteCell(M=5, onsite=(0.4, -0.2, 1.1))
     direct = periodic_truncation_spectrum(cell)
     fibers = tridiagonal(cell.onsite, np.exp(1j * uniform_k_grid(cell.M)))
     synthesized = np.linalg.eigvalsh(block_circulant_from_fibers(fibers))
