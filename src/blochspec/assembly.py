@@ -8,13 +8,14 @@ The operators that produce the edges live in ``harper`` and ``fibering``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 @dataclass(frozen=True)
 class BandSet:
-    """Closed intervals [a_i, b_i]: bands in ascending order; neighbours may touch."""
+    """Finite closed intervals [a_i, b_i]: bands in ascending order; neighbours may touch."""
 
     intervals: tuple
 
@@ -22,11 +23,11 @@ class BandSet:
         clean = []
         for iv in self.intervals:
             a, b = float(iv[0]), float(iv[1])
-            if a > b:
-                raise ValueError(f"interval [{a}, {b}] is reversed")
+            if not -math.inf < a <= b < math.inf:  # a NaN edge fails too
+                raise ValueError(f"interval [{a}, {b}] is not finite and ordered")
             clean.append((a, b))
         for (a0, b0), (a1, b1) in zip(clean, clean[1:]):
-            if a1 < b0:
+            if not b0 <= a1:
                 raise ValueError(f"intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
         object.__setattr__(self, "intervals", tuple(clean))
 

@@ -149,9 +149,9 @@ def _table_butterfly(payload: dict):
 
 def _cmd_ids(ns: argparse.Namespace):
     params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam)
-    curve = harper.ids(params, kgrid=ns.kgrid, points=ns.epoints)
+    energies, values = harper.ids(params, kgrid=ns.kgrid, points=ns.epoints)
     return {"flux": str(params.flux), "lam": params.lam,
-            "energies": curve.energies.tolist(), "values": curve.values.tolist()}
+            "energies": energies.tolist(), "values": values.tolist()}
 
 
 def _table_ids(payload: dict):
@@ -236,7 +236,8 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     energies = np.array([spectrum.intervals[0][0] - eta]
                         + [e for a, b in gaps for e in (a + eta, b - eta)]
                         + [spectrum.intervals[-1][1] + eta])
-    label = np.rint(q * harper.ids(params, egrid=energies).values).astype(int)
+    _, values = harper.ids(params, egrid=energies)
+    label = np.rint(q * values).astype(int)
     lower, upper = label * m - 1, label * m + 1 + r
     lower[[0, -1]] = upper[[0, -1]] = [0, sites]
     count = harper.direct_space_count(params, sites, energies)
@@ -277,38 +278,31 @@ def _table_cantor(payload: dict):
     return ["i", "p", "q", "measure"], rows
 
 
+# name -> (command building the payload, table building the CSV header and rows
+# from it, svgplot renderer drawing it or None): the one entry per subcommand
 _COMMANDS = {
-    "bands": _cmd_bands,
-    "butterfly": _cmd_butterfly,
-    "ids": _cmd_ids,
-    "algebra-check": _cmd_algebra_check,
-    "oracle-check": _cmd_oracle_check,
-    "cantor": _cmd_cantor,
-}
-# name -> function building the CSV header and rows from that command's payload
-_TABLES = {
-    "bands": _table_bands,
-    "butterfly": _table_butterfly,
-    "ids": _table_ids,
-    "algebra-check": _table_algebra_check,
-    "oracle-check": _table_oracle_check,
-    "cantor": _table_cantor,
+    "bands": (_cmd_bands, _table_bands, svgplot.render_bands_svg),
+    "butterfly": (_cmd_butterfly, _table_butterfly, svgplot.render_butterfly_svg),
+    "ids": (_cmd_ids, _table_ids, None),
+    "algebra-check": (_cmd_algebra_check, _table_algebra_check, None),
+    "oracle-check": (_cmd_oracle_check, _table_oracle_check, None),
+    "cantor": (_cmd_cantor, _table_cantor, None),
 }
 
 
 def run(ns: argparse.Namespace) -> int:
     """Compute the command's payload, then write the report in one shot: the
-    payload as JSON, drawn as SVG (``bands`` and ``butterfly``), or, for CSV
-    only, as the header and rows that the command's table builds from it.  A
-    payload whose "pass" is False exits 1."""
-    payload = _COMMANDS[ns.command](ns)
+    payload as JSON, drawn by the command's SVG renderer, or, for CSV only, as
+    the header and rows that the command's table builds from it.  A payload
+    whose "pass" is False exits 1."""
+    command, table, svg = _COMMANDS[ns.command]
+    payload = command(ns)
     if ns.fmt == "json":
         text = render_json(ns, payload)
     elif ns.fmt == "csv":
-        text = render_csv(ns, *_TABLES[ns.command](payload))
+        text = render_csv(ns, *table(payload))
     else:
-        render = {"bands": svgplot.render_bands_svg, "butterfly": svgplot.render_butterfly_svg}
-        text = render[ns.command](payload, " ".join(_meta_fields(ns)))
+        text = svg(payload, " ".join(_meta_fields(ns)))
     if ns.output:
         try:
             fh = open(ns.output, "w", encoding="utf-8")
@@ -348,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command adds its arguments in the order that the config echo in every
     # output header lists them, so reordering them changes the output bytes.
 
-    def common(p, formats=("csv", "json")):
+    def common(p, name):
+        formats = ("csv", "json", "svg") if _COMMANDS[name][2] else ("csv", "json")
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", dest="fmt", default="json",
                        choices=formats, help="output format")
@@ -360,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=fibering.DEFAULT_CUTOFF, help="plane-wave cutoff N")
     p.add_argument("--kpoints", type=_int_in(1, MAX_GRID), default=fibering.DEFAULT_KPOINTS)
     p.add_argument("--bands", type=_int_in(1, MAX_DIM), default=fibering.DEFAULT_BANDS)
-    common(p, ("csv", "json", "svg"))
+    common(p, "bands")
 
     p = sub.add_parser("butterfly", help="Hofstadter butterfly over all reduced fluxes")
     p.add_argument("--max-q", dest="max_q", type=_int_in(1, MAX_Q), required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    common(p, ("csv", "json", "svg"))
+    common(p, "butterfly")
 
     p = sub.add_parser("ids", help="integrated density of states at rational flux")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
@@ -375,17 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flux", required=True, help="reduced fraction p/q")
     p.add_argument("--epoints", type=_int_in(2, MAX_GRID), default=harper.IDS_DEFAULT_POINTS,
                    help="energies on the padded band hull")
-    common(p)
+    common(p, "ids")
 
     p = sub.add_parser("algebra-check", help="clock/shift commutation relation report")
     p.add_argument("--flux", required=True)
-    common(p)
+    common(p, "algebra-check")
 
     p = sub.add_parser("oracle-check", help="independent verification oracles")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--flux", default="1/3")
     p.add_argument("--sites", type=_int_in(1, MAX_DIM), default=600)
-    common(p)
+    common(p, "oracle-check")
     p.add_argument("--seed", type=_int_in(0, float("inf")), default=0,
                    help="seed for the randomized checks (unitarity, union)")
 
@@ -393,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--approximants", default=DEFAULT_APPROXIMANTS,
                    help="comma-separated reduced fractions, increasing denominator")
-    common(p)
+    common(p, "cantor")
 
     return parser
 

@@ -76,17 +76,10 @@ def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
     return np.minimum(total / (np.pi * nodes), 1.0)  # a sum of pi's may round above n*pi
 
 
-@dataclass(frozen=True, eq=False)
-class IDSCurve:
-    """IDS ``values`` on the ascending grid ``energies``, as ``ids`` computed them."""
-
-    energies: np.ndarray
-    values: np.ndarray
-
-
 def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
-        points: int = IDS_DEFAULT_POINTS) -> IDSCurve:
-    """Integrated density of states for a Harper family at rational flux.
+        points: int = IDS_DEFAULT_POINTS) -> tuple:
+    """Integrated density of states for a Harper family at rational flux, as
+    the tuple ``(energies, values)`` of the ascending grid and IDS on it.
 
     IDS(E) is the normalized trace of the spectral projection below E: the
     k-averaged number of Bloch eigenvalues up to E, divided by q.  By the
@@ -141,7 +134,7 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     y = sign * np.ldexp(mant, exponent).sum(axis=0) / 4.0
     rho = 2.0 ** (-q * abs(math.log2(params.lam)))  # min(lam^q, lam^-q)
     values[inside] = (j + _torus_fraction(y, rho, kgrid)) / q
-    return IDSCurve(egrid, values)
+    return egrid, values
 
 
 def harper_spectrum(params: HarperParams) -> assembly.BandSet:
@@ -177,8 +170,14 @@ def direct_space_count(params: HarperParams, sites: int, energies) -> np.ndarray
     minus E, d_n = (a_n - E) - 1/d_(n-1) (Kahan 1966; Demmel, Applied
     Numerical Linear Algebra, sec. 5.3).  A zero pivot becomes -tiny.  One
     pass over the sites carries the (2, P) pivots; no matrix is built.
+    ``energies`` must be 1-d with no NaN, checked before the pass; -inf and
+    +inf count 0 and ``sites``.
     """
     e = np.asarray(energies, dtype=float)
+    if e.ndim != 1:
+        raise ValueError(f"direct-space energies must be one-dimensional, got shape {e.shape}")
+    if np.isnan(e).any():
+        raise ValueError("direct-space energies contain NaN")
     tiny = np.finfo(float).tiny
     count = np.zeros((2, e.size), dtype=int)
     inv = np.zeros((2, e.size))

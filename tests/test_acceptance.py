@@ -121,7 +121,7 @@ def test_criterion_05_kadison_quantization():
         mids = np.array([0.5 * (lo + hi) for lo, hi in bs.interior_gaps(bands)])
         if not mids.size:
             continue
-        values = bs.ids(params, egrid=mids).values
+        _, values = bs.ids(params, egrid=mids)
         assert np.array_equal(values, np.round(values * flux.q) / flux.q)
         pooled = np.sort(eigenvalue_grid(params, (8, 8)), axis=None)
         assert np.array_equal(values, np.searchsorted(pooled, mids, side="right") / pooled.size)

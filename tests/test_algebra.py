@@ -103,13 +103,13 @@ def projection_traces(prm, energies):
 
 def test_projection_trace_in_lowest_flux_third_gap():
     e_in_gap = 0.5 * (-2.0 + (1.0 - math.sqrt(3.0)))
-    assert ids(params(1, 3), egrid=[e_in_gap]).values.tolist() == [1.0 / 3.0]
+    assert ids(params(1, 3), egrid=[e_in_gap])[1].tolist() == [1.0 / 3.0]
     assert projection_traces(params(1, 3), [e_in_gap]) == pytest.approx([1.0 / 3.0], abs=1e-14)
 
 
 def test_projection_trace_above_and_below_spectrum():
-    assert ids(params(0, 1), egrid=[5.0]).values.tolist() == [1.0]
-    assert ids(params(1, 2), egrid=[-3.0]).values.tolist() == [0.0]
+    assert ids(params(0, 1), egrid=[5.0])[1].tolist() == [1.0]
+    assert ids(params(1, 2), egrid=[-3.0])[1].tolist() == [0.0]
     assert projection_traces(params(0, 1), [5.0]) == pytest.approx([1.0], abs=1e-14)
     assert projection_traces(params(1, 2), [-3.0]) == [0.0]
 
@@ -117,7 +117,7 @@ def test_projection_trace_above_and_below_spectrum():
 def test_projection_trace_serves_an_array_of_energies():
     s3 = math.sqrt(3.0)
     energies = np.array([-5.0, 0.5 * (-2.0 + 1.0 - s3), 0.5 * (s3 - 1.0 + 2.0), 5.0])
-    values = ids(params(1, 3), egrid=energies).values
+    _, values = ids(params(1, 3), egrid=energies)
     assert np.array_equal(values, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     assert np.allclose(projection_traces(params(1, 3), energies), values, rtol=0, atol=1e-14)
 
@@ -135,7 +135,7 @@ def test_quantization_on_every_detected_gap_q_up_to_12():
         mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
         if not mids.size:
             continue
-        values = ids(params(p, q), egrid=mids).values
+        _, values = ids(params(p, q), egrid=mids)
         labels = [j for j in range(1, q) if 2 * j != q]  # the even-q centre gap is closed
         assert np.array_equal(values, np.array(labels) / q)
         assert np.allclose(projection_traces(params(p, q), mids), values, rtol=0, atol=1e-13)

@@ -31,6 +31,19 @@ def test_bandset_invariants():
         BandSet(((1.0, 0.0),))
 
 
+@pytest.mark.parametrize("intervals", [
+    ((0.0, 1.0), (2.0, math.nan)),
+    ((0.0, 1.0), (math.nan, 3.0)),
+    ((math.nan, math.nan),),
+    ((0.0, math.inf),),
+    ((-math.inf, 0.0), (1.0, 2.0)),
+], ids=["nan-top", "nan-bottom", "nan-both", "inf-top", "inf-bottom"])
+def test_bandset_rejects_a_non_finite_edge(intervals):
+    # a NaN edge fails every comparison, so it once passed the order and overlap checks
+    with pytest.raises(ValueError, match="not finite"):
+        BandSet(intervals)
+
+
 def test_merge_rejects_empty_and_ragged():
     with pytest.raises(ValueError):
         bands_from_edges([])
@@ -131,33 +144,32 @@ def test_ids_checks_its_grid_before_solving(monkeypatch, egrid, message):
 
 def test_ids_above_and_below_spectrum():
     params = HarperParams(flux=RationalFlux(0, 1))
-    curve = ids(params, egrid=np.array([-4.5, 4.0 + 1e-6]), kgrid=32)
-    assert curve.values[0] == 0.0
-    assert curve.values[1] == 1.0
+    _, values = ids(params, egrid=np.array([-4.5, 4.0 + 1e-6]), kgrid=32)
+    assert values.tolist() == [0.0, 1.0]
 
 
 def test_ids_rejects_nan_energy_and_takes_infinities():
     params = HarperParams(flux=RationalFlux(1, 3))
     with pytest.raises(ValueError):
         ids(params, egrid=np.array([0.0, np.nan]))
-    curve = ids(params, egrid=np.array([-np.inf, np.inf]))
-    assert curve.values.tolist() == [0.0, 1.0]
+    _, values = ids(params, egrid=np.array([-np.inf, np.inf]))
+    assert values.tolist() == [0.0, 1.0]
 
 
 def test_ids_half_filling_at_flux_half_touching_point():
     # the two bands touch at 0 (up to a roundoff-sized gap), where symmetry pins
     # the value whichever side of that gap 0 falls on
     params = HarperParams(flux=RationalFlux(1, 2))
-    curve = ids(params, egrid=np.array([0.0]), kgrid=63)
-    assert abs(curve.values[0] - 0.5) <= 1e-6
+    _, values = ids(params, egrid=np.array([0.0]), kgrid=63)
+    assert abs(values[0] - 0.5) <= 1e-6
 
 
 def test_ids_default_grid_spans_padded_hull():
     params = HarperParams(flux=RationalFlux(1, 2))
-    curve = ids(params, kgrid=16, points=128)
-    assert curve.energies.size == 128
-    assert curve.values[0] == 0.0 and curve.values[-1] == 1.0
-    assert np.all(np.diff(curve.values) >= 0)
+    energies, values = ids(params, kgrid=16, points=128)
+    assert energies.size == 128
+    assert values[0] == 0.0 and values[-1] == 1.0
+    assert np.all(np.diff(values) >= 0)
 
 
 def test_ids_constant_across_gap():
@@ -165,8 +177,8 @@ def test_ids_constant_across_gap():
     # lowest gap of the flux-1/3 spectrum is (-2, 1 - sqrt(3))
     lo, hi = -2.0, 1.0 - math.sqrt(3.0)
     probes = np.array([lo + 0.05, 0.5 * (lo + hi), hi - 0.05])
-    curve = ids(params, egrid=probes, kgrid=32)
-    assert curve.values[0] == curve.values[1] == curve.values[2] == 1.0 / 3.0
+    _, values = ids(params, egrid=probes, kgrid=32)
+    assert values.tolist() == [1.0 / 3.0] * 3
 
 
 # ---------------------------------------------------------------- cantor proxy

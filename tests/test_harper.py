@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import bloch_matrices, chain_eigenvalues, distance_to_bands, eigenvalue_grid
 
-from blochspec import assembly
+from blochspec import assembly, harper
 from blochspec.harper import (
     LAM_MAX,
     HarperParams,
@@ -237,6 +237,25 @@ def test_direct_space_bulk_never_forms_eigenvectors(monkeypatch):
 def test_direct_space_needs_a_full_cell():
     with pytest.raises(ValueError):
         direct_space_count(params(1, 5), 4, [0.0])
+
+
+@pytest.mark.parametrize("energies, message", [
+    ([[0.0], [1.0]], "one-dimensional"),  # broadcast against the two chains
+    (0.5, "one-dimensional"),
+    ([0.0, np.nan], "NaN"),               # counts 0 in both chains
+], ids=["column", "scalar", "nan"])
+def test_direct_space_count_checks_its_energies_before_the_chains(monkeypatch, energies,
+                                                                   message):
+    def no_chain(*args):
+        raise AssertionError("the chains were built before the energies were checked")
+
+    monkeypatch.setattr(harper, "_direct_space_diag", no_chain)
+    with pytest.raises(ValueError, match=message):
+        direct_space_count(params(1, 3), 30, energies)
+
+
+def test_direct_space_count_takes_infinities():
+    assert direct_space_count(params(1, 3), 30, [-np.inf, np.inf]).tolist() == [[0, 30]] * 2
 
 
 def test_second_row_counts_the_chain_at_phase_pi_over_q():

@@ -134,11 +134,14 @@ def test_every_cli_option_is_read_by_its_command():
 
     commands = next(action.choices for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
-    # every subcommand has a command and a CSV table, so none ends in a KeyError
-    assert sorted(commands) == sorted(cli._COMMANDS) == sorted(cli._TABLES)
+    # every subcommand has a registry entry with a command and a CSV table
+    assert sorted(commands) == sorted(cli._COMMANDS)
+    for command, table, _ in cli._COMMANDS.values():
+        assert callable(command) and callable(table)
+    read = {name: reads(entry[0].__name__) | reads("run") for name, entry in cli._COMMANDS.items()}
     unread = sorted(f"{command}: {action.dest}" for command, parser in commands.items()
-                    for action in parser._actions if action.dest != "help"
-                    and action.dest not in reads(cli._COMMANDS[command].__name__) | reads("run"))
+                    for action in parser._actions
+                    if action.dest != "help" and action.dest not in read[command])
     assert unread == []
 
 
