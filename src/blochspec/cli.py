@@ -120,8 +120,8 @@ def _cmd_bands(ns: argparse.Namespace):
     return {
         "k": ks.tolist(),
         "band_energies": energies.T.tolist(),  # one row per band
-        "band_intervals": [[a, b] for a, b in bands.intervals],
-        "gaps": [[a, b] for a, b in assembly.interior_gaps(bands)],
+        "band_intervals": bands.intervals,
+        "gaps": assembly.interior_gaps(bands),
     }
 
 
@@ -136,8 +136,7 @@ def _table_bands(payload: dict):
 
 
 def _cmd_butterfly(ns: argparse.Namespace):
-    return {"rows": [{"p": flux.p, "q": flux.q, "flux": flux.value,
-                      "bands": [[a, b] for a, b in bands.intervals]}
+    return {"rows": [{"p": flux.p, "q": flux.q, "flux": flux.value, "bands": bands.intervals}
                      for flux, bands in harper.butterfly(ns.max_q, ns.lam)]}
 
 
@@ -303,7 +302,7 @@ def run(ns: argparse.Namespace) -> int:
         text = render_csv(ns, *table(payload))
     else:
         text = svg(payload, " ".join(_meta_fields(ns)))
-    if ns.output:
+    if ns.output is not None:
         try:
             fh = open(ns.output, "w", encoding="utf-8")
         except OSError as exc:  # the path is bad input, not a failed check

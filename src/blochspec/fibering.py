@@ -36,8 +36,8 @@ class DiscreteCell:
 
     def __post_init__(self):
         onsite = tuple(float(v) for v in self.onsite)
-        if not onsite or self.M < 1:
-            raise ValueError("need q >= 1 sites per cell and M >= 1 cells")
+        if not onsite or not isinstance(self.M, (int, np.integer)) or self.M < 1:
+            raise ValueError(f"need q >= 1 sites per cell and an integer M >= 1, got M={self.M!r}")
         if not all(math.isfinite(v) for v in onsite):
             raise ValueError(f"onsite energies {onsite} are not all finite")
         object.__setattr__(self, "onsite", onsite)

@@ -99,10 +99,10 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     given ``egrid`` must be a 1-d, ascending array of energies with no NaN,
     and is checked before anything is solved; -inf and +inf give 0 and 1.
     """
-    if kgrid < 1:
-        raise ValueError(f"need at least one quadrature node, got kgrid={kgrid}")
-    if egrid is None and points < 2:
-        raise ValueError(f"need at least two energies, got points={points}")
+    if not isinstance(kgrid, (int, np.integer)) or kgrid < 1:
+        raise ValueError(f"need a positive integer number of nodes, got kgrid={kgrid!r}")
+    if egrid is None and (not isinstance(points, (int, np.integer)) or points < 2):
+        raise ValueError(f"need an integer number >= 2 of energies, got points={points!r}")
     if egrid is not None:
         egrid = np.asarray(egrid, dtype=float)
         if egrid.ndim != 1:
@@ -151,6 +151,8 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
 def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
     """Onsite energies 2*lam*cos(2*pi*n*p/q + phase) for n < sites, shape (2, sites):
     row 0 at phase 0, row 1 at phase pi/q."""
+    if not isinstance(sites, (int, np.integer)):
+        raise ValueError(f"direct-space site count must be an integer, got {sites!r}")
     if sites < params.flux.q:
         raise ValueError("direct-space truncation must cover at least one magnetic cell")
     # the onsite term is written out here, not taken from ``_edge_fibers``, so the
@@ -192,19 +194,14 @@ def direct_space_count(params: HarperParams, sites: int, energies) -> np.ndarray
 def farey_fractions(max_q: int) -> list:
     """All reduced fractions p/q in [0, 1) with q <= max_q, ascending.
 
-    Stern-Brocot/Farey next-term recurrence; no unreduced duplicates, so the
-    denominator of every row is the honest magnetic period.
+    No unreduced duplicates, so the denominator of every row is the honest
+    magnetic period.
     """
-    if max_q < 1:
-        raise ValueError("need a positive denominator bound")
-    out = [RationalFlux(0, 1)]
-    a, b, c, d = 0, 1, 1, max_q
-    while True:
-        step = (max_q + b) // d
-        a, b, c, d = c, d, step * c - a, step * d - b
-        if (a, b) == (1, 1):
-            return out
-        out.append(RationalFlux(a, b))
+    if not isinstance(max_q, (int, np.integer)) or max_q < 1:
+        raise ValueError(f"need a positive integer denominator bound, got {max_q!r}")
+    # the double p/q is an exact sort key: distinct fractions differ by >= 1/max_q^2 >> ulp
+    return sorted((RationalFlux(p, q) for q in range(1, max_q + 1) for p in range(q)
+                   if math.gcd(p, q) == 1), key=lambda flux: flux.value)
 
 
 def butterfly(max_q: int, lam: float = 1.0) -> list:

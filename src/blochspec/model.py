@@ -36,8 +36,8 @@ class EigensolverError(RuntimeError):
 
 def uniform_k_grid(n: int) -> np.ndarray:
     """n equally spaced quasimomenta in [0, 2*pi), endpoint excluded."""
-    if n < 1:
-        raise ValueError("k-grid needs at least one point")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"k-grid needs a positive integer number of points, got {n!r}")
     return TWO_PI * np.arange(n) / n
 
 

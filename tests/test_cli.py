@@ -174,6 +174,14 @@ def test_main_writes_the_output_file_without_echoing_its_path(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_empty_output_path_is_usage_error(capsys):
+    # an empty path is a path that cannot be opened, not a request for stdout
+    assert main(["algebra-check", "--flux", "1/3", "--output", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
     # exit 1 means a failed check; a path that cannot be written is bad input
@@ -210,10 +218,10 @@ def test_config_echo_keeps_its_keys_in_order(tmp_path, argv, keys):
 def test_payloads_and_rows_hold_only_builtins(argv):
     # json.dumps and the CSV cells format builtins; a numpy scalar would print
     # differently (np.float64(...)), so the commands convert arrays once, and
-    # no cell is None
+    # no cell is None.  Tuples (the band pairs of a BandSet) encode as lists.
     def walk(value):
-        assert type(value) in (dict, list, str, int, float, bool), type(value)
-        if isinstance(value, (dict, list)):
+        assert type(value) in (dict, list, tuple, str, int, float, bool), type(value)
+        if isinstance(value, (dict, list, tuple)):
             for item in value.values() if isinstance(value, dict) else value:
                 walk(item)
 

@@ -338,6 +338,15 @@ def test_cell_rejects_non_finite_onsite_energies(value):
         DiscreteCell(M=3, onsite=(value, 0.0))
 
 
+def test_cell_takes_only_an_integer_cell_count():
+    # M = 2.5 would make a "5-site" ring whose fiber union has 6 eigenvalues
+    with pytest.raises(ValueError, match="integer M"):
+        DiscreteCell(M=2.5, onsite=(0.3, -0.7))
+    cell = DiscreteCell(M=np.int64(3), onsite=(0.3, -0.7))
+    assert np.array_equal(fiber_union_spectrum(cell),
+                          fiber_union_spectrum(DiscreteCell(M=3, onsite=(0.3, -0.7))))
+
+
 def test_transform_rejects_wrong_length():
     with pytest.raises(ValueError):
         discrete_bloch_transform(np.zeros(5), DiscreteCell(M=3, onsite=(0.0, 0.0)))

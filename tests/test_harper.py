@@ -258,6 +258,14 @@ def test_direct_space_count_takes_infinities():
     assert direct_space_count(params(1, 3), 30, [-np.inf, np.inf]).tolist() == [[0, 30]] * 2
 
 
+def test_direct_space_count_takes_only_an_integer_site_count():
+    # 30.5 sites would count the 31-site chain of np.arange(30.5)
+    with pytest.raises(ValueError, match="integer"):
+        direct_space_count(params(1, 3), 30.5, [0.0])
+    assert np.array_equal(direct_space_count(params(1, 3), np.int64(30), [0.0, 1.0]),
+                          direct_space_count(params(1, 3), 30, [0.0, 1.0]))
+
+
 def test_second_row_counts_the_chain_at_phase_pi_over_q():
     # at flux 0/1 the phase pi/q = pi turns the diagonal +2 into -2: top
     # eigenvalue -2 + 2 cos(pi / 51), below every eigenvalue of row 0
@@ -287,6 +295,12 @@ def test_farey_enumeration_matches_brute_force(max_q):
 def test_farey_rejects_bad_bound():
     with pytest.raises(ValueError):
         farey_fractions(0)
+
+
+def test_farey_takes_only_an_integer_bound():
+    with pytest.raises(ValueError, match="integer"):
+        farey_fractions(2.5)
+    assert farey_fractions(np.int64(7)) == farey_fractions(7)
 
 
 # ---------------------------------------------------------------- butterflies

@@ -119,6 +119,20 @@ def test_ids_rejects_a_grid_that_is_not_one_dimensional(monkeypatch, egrid, shap
         ids(params(1, 3), egrid=egrid)
 
 
+@pytest.mark.parametrize("sizes", [{"kgrid": 2.5}, {"points": 2.5}], ids=["kgrid", "points"])
+def test_ids_takes_only_integer_sizes(monkeypatch, sizes):
+    # kgrid = 2.5 would sum 3 nodes and divide by 2.5
+    def no_edges(_params):
+        raise AssertionError("the edge fibers were solved before the sizes were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harper, "_edge_fibers", no_edges)
+        with pytest.raises(ValueError, match="integer"):
+            ids(params(1, 3), **sizes)
+    numpy_sizes = {name: np.int64(8) for name in ("kgrid", "points")}
+    assert np.array_equal(ids(params(1, 3), **numpy_sizes), ids(params(1, 3), kgrid=8, points=8))
+
+
 def test_ids_is_monotone_on_fine_grids():
     for q in range(1, 21):
         for p in range(q):

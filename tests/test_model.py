@@ -189,3 +189,10 @@ def test_uniform_k_grid_half_open():
     assert ks[0] == 0.0 and ks[-1] < 2 * np.pi and len(ks) == 8
     with pytest.raises(ValueError):
         uniform_k_grid(0)
+
+
+def test_uniform_k_grid_takes_only_integer_sizes():
+    # 2.5 would give the 3 points of np.arange(2.5), spaced 2*pi/2.5
+    with pytest.raises(ValueError, match="integer"):
+        uniform_k_grid(2.5)
+    assert np.array_equal(uniform_k_grid(np.int64(8)), uniform_k_grid(8))
