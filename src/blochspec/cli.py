@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import algebra, assembly, fibering, harper, svgplot
-from .model import EigensolverError, FourierPotential, RationalFlux
+from .model import EigensolverError, FourierPotential, RationalFlux, checked_int
 
 SCHEMA = 2
 
@@ -253,8 +253,7 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
 def _cmd_oracle_check(ns: argparse.Namespace):
     # every echoed parameter is validated before any check runs
     params = harper.HarperParams(flux=_flux(ns.flux), lam=ns.lam)
-    if ns.sites < params.flux.q:
-        raise ValueError("direct-space truncation must cover at least one magnetic cell")
+    checked_int(ns.sites, "site count", least=params.flux.q)
     rng = random.Random(ns.seed)
     checks = {"unitarity": _oracle_unitarity(rng), "union": _oracle_union(rng),
               "direct_space": _oracle_direct_space(params, ns.sites)}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .model import TWO_PI, FourierPotential, eigensolve, tridiagonal, uniform_k_grid
+from .model import TWO_PI, FourierPotential, checked_int, eigensolve, tridiagonal, uniform_k_grid
 
 DEFAULT_CUTOFF = 32
 DEFAULT_BANDS = 8
@@ -36,10 +36,11 @@ class DiscreteCell:
 
     def __post_init__(self):
         onsite = tuple(float(v) for v in self.onsite)
-        if not onsite or not isinstance(self.M, (int, np.integer)) or self.M < 1:
-            raise ValueError(f"need q >= 1 sites per cell and an integer M >= 1, got M={self.M!r}")
+        if not onsite:
+            raise ValueError("need q >= 1 sites per cell")
         if not all(math.isfinite(v) for v in onsite):
             raise ValueError(f"onsite energies {onsite} are not all finite")
+        object.__setattr__(self, "M", checked_int(self.M, "M"))
         object.__setattr__(self, "onsite", onsite)
 
     @property
@@ -78,14 +79,11 @@ def _fibers(potential: FourierPotential, cutoff: int, ks):
 def _fiber_eigenvalues(potential: FourierPotential, cutoff: int, ks, bands: int):
     """Lowest ``bands`` fiber eigenvalues at each k in ``ks``, shape (len(ks), bands).
 
-    The cutoff must cover every potential frequency, which rejects every
-    negative cutoff before the band count is checked against 2*cutoff + 1.
+    Both are integers, and the cutoff covers every potential frequency (so it is
+    not negative) before the band count is checked against 2*cutoff + 1.
     """
-    if cutoff < potential.max_frequency:
-        raise ValueError(f"cutoff N={cutoff} cannot represent the potential "
-                         f"(max frequency {potential.max_frequency})")
-    if bands < 1:
-        raise ValueError("need at least one band")
+    cutoff = checked_int(cutoff, "cutoff", least=potential.max_frequency)
+    bands = checked_int(bands, "bands")
     if bands > 2 * cutoff + 1:
         raise ValueError(f"requested {bands} bands from a {2 * cutoff + 1}-dimensional fiber")
     energies = np.empty((len(ks), bands))
@@ -106,11 +104,9 @@ def band_sweep(potential: FourierPotential, cutoff: int,
     fiber at k on the lowest-kinetic window -cutoff-1..cutoff-1.
     """
     ks = uniform_k_grid(kpoints)
-    half = kpoints // 2 + 1
-    energies = np.empty((kpoints, bands))
-    energies[:half] = _fiber_eigenvalues(potential, cutoff, ks[:half], bands)
-    energies[half:] = energies[kpoints - half:0:-1]
-    return ks, energies
+    half = len(ks) // 2 + 1
+    solved = _fiber_eigenvalues(potential, cutoff, ks[:half], bands)
+    return ks, np.concatenate((solved, solved[len(ks) - half:0:-1]))
 
 
 def band_structure(potential: FourierPotential, cutoff: int,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .model import TWO_PI, RationalFlux, eigensolve, tridiagonal
+from .model import TWO_PI, RationalFlux, checked_energies, checked_int, eigensolve, tridiagonal
 
 # largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
 # stay finite with room for eigensolver roundoff in the band edges
@@ -99,16 +99,11 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     given ``egrid`` must be a 1-d, ascending array of energies with no NaN,
     and is checked before anything is solved; -inf and +inf give 0 and 1.
     """
-    if not isinstance(kgrid, (int, np.integer)) or kgrid < 1:
-        raise ValueError(f"need a positive integer number of nodes, got kgrid={kgrid!r}")
-    if egrid is None and (not isinstance(points, (int, np.integer)) or points < 2):
-        raise ValueError(f"need an integer number >= 2 of energies, got points={points!r}")
-    if egrid is not None:
-        egrid = np.asarray(egrid, dtype=float)
-        if egrid.ndim != 1:
-            raise ValueError(f"IDS energy grid must be one-dimensional, got shape {egrid.shape}")
-        if np.isnan(egrid).any():
-            raise ValueError("IDS energy grid contains NaN")
+    kgrid = checked_int(kgrid, "kgrid")
+    if egrid is None:
+        points = checked_int(points, "points", least=2)
+    else:
+        egrid = checked_energies(egrid, "IDS energy grid")
         if np.any(np.diff(egrid) < 0):
             raise ValueError("IDS energy grid must be ascending")
     fibers = _edge_fibers(params)
@@ -151,10 +146,7 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
 def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
     """Onsite energies 2*lam*cos(2*pi*n*p/q + phase) for n < sites, shape (2, sites):
     row 0 at phase 0, row 1 at phase pi/q."""
-    if not isinstance(sites, (int, np.integer)):
-        raise ValueError(f"direct-space site count must be an integer, got {sites!r}")
-    if sites < params.flux.q:
-        raise ValueError("direct-space truncation must cover at least one magnetic cell")
+    sites = checked_int(sites, "site count", least=params.flux.q)  # one magnetic cell
     # the onsite term is written out here, not taken from ``_edge_fibers``, so the
     # direct-space oracle stays an independent definition of the operator
     n, phase = np.arange(sites), np.array([[0.0], [np.pi / params.flux.q]])
@@ -175,11 +167,7 @@ def direct_space_count(params: HarperParams, sites: int, energies) -> np.ndarray
     ``energies`` must be 1-d with no NaN, checked before the pass; -inf and
     +inf count 0 and ``sites``.
     """
-    e = np.asarray(energies, dtype=float)
-    if e.ndim != 1:
-        raise ValueError(f"direct-space energies must be one-dimensional, got shape {e.shape}")
-    if np.isnan(e).any():
-        raise ValueError("direct-space energies contain NaN")
+    e = checked_energies(energies, "direct-space energies")
     tiny = np.finfo(float).tiny
     count = np.zeros((2, e.size), dtype=int)
     inv = np.zeros((2, e.size))
@@ -197,8 +185,7 @@ def farey_fractions(max_q: int) -> list:
     No unreduced duplicates, so the denominator of every row is the honest
     magnetic period.
     """
-    if not isinstance(max_q, (int, np.integer)) or max_q < 1:
-        raise ValueError(f"need a positive integer denominator bound, got {max_q!r}")
+    max_q = checked_int(max_q, "max_q")
     # the double p/q is an exact sort key: distinct fractions differ by >= 1/max_q^2 >> ulp
     return sorted((RationalFlux(p, q) for q in range(1, max_q + 1) for p in range(q)
                    if math.gcd(p, q) == 1), key=lambda flux: flux.value)

@@ -34,10 +34,30 @@ class EigensolverError(RuntimeError):
         self.k = k
 
 
+def checked_int(value, what: str, least: int = 1) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, of at least ``least``.
+
+    Anything else raises ValueError, so a float or bool size never becomes a
+    silent wrong number (np.arange(2.5) has 3 points; True counts as 1).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"need an integer {what} >= {least}, got {value!r}")
+    return int(value)
+
+
+def checked_energies(values, what: str) -> np.ndarray:
+    """``values`` as a 1-d float array with no NaN (infinities pass), else ValueError."""
+    energies = np.asarray(values, dtype=float)
+    if energies.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {energies.shape}")
+    if np.isnan(energies).any():
+        raise ValueError(f"{what} must hold no NaN")
+    return energies
+
+
 def uniform_k_grid(n: int) -> np.ndarray:
     """n equally spaced quasimomenta in [0, 2*pi), endpoint excluded."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"k-grid needs a positive integer number of points, got {n!r}")
+    n = checked_int(n, "k-grid size")
     return TWO_PI * np.arange(n) / n
 
 
@@ -124,15 +144,13 @@ class RationalFlux:
     q: int
 
     def __post_init__(self):
-        p, q = self.p, self.q
-        if not (isinstance(p, int) and isinstance(q, int)):
-            raise ValueError("flux numerator and denominator must be integers")
-        if q <= 0:
-            raise ValueError(f"flux denominator must be positive, got {q}")
-        if not (0 <= p < q):
+        q, p = checked_int(self.q, "flux denominator"), checked_int(self.p, "flux numerator", 0)
+        if p >= q:
             raise ValueError(f"flux must satisfy 0 <= p < q, got {p}/{q}")
         if math.gcd(p, q) != 1:
             raise ValueError(f"flux {p}/{q} is not reduced")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def parse(cls, text: str) -> "RationalFlux":

@@ -1,10 +1,21 @@
 """Domain types, the tridiagonal builder and the eigensolver boundary."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochspec import (
+    DiscreteCell,
+    HarperParams,
+    band_structure,
+    band_sweep,
+    direct_space_count,
+    farey_fractions,
+    ids,
+)
 from blochspec.model import (
     POTENTIAL_MAX,
     EigensolverError,
@@ -196,3 +207,35 @@ def test_uniform_k_grid_takes_only_integer_sizes():
     with pytest.raises(ValueError, match="integer"):
         uniform_k_grid(2.5)
     assert np.array_equal(uniform_k_grid(np.int64(8)), uniform_k_grid(8))
+
+
+COSINE = FourierPotential({1: 1.0})
+FLUX_1_3 = HarperParams(flux=RationalFlux(1, 3))
+
+# every size the library takes: a call passing the size on, and a valid size
+SIZES = {
+    "uniform_k_grid-n": (uniform_k_grid, 4),
+    "RationalFlux-p": (lambda p: RationalFlux(p, 3), 1),
+    "RationalFlux-q": (lambda q: RationalFlux(1, q), 3),
+    "DiscreteCell-M": (lambda m: DiscreteCell(M=m, onsite=(0.3, -0.7)), 3),
+    "band_sweep-cutoff": (lambda n: band_sweep(COSINE, n, 2, 3), 4),
+    "band_sweep-bands": (lambda b: band_sweep(COSINE, 4, b, 3), 2),
+    "band_sweep-kpoints": (lambda k: band_sweep(COSINE, 4, 2, k), 3),
+    "band_structure-cutoff": (lambda n: band_structure(COSINE, n, bands=2), 4),
+    "band_structure-bands": (lambda b: band_structure(COSINE, 4, b), 2),
+    "ids-kgrid": (lambda n: ids(FLUX_1_3, kgrid=n, points=8), 4),
+    "ids-points": (lambda n: ids(FLUX_1_3, kgrid=4, points=n), 8),
+    "direct_space_count-sites": (lambda n: direct_space_count(FLUX_1_3, n, [0.0, 1.0]), 30),
+    "farey_fractions-max_q": (farey_fractions, 5),
+}
+
+
+@pytest.mark.parametrize("call, size", SIZES.values(), ids=SIZES.keys())
+def test_every_size_is_a_python_or_numpy_integer(call, size):
+    # True would count as 1, and a float would reach range() or a numpy shape
+    for bad in (True, float(size)):
+        with pytest.raises(ValueError, match="integer"):
+            call(bad)
+    # pickle bytes compare values and their types, so a numpy integer kept in
+    # the result (DiscreteCell(M=np.int64(3)).M) shows
+    assert pickle.dumps(call(np.int64(size))) == pickle.dumps(call(size))
