@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -229,7 +230,7 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     """
     q = params.flux.q
     m, r = divmod(sites, q)
-    eta = ORACLE_ROUNDOFF * sites * max(1.0, 2.0 + 2.0 * params.lam)
+    eta = ORACLE_ROUNDOFF * sites * (2.0 + 2.0 * params.lam)
     spectrum = harper.harper_spectrum(params)
     gaps = [(a, b) for a, b in assembly.interior_gaps(spectrum) if b - a > 2 * eta]
     energies = np.array([spectrum.intervals[0][0] - eta]
@@ -301,15 +302,16 @@ def run(ns: argparse.Namespace) -> int:
         text = render_csv(ns, *table(payload))
     else:
         text = svg(payload, " ".join(_meta_fields(ns)))
-    if ns.output is not None:
-        try:
-            fh = open(ns.output, "w", encoding="utf-8")
-        except OSError as exc:  # the path is bad input, not a failed check
-            raise ValueError(f"cannot open output file: {exc}") from None
-        with fh:
+    try:  # a path, disk or pipe that cannot take the report is bad input, not a failed check
+        with (open(ns.output, "w", encoding="utf-8") if ns.output is not None
+              else contextlib.nullcontext(sys.stdout)) as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.flush()
+    except OSError as exc:
+        if ns.output is None:  # closed, so that interpreter exit does not retry the write
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        raise ValueError(f"cannot write the report: {exc}") from None
     if payload.get("pass") is False:
         _emit_error("verification", "one or more oracle checks failed")
         return 1

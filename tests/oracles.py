@@ -2,8 +2,9 @@
 Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
 their spectral projections, block-circulant synthesis, the eigenvalues of the
 open direct-space chain and of the closed ring, a misplaced second edge fiber
-to plant in place of the true ones, the distance from values to a band set,
-and the Chambers discriminant in high-precision decimal arithmetic.
+to plant in place of the true ones, the lattice Chern number of the lowest
+bands, the distance from values to a band set, and the Chambers discriminant
+in high-precision decimal arithmetic.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids`` or
@@ -135,6 +136,28 @@ def second_fiber_at_k2_zero(params):
     (0, 0) and (pi, pi/q), shape (2, q): the Chambers extremum put in the
     wrong place."""
     return np.linalg.eigvalsh(bloch_matrices(params, [0.0, np.pi], [0.0, 0.0]))
+
+
+def lattice_chern(params, j: int, n: int) -> float:
+    """Chern number of the lowest j Bloch bands on the n x n grid of (k1, k2) in
+    [0, 2 pi)^2 (Fukui-Hatsugai-Suzuki 2005).
+
+    A link is det(Psi(k)^dagger Psi(k + delta)) / |det| for the lowest j
+    eigenvectors Psi of ``bloch_matrices``, which are 2 pi periodic in k1 and
+    k2, so the grid closes.  A plaquette's field strength is the argument of
+    its four links, U1(k) U2(k + delta1) U1(k + delta2)* U2(k)*, and the sum
+    over the grid is 2 pi C.  Band j must not touch band j + 1, or a link is 0/0.
+    """
+    k = k_grid(n)
+    psi = np.linalg.eigh(bloch_matrices(params, k[:, None], k[None, :]))[1][..., :j]
+
+    def link(axis):
+        u = np.linalg.det(psi.conj().swapaxes(-1, -2) @ np.roll(psi, -1, axis=axis))
+        return u / np.abs(u)
+
+    u1, u2 = link(0), link(1)
+    field = np.angle(u1 * np.roll(u2, -1, axis=0) * np.roll(u1, -1, axis=1).conj() * u2.conj())
+    return float(field.sum()) / (2 * np.pi)
 
 
 def distance_to_bands(bands, values) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI surface: formats, metadata headers, determinism, and error records."""
 
+import io
 import json
 import math
 import os
@@ -190,6 +191,53 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_stdout_that_cannot_take_the_report_is_usage_error(monkeypatch):
+    # a stand-in, not capsys's stream: the failing stdout is closed
+    stdout, stderr = _FullStream(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["algebra-check", "--flux", "1/3"]) == 2
+    assert stdout.closed
+    (line,) = stderr.getvalue().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "usage"
+    assert "cannot write the report" in record["message"]
+
+
+# a report of about 300 B stays in a buffered stdout until interpreter exit; one of
+# about 25 kB is written at once; --output fails on its own file
+FULL_DISK = [
+    (["algebra-check", "--flux", "1/2"], "1"),
+    (["algebra-check", "--flux", "1/2"], None),
+    (["ids", "--flux", "1/3"], "1"),
+    (["ids", "--flux", "1/3"], None),
+    (["ids", "--flux", "1/3", "--output", "/dev/full"], None),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", FULL_DISK,
+                         ids=["small-unbuffered", "small-buffered", "large-unbuffered",
+                              "large-buffered", "output-file"])
+def test_full_disk_ends_as_one_usage_record(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "blochspec", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "usage"
 
 
 # the config echo opens every output; its keys and their order are part of the bytes

@@ -13,6 +13,10 @@ and band endpoints are used, no IDS code.  The endpoints come from two
 sources: the sorted raw edge-fiber eigenvalues, with no band merging, and the
 output intervals of ``harper_spectrum``, whose merged centre interval at even
 q holds two bands.
+
+The label t is also checked against the lattice Chern number of the bands below
+the gap (Fukui-Hatsugai-Suzuki 2005), computed from the Bloch eigenvectors by
+``oracles.lattice_chern``: the Hall conductance of TKNN is C = -t.
 """
 
 import math
@@ -22,8 +26,10 @@ import pytest
 
 from blochspec import harper
 from blochspec.harper import HarperParams, farey_fractions, harper_spectrum
+from oracles import lattice_chern
 
 MAX_Q = 50
+CHERN_MAX_Q = 8
 HOELDER_CONSTANT = 6.0
 
 
@@ -84,3 +90,17 @@ def test_gap_labels_of_the_output_intervals_agree(lam):
     checked, failures = _label_failures(lam, _output_intervals)
     assert failures == []
     assert checked > 1000
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_gap_labels_are_minus_the_lattice_chern_numbers(lam):
+    checked = 0
+    for flux in farey_fractions(CHERN_MAX_Q):
+        params = HarperParams(flux=flux, lam=lam)
+        for j in range(1, flux.q):
+            if 2 * j == flux.q:  # the two centre bands touch: no gap, and a link is 0/0
+                continue
+            chern = lattice_chern(params, j, 2 * flux.q + 2)
+            assert chern == pytest.approx(-_label(j, flux.p, flux.q), abs=1e-9), (flux, j)
+            checked += 1
+    assert checked == 92  # every gap of every reduced p/q in (0, 1) with q <= 8
