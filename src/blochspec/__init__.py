@@ -8,7 +8,6 @@ trace-quantization mechanism behind band structure.
 
 __version__ = "0.1.0"
 
-from .algebra import clock_shift, commutation_residual
 from .assembly import (
     BandSet,
     interior_gaps,
@@ -35,6 +34,8 @@ from .model import (
     EigensolverError,
     FourierPotential,
     RationalFlux,
+    clock_shift,
+    commutation_residual,
     uniform_k_grid,
 )
 

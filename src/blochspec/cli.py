@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__ as VERSION
-from . import algebra, assembly, fibering, harper, svgplot
+from . import assembly, fibering, harper, model, svgplot
 from .model import EigensolverError, FourierPotential, RationalFlux, checked_int
 
 SCHEMA = 2
@@ -161,15 +161,15 @@ def _table_ids(payload: dict):
 
 def _cmd_algebra_check(ns: argparse.Namespace):
     flux = _flux(ns.flux)
-    U, V, omega = algebra.clock_shift(flux)
+    U, V, omega = model.clock_shift(flux)
     return {
         "p": flux.p,
         "q": flux.q,
         "omega_re": omega.real,
         "omega_im": omega.imag,
-        "unitarity_residual_u": algebra.unitarity_residual(U),
-        "unitarity_residual_v": algebra.unitarity_residual(V),
-        "cocycle_residual": algebra.commutation_residual(U, V, omega),
+        "unitarity_residual_u": model.unitarity_residual(U),
+        "unitarity_residual_v": model.unitarity_residual(V),
+        "cocycle_residual": model.commutation_residual(U, V, omega),
         "band_count_bound": flux.q,
     }
 

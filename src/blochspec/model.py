@@ -1,10 +1,13 @@
-"""Shared domain types, the tridiagonal fiber builder and the eigensolver boundary.
+"""Shared domain types, the tridiagonal fiber builder, the clock/shift pair and
+the eigensolver boundary.
 
 Everything downstream (fiber matrices, Harper band edges, the truncation
 oracles) reduces to diagonalizing dense Hermitian matrices.  The types that
 describe an operator make it self-adjoint (a real potential, real onsite
 energies, unit hopping), so every builder's matrices are Hermitian by
-construction, and ``eigensolve`` is the one place that calls LAPACK.
+construction, and ``eigensolve`` is the one place that calls LAPACK.  The
+clock/shift residuals take their norms here too, so ``numpy.linalg`` stays in
+this one module.
 """
 
 from __future__ import annotations
@@ -105,12 +108,11 @@ class FourierPotential:
     def __post_init__(self):
         clean = {}
         for n, v in self.coefficients.items():
-            if n != int(n):
-                raise ValueError(f"frequency {n!r} is not an integer")
+            n = checked_int(n, "frequency", least=-math.inf)
             v = complex(v)
             if not cmath.isfinite(v):
                 raise ValueError(f"coefficient v({n}) = {v} is not finite")
-            clean[int(n)] = v
+            clean[n] = v
         for n in list(clean):
             clean.setdefault(-n, clean[n].conjugate())
         if 8 * sum(abs(v / 8) for v in clean.values()) > POTENTIAL_MAX:  # v / 8: abs stays finite
@@ -170,6 +172,34 @@ class RationalFlux:
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
+
+
+def clock_shift(flux: RationalFlux) -> tuple:
+    """Clock and shift matrices (U, V, omega): the standard q-dimensional pair for flux p/q.
+
+    U = diag(omega^j), V the cyclic shift, omega = exp(2*pi*i*p/q), so that
+    U V = omega V U; both are unitary by construction.  omega is a Python
+    complex.  For q = 1 this degenerates to the commuting pair ([1], [1]).
+    """
+    q = flux.q
+    omega = np.exp(2j * np.pi * flux.p / q)
+    U = np.diag(omega ** np.arange(q))
+    V = np.zeros((q, q), dtype=complex)
+    V[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
+    return U, V, complex(omega)
+
+
+def unitarity_residual(U) -> float:
+    """Frobenius norm of U U* - 1."""
+    U = np.asarray(U, dtype=complex)
+    return float(np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0])))
+
+
+def commutation_residual(U, V, omega) -> float:
+    """Frobenius norm of U V - omega V U."""
+    U = np.asarray(U, dtype=complex)
+    V = np.asarray(V, dtype=complex)
+    return float(np.linalg.norm(U @ V - omega * (V @ U)))
 
 
 def eigensolve(mats, flux=None, k=None) -> np.ndarray:

@@ -3,8 +3,9 @@ Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
 their spectral projections, block-circulant synthesis, the eigenvalues of the
 open direct-space chain and of the closed ring, a misplaced second edge fiber
 to plant in place of the true ones, the lattice Chern number of the lowest
-bands, the distance from values to a band set, and the Chambers discriminant
-in high-precision decimal arithmetic.
+bands, the distance from values to a band set, the Chambers discriminant
+in high-precision decimal arithmetic, and Hill's half-period functions of a
+1d potential, integrated as an ODE with no plane-wave basis.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids`` or
@@ -12,6 +13,7 @@ with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids`` or
 """
 
 import decimal
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -168,6 +170,84 @@ def distance_to_bands(bands, values) -> np.ndarray:
         outside = np.minimum(np.abs(x - a), np.abs(x - b))
         d = np.minimum(d, np.where((x >= a) & (x <= b), 0.0, outside))
     return d
+
+
+def plane_wave_radius(potential, cutoff: int) -> float:
+    """The eigensolver's error 8 n eps ||H|| on the n = 2 cutoff + 1 plane-wave
+    fibers at k in [0, pi], with ||H|| <= (pi n)^2 + sum |v(n)|."""
+    n = 2 * cutoff + 1
+    norm = (np.pi * n) ** 2 + sum(abs(v) for v in potential.coefficients.values())
+    return 8 * n * np.finfo(float).eps * norm
+
+
+def hill_half_period(potential, energies, steps: int) -> np.ndarray:
+    """u1, u1', u2 and u2' at x = 1/2 for -u'' + V u = E u, shape (4, len(energies)).
+
+    u1 and u2 start from (u, u') = (1, 0) and (0, 1) at x = 0.  The coefficients
+    must be real, so that V(x) = sum_n v(n) cos(2 pi n x) is even; then Hill's
+    discriminant splits at the half period, Delta - 2 = 4 u1'(1/2) u2(1/2) and
+    Delta + 2 = 4 u1(1/2) u2'(1/2) (Magnus-Winkler, Hill's Equation, 1966).  A
+    complex coefficient makes V real but not even, and the split fails.
+
+    Each of the ``steps`` steps of length h over [0, 1/2] is a fourth-order Magnus
+    step with two Gauss points: y = (u, u') solves y' = A y, A = [[0, 1], [V - E, 0]],
+    and the step's exponent h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] = [[c, h], [b, -c]]
+    is traceless, so its exponential is C + S times it, with C = cosh s and
+    S = sinh(s)/s for s^2 = c^2 + h b (cos s and sin(s)/s where s^2 <= 0).
+    """
+    if any(v.imag for v in potential.coefficients.values()):
+        raise ValueError("the half-period split needs an even potential: real coefficients")
+    energies = np.asarray(energies, dtype=float)
+    h = 0.5 / steps
+    x = h * (np.arange(steps)[:, None] + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6)
+    V = sum((v.real * np.cos(2 * np.pi * n * x) for n, v in potential.coefficients.items()),
+            np.zeros_like(x))
+    u = np.stack([np.ones_like(energies), np.zeros_like(energies)])  # u1, u2
+    du = np.stack([np.zeros_like(energies), np.ones_like(energies)])  # u1', u2'
+    for v1, v2 in V:
+        c = math.sqrt(3) / 12 * h * h * (v1 - v2)
+        b = 0.5 * h * (v1 + v2) - h * energies
+        s2 = c * c + h * b
+        s = np.sqrt(np.abs(s2))
+        osc = s2 <= 0
+        C = np.where(osc, np.cos(s), np.cosh(s))
+        S = np.where(osc, np.sinc(s / np.pi),
+                     np.divide(np.sinh(s), s, out=np.ones_like(s), where=~osc))
+        u, du = (C + S * c) * u + (S * h) * du, (S * b) * u + (C - S * c) * du
+    return np.stack([u[0], du[0], u[1], du[1]])
+
+
+# rows of ``hill_half_period`` that vanish at the periodic (k = 0) and the
+# antiperiodic (k = pi) band edges
+HILL_PARITY = ((1, 2), (0, 3))
+
+
+def hill_edge_misses(potential, edges, radius, steps: int = 1600) -> tuple:
+    """Which 1d band edges no parity function of their fiber brackets.
+
+    ``edges`` has shape (2, m): row 0 from the k = 0 fiber, row 1 from k = pi;
+    ``radius`` broadcasts against it.  Edge e passes when one of its fiber's two
+    functions f changes sign within r = radius + d / |f'| of e, where d, the
+    larger step-halving difference |f_steps - f_2steps| at e -/+ radius, is the
+    ODE's error.  Taking f linear on [e - radius, e + radius], that holds
+    exactly when f(e - radius) and f(e + radius) have opposite signs or one of
+    them lies within d of zero.  Returns (missed, r), each of the shape of
+    ``edges``, with r from the function of the two that gives the smaller.
+    """
+    edges = np.asarray(edges, dtype=float)
+    radius = np.broadcast_to(radius, edges.shape)
+    ends = edges + np.multiply.outer([-1.0, 1.0], radius)  # (end, fiber, edge)
+
+    def parity_values(n):  # (function, end, fiber, edge)
+        u = hill_half_period(potential, ends.ravel(), n).reshape((4,) + ends.shape)
+        return np.stack([u[list(rows), :, k] for k, rows in enumerate(HILL_PARITY)], axis=2)
+
+    coarse, fine = parity_values(steps), parity_values(2 * steps)
+    err = np.abs(fine - coarse).max(axis=1)
+    lo, hi = fine[:, 0], fine[:, 1]
+    bracketed = np.abs(lo + hi) <= np.abs(lo - hi) + 2 * err
+    r = radius + np.min(2 * radius * err / np.abs(hi - lo), axis=0)
+    return ~bracketed.any(axis=0), r
 
 
 def _decimal_pi() -> Decimal:

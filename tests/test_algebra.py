@@ -9,7 +9,6 @@ import pytest
 
 from oracles import bloch_matrix_family, canonical_trace, spectral_projections
 
-from blochspec.algebra import clock_shift, commutation_residual, unitarity_residual
 from blochspec.assembly import interior_gaps
 from blochspec.harper import (
     HarperParams,
@@ -17,7 +16,7 @@ from blochspec.harper import (
     harper_spectrum,
     ids,
 )
-from blochspec.model import RationalFlux
+from blochspec.model import RationalFlux, clock_shift, commutation_residual, unitarity_residual
 
 
 def params(p, q, lam=1.0):

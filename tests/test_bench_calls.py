@@ -1,15 +1,20 @@
 """Every CLI call of the benchmark's workloads at seeds 0 and 1, run in process:
 it exits 0, passes the benchmark's own output check and reruns to the same
-bytes, so an output the benchmark would count as incorrect fails here first."""
+bytes, so an output the benchmark would count as incorrect fails here first.
+The band edges of each ``bands`` call are also checked against Hill's ODE."""
 
 import contextlib
 import importlib.util
 import io
+import math
 from pathlib import Path
 
 import pytest
 
-from blochspec.cli import main
+from oracles import hill_edge_misses, plane_wave_radius
+
+from blochspec.cli import build_parser, main, parse_potential
+from blochspec.fibering import _fiber_eigenvalues
 
 _spec = importlib.util.spec_from_file_location(
     "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
@@ -34,3 +39,16 @@ def test_benchmark_call_passes_its_check_and_reruns_identically(argv, check):
     assert code == 0
     assert check(out) == []
     assert _stdout(argv) == (0, out)
+
+
+BANDS_CALLS = {key: argv for key, (argv, _) in CALLS.items() if argv[0] == "bands"}
+
+
+@pytest.mark.parametrize("argv", list(BANDS_CALLS.values()), ids=list(BANDS_CALLS))
+def test_benchmark_band_edges_are_zeros_of_hill_parity_functions(argv):
+    # the edges the call prints, checked against the ODE oracle (real coefficients)
+    ns = build_parser().parse_args(argv)
+    potential = parse_potential(ns.potential)
+    edges = _fiber_eigenvalues(potential, ns.cutoff, (0.0, math.pi), ns.bands)
+    missed, _ = hill_edge_misses(potential, edges, plane_wave_radius(potential, ns.cutoff))
+    assert not missed.any()

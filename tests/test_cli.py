@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochspec import algebra, cli, fibering, harper
+from blochspec import cli, fibering, harper, model
 from blochspec.cli import MAX_DIM, MAX_GRID, MAX_Q, build_parser, main, parse_potential
 from blochspec.harper import LAM_MAX, HarperParams, ids
 from blochspec.model import RationalFlux
@@ -597,7 +597,7 @@ def no_builders(monkeypatch):
         raise Reached
 
     for owner, name in ((fibering, "_fibers"), (harper, "tridiagonal"),
-                        (algebra, "clock_shift")):
+                        (model, "clock_shift")):
         monkeypatch.setattr(owner, name, reached)
 
 

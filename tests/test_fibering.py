@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_circulant_from_fibers, branch_ranges, distance_to_bands
+from oracles import (
+    block_circulant_from_fibers,
+    branch_ranges,
+    distance_to_bands,
+    hill_edge_misses,
+    plane_wave_radius,
+)
 
 from blochspec import assembly
 from blochspec.fibering import (
@@ -181,7 +187,7 @@ PERIOD_FIXTURES = [HALF_PERIOD, FourierPotential({3: 1.0, 6: 0.5}),
 def test_gaps_closed_by_the_primitive_period_split_only_by_roundoff(monkeypatch, potential,
                                                                     cutoff):
     # the raw edges of every gap that band_structure passes as closed differ by at
-    # most the eigensolver's error 8 n eps |H|, n = 2N + 1, |H| = (pi n)^2 + sum |v|
+    # most the eigensolver's error 8 n eps |H|
     seen = []
     merge = assembly.bands_from_edges
 
@@ -192,11 +198,9 @@ def test_gaps_closed_by_the_primitive_period_split_only_by_roundoff(monkeypatch,
     monkeypatch.setattr(assembly, "bands_from_edges", spy)
     band_structure(potential, cutoff, 12)
     (e, closed), = seen
-    n = 2 * cutoff + 1
-    norm = (np.pi * n) ** 2 + sum(abs(v) for v in potential.coefficients.values())
     for j in range(1, 12):
         if j in closed:
-            assert abs(e[2 * j] - e[2 * j - 1]) <= 8 * n * np.finfo(float).eps * norm, j
+            assert abs(e[2 * j] - e[2 * j - 1]) <= plane_wave_radius(potential, cutoff), j
 
 
 # ---------------------------------------------------------------- real fibers, one builder
@@ -241,6 +245,53 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     assert_close(bandset.intervals, oracle.intervals)
     # the samples never leave the band intervals built from the same arithmetic
     assert distance_to_bands(bandset, energies).max() <= 1e-9 * np.abs(energies).max()
+
+
+# ---------------------------------------------------------------- Hill's discriminant
+
+# each potential with the sorted positions (1 = lowest) of its cutoff-8 edges,
+# of 17 bands, that the ODE flags: the top of the 17-dimensional window is
+# truncation-limited (defect H).  These edges lie 2.6e-10 to 2.7e-3 from the
+# ODE's zeros, the edges below them at most 3.9e-11, and the radius
+# 8 n eps ||H|| is 8.6e-11
+HILL_CASES = {"cosine": (COSINE, list(range(27, 35))),
+              "901": (CONTINUUM[0], list(range(19, 35))),
+              "902": (CONTINUUM[1], list(range(19, 35)))}
+
+
+def edge_ranks(edges) -> np.ndarray:
+    """Position of each edge in the sorted list of all of them, 1 = lowest."""
+    return np.argsort(np.argsort(edges, axis=None)).reshape(np.shape(edges)) + 1
+
+
+@pytest.mark.parametrize("name", HILL_CASES)
+def test_band_edges_are_zeros_of_hill_parity_functions(name):
+    # every k = 0 edge is a zero of u1'(1/2) or u2(1/2), every k = pi edge one of
+    # u1(1/2) or u2'(1/2), found by an ODE with no plane-wave basis.  The split
+    # needs V even, so every potential here has real coefficients; a complex
+    # one makes V real but not even
+    (potential, truncated), cutoffs = HILL_CASES[name], (8, 16, 32, 64)
+    edges = [_fiber_eigenvalues(potential, c, (0.0, math.pi), 17) for c in cutoffs]
+    radius = np.repeat([plane_wave_radius(potential, c) for c in cutoffs], 17)
+    missed, _ = hill_edge_misses(potential, np.concatenate(edges, axis=1), radius)
+    flagged = [sorted(edge_ranks(e)[m].tolist())
+               for e, m in zip(edges, np.split(missed, len(cutoffs), axis=1))]
+    assert flagged == [truncated, [], [], []]
+
+
+@pytest.mark.parametrize("name", HILL_CASES)
+def test_hill_oracle_flags_planted_faults(name):
+    potential = HILL_CASES[name][0]
+    radius = plane_wave_radius(potential, 16)
+    edges = _fiber_eigenvalues(potential, 16, (0.0, math.pi), 17)
+    missed, r = hill_edge_misses(potential, edges, radius)
+    assert not missed.any()
+    # every edge moved by 10 r down and up, and the k = pi fiber solved at k = 0
+    wrong = _fiber_eigenvalues(potential, 16, (0.0, 0.0), 17)
+    planted = np.concatenate([edges - 10 * r, edges + 10 * r, wrong], axis=1)
+    down, up, swapped = np.split(hill_edge_misses(potential, planted, radius)[0], 3, axis=1)
+    assert down.all() and up.all()
+    assert swapped.tolist() == [[False] * 17, [True] * 17]  # only the k = pi row is wrong
 
 
 @pytest.mark.parametrize("potential", CONTINUUM, ids=["901", "902"])

@@ -11,19 +11,19 @@ from blochspec import cli
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blochspec"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# ``assembly`` is interval algebra and ``algebra`` the clock/shift pair over
-# ``model``; the operator modules sit on top of ``assembly``, and only the
-# front ends (``cli``, ``__init__``) reach across the package.  ``__init__``
-# stands for the package itself (``from . import __version__``).
+# ``assembly`` is interval algebra and ``model`` holds the shared types, the
+# clock/shift pair and the one LAPACK call; the operator modules sit on top of
+# both, and only the front ends (``cli``, ``__init__``) reach across the
+# package.  ``__init__`` stands for the package itself (``from . import
+# __version__``).
 EXPECTED = {
     "model": set(),
     "svgplot": set(),
     "assembly": set(),
     "fibering": {"assembly", "model"},
     "harper": {"assembly", "model"},
-    "algebra": {"model"},
-    "cli": {"__init__", "algebra", "assembly", "fibering", "harper", "model", "svgplot"},
-    "__init__": {"algebra", "assembly", "fibering", "harper", "model"},
+    "cli": {"__init__", "assembly", "fibering", "harper", "model", "svgplot"},
+    "__init__": {"assembly", "fibering", "harper", "model"},
     "__main__": {"cli"},
 }
 

@@ -138,6 +138,13 @@ def test_potential_rejects_non_finite_coefficients(value):
         FourierPotential({1: value, -1: complex(value).conjugate()})
 
 
+@pytest.mark.parametrize("frequency", [np.inf, -np.inf, np.nan])
+def test_potential_rejects_non_finite_frequencies(frequency):
+    # int(inf) would raise OverflowError, not the ValueError of every bad input
+    with pytest.raises(ValueError, match="integer frequency"):
+        FourierPotential({frequency: 1.0})
+
+
 def test_potential_norm_is_capped():
     # the cap is on the sum over both members of each pair, and is inclusive
     half = POTENTIAL_MAX / 2
@@ -215,6 +222,7 @@ FLUX_1_3 = HarperParams(flux=RationalFlux(1, 3))
 # every size the library takes: a call passing the size on, and a valid size
 SIZES = {
     "uniform_k_grid-n": (uniform_k_grid, 4),
+    "FourierPotential-frequency": (lambda n: FourierPotential({n: 1.0}), -2),
     "RationalFlux-p": (lambda p: RationalFlux(p, 3), 1),
     "RationalFlux-q": (lambda q: RationalFlux(1, q), 3),
     "DiscreteCell-M": (lambda m: DiscreteCell(M=m, onsite=(0.3, -0.7)), 3),
