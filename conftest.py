@@ -1,11 +1,11 @@
 """Test-session setup for the whole suite (tests/ and bench/).
 
-The suite's wall-clock gates time the code, not BLAS thread scheduling.  A
-threaded OpenBLAS product (complex q x q with q >= 41) can wait a ~16 ms
-scheduler tick per call for a sleeping worker thread on a small VM, which
-adds about a second to the q <= 64 cocycle sweep of the acceptance suite.
-OpenBLAS reads this variable when numpy loads it, so it is set here, before
-any test module imports numpy; an explicit setting in the environment wins.
+OpenBLAS runs at one thread here, as in CI and the benchmark runs.  Output
+bytes depend on the BLAS thread count once a dense matrix has about 300 rows
+(ROADMAP defect I), and the tests compare report bytes between runs, also in
+child processes, which inherit the setting.  OpenBLAS reads this variable
+when numpy loads it, so it is set here, before any test module imports numpy;
+an explicit setting in the environment wins.
 """
 
 import os

@@ -32,7 +32,8 @@ ORACLE_ROUNDOFF = 8 * sys.float_info.epsilon
 
 # Largest dense matrix dimension a command may build: 2*cutoff + 1 for
 # ``bands`` and every flux denominator; --sites, the length of the
-# direct-space chain, stays under it too.  ``butterfly`` output grows like
+# direct-space chain, stays under it too.  ``algebra-check`` shares the flux
+# cap but sizes only arrays of length q.  ``butterfly`` output grows like
 # max_q^3, so --max-q has its own cap.  MAX_GRID caps the sampling grids
 # (--kpoints, --epoints, --kgrid), which size 1d arrays and loops.
 MAX_DIM = 2048
@@ -103,7 +104,7 @@ def render_csv(ns: argparse.Namespace, header: list, rows: list) -> str:
 
 
 def _flux(text: str) -> RationalFlux:
-    """Parse a reduced fraction p/q whose q x q matrices stay within MAX_DIM."""
+    """Parse a reduced fraction p/q whose denominator stays within MAX_DIM."""
     flux = RationalFlux.parse(text)
     if flux.q > MAX_DIM:
         raise ValueError(f"flux denominator {flux.q} exceeds the cap of {MAX_DIM}")
@@ -161,15 +162,15 @@ def _table_ids(payload: dict):
 
 def _cmd_algebra_check(ns: argparse.Namespace):
     flux = _flux(ns.flux)
-    U, V, omega = model.clock_shift(flux)
+    u, omega = model.clock_shift(flux)
     return {
         "p": flux.p,
         "q": flux.q,
         "omega_re": omega.real,
         "omega_im": omega.imag,
-        "unitarity_residual_u": model.unitarity_residual(U),
-        "unitarity_residual_v": model.unitarity_residual(V),
-        "cocycle_residual": model.commutation_residual(U, V, omega),
+        "unitarity_residual_u": model.unitarity_residual(u),
+        "unitarity_residual_v": 0.0,  # the shift permutes the basis: exactly unitary
+        "cocycle_residual": model.commutation_residual(u, omega),
         "band_count_bound": flux.q,
     }
 
@@ -225,19 +226,20 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     operator, the chain has no eigenvalue outside the band hull.  The count
     runs at the fixed phases 0 and pi/q, which realise the edge fibers k2 = 0
     and pi/q where every band edge lies, so bands computed too narrow fail.
-    The hull and the gaps come from ``harper_spectrum``, each probe's label
-    from ``harper.ids``; eta covers the roundoff of both the edges and the count.
+    The hull and the gaps come from ``harper_spectrum``, each gap's label from
+    its place among them; eta covers the roundoff of both the edges and the count.
     """
     q = params.flux.q
     m, r = divmod(sites, q)
     eta = ORACLE_ROUNDOFF * sites * (2.0 + 2.0 * params.lam)
     spectrum = harper.harper_spectrum(params)
-    gaps = [(a, b) for a, b in assembly.interior_gaps(spectrum) if b - a > 2 * eta]
-    energies = np.array([spectrum.intervals[0][0] - eta]
-                        + [e for a, b in gaps for e in (a + eta, b - eta)]
-                        + [spectrum.intervals[-1][1] + eta])
-    _, values = harper.ids(params, egrid=energies)
-    label = np.rint(q * values).astype(int)
+    # gap j has j Bloch bands below it; the centre gap q/2 at even q is closed
+    labelled = zip([j for j in range(1, q) if 2 * j != q], assembly.interior_gaps(spectrum))
+    gaps = [(j, a, b) for j, (a, b) in labelled if b - a > 2 * eta]
+    probes = ([(spectrum.intervals[0][0] - eta, 0)]
+              + [(e, j) for j, a, b in gaps for e in (a + eta, b - eta)]
+              + [(spectrum.intervals[-1][1] + eta, q)])
+    energies, label = map(np.array, zip(*probes))
     lower, upper = label * m - 1, label * m + 1 + r
     lower[[0, -1]] = upper[[0, -1]] = [0, sites]
     count = harper.direct_space_count(params, sites, energies)

@@ -115,7 +115,6 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
         egrid = np.linspace(lo - pad, hi + pad, points)
     below = np.searchsorted(edges, egrid, side="right")
     values = (below // 2) / q
-    # a cast, not ``== 1``: oracle-check then loads no integer comparison loop (128 kB)
     inside = (below % 2).astype(bool)
     j = below[inside] // 2
     scale = max(1.0, params.lam)

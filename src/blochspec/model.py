@@ -175,31 +175,28 @@ class RationalFlux:
 
 
 def clock_shift(flux: RationalFlux) -> tuple:
-    """Clock and shift matrices (U, V, omega): the standard q-dimensional pair for flux p/q.
+    """The clock/shift pair for flux p/q as (u, omega): u = omega^j for j < q.
 
-    U = diag(omega^j), V the cyclic shift, omega = exp(2*pi*i*p/q), so that
-    U V = omega V U; both are unitary by construction.  omega is a Python
-    complex.  For q = 1 this degenerates to the commuting pair ([1], [1]).
+    The clock is U = diag(u) and the shift V the cyclic map e_j -> e_(j+1 mod q),
+    left implicit; omega = exp(2*pi*i*p/q), a Python complex, so that
+    U V = omega V U.  For q = 1 this degenerates to the commuting pair.
     """
-    q = flux.q
-    omega = np.exp(2j * np.pi * flux.p / q)
-    U = np.diag(omega ** np.arange(q))
-    V = np.zeros((q, q), dtype=complex)
-    V[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
-    return U, V, complex(omega)
+    omega = np.exp(2j * np.pi * flux.p / flux.q)
+    return omega ** np.arange(flux.q), complex(omega)
 
 
-def unitarity_residual(U) -> float:
-    """Frobenius norm of U U* - 1."""
-    U = np.asarray(U, dtype=complex)
-    return float(np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0])))
+def unitarity_residual(u) -> float:
+    """Frobenius norm of U U* - 1 for the clock U = diag(u)."""
+    return float(np.linalg.norm(u * np.conj(u) - 1))
 
 
-def commutation_residual(U, V, omega) -> float:
-    """Frobenius norm of U V - omega V U."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    return float(np.linalg.norm(U @ V - omega * (V @ U)))
+def commutation_residual(u, omega) -> float:
+    """Frobenius norm of U V - omega V U for U = diag(u) and the cyclic shift V.
+
+    Both products map e_j to a multiple of e_(j+1), u_(j+1) and u_j, so the
+    difference has the q nonzero entries u_(j+1) - omega u_j.
+    """
+    return float(np.linalg.norm(np.roll(u, -1) - omega * u))
 
 
 def eigensolve(mats, flux=None, k=None) -> np.ndarray:

@@ -4,12 +4,13 @@ their spectral projections, block-circulant synthesis, the eigenvalues of the
 open direct-space chain and of the closed ring, a misplaced second edge fiber
 to plant in place of the true ones, the lattice Chern number of the lowest
 bands, the distance from values to a band set, the Chambers discriminant
-in high-precision decimal arithmetic, and Hill's half-period functions of a
-1d potential, integrated as an ODE with no plane-wave basis.
+in high-precision decimal arithmetic, Hill's half-period functions of a
+1d potential, integrated as an ODE with no plane-wave basis, and the dense
+clock and shift matrices with their residuals.
 
 The matrices are written here entry by entry, so these oracles share no code
-with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids`` or
-``model.tridiagonal``.
+with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
+``model.tridiagonal`` or ``model.clock_shift``.
 """
 
 import decimal
@@ -160,6 +161,27 @@ def lattice_chern(params, j: int, n: int) -> float:
     u1, u2 = link(0), link(1)
     field = np.angle(u1 * np.roll(u2, -1, axis=0) * np.roll(u1, -1, axis=1).conj() * u2.conj())
     return float(field.sum()) / (2 * np.pi)
+
+
+def dense_clock_shift(flux) -> tuple:
+    """The clock U = diag(omega^j) and the cyclic shift V, V e_j = e_(j+1 mod q),
+    as dense complex q x q matrices, with omega = exp(2 pi i p/q): (U, V, omega)."""
+    q = flux.q
+    omega = np.exp(2j * np.pi * flux.p / q)
+    U = np.diag(omega ** np.arange(q))
+    V = np.zeros((q, q), dtype=complex)
+    V[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
+    return U, V, omega
+
+
+def dense_clock_shift_residuals(flux) -> tuple:
+    """Frobenius norms of U U* - 1, V V* - 1 and U V - omega V U from the dense
+    pair of ``dense_clock_shift``."""
+    U, V, omega = dense_clock_shift(flux)
+    eye = np.eye(flux.q)
+    return (float(np.linalg.norm(U @ U.conj().T - eye)),
+            float(np.linalg.norm(V @ V.conj().T - eye)),
+            float(np.linalg.norm(U @ V - omega * (V @ U))))
 
 
 def distance_to_bands(bands, values) -> np.ndarray:

@@ -7,7 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bloch_matrix_family, canonical_trace, spectral_projections
+from oracles import (
+    bloch_matrix_family,
+    canonical_trace,
+    dense_clock_shift,
+    dense_clock_shift_residuals,
+    spectral_projections,
+)
 
 from blochspec.assembly import interior_gaps
 from blochspec.harper import (
@@ -26,33 +32,38 @@ def params(p, q, lam=1.0):
 # ---------------------------------------------------------------- clock and shift
 
 def test_commutative_case():
-    U, V, omega = clock_shift(RationalFlux(0, 1))
-    assert U.shape[0] == 1
-    assert np.allclose(U, [[1.0]]) and np.allclose(V, [[1.0]])
+    u, omega = clock_shift(RationalFlux(0, 1))
+    assert u.tolist() == [1.0]
     assert omega == 1.0 + 0.0j
 
 
 def test_flux_half_is_the_pauli_pair():
-    U, V, _ = clock_shift(RationalFlux(1, 2))
+    u, _ = clock_shift(RationalFlux(1, 2))
+    U, V, _ = dense_clock_shift(RationalFlux(1, 2))
+    assert np.allclose(np.diag(u), U)
     assert np.allclose(U, np.diag([1.0, -1.0]))
     assert np.allclose(V, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(U @ V, -V @ U)
 
 
 def test_flux_two_fifths_residual():
-    U, V, omega = clock_shift(RationalFlux(2, 5))
-    assert commutation_residual(U, V, omega) <= 1e-14
+    u, omega = clock_shift(RationalFlux(2, 5))
+    assert commutation_residual(u, omega) <= 1e-14
+    # the wrong root of unity breaks every one of the q entries
+    assert commutation_residual(u, omega.conjugate()) > 1.0
 
 
 def test_cocycle_relation_all_q_up_to_64():
-    for q in range(1, 65):
-        for p in range(q):
-            if math.gcd(p, q) != 1:
-                continue
-            U, V, omega = clock_shift(RationalFlux(p, q))
-            assert type(omega) is complex
-            assert max(unitarity_residual(U), unitarity_residual(V)) <= 1e-12
-            assert commutation_residual(U, V, omega) <= 1e-12
+    # the O(q) residuals hold the relation and agree with the dense q x q reference,
+    # whose shift is exactly unitary, as algebra-check prints it
+    for flux in farey_fractions(64):
+        u, omega = clock_shift(flux)
+        assert type(omega) is complex
+        residuals = [unitarity_residual(u), commutation_residual(u, omega)]
+        dense_u, dense_v, dense_cocycle = dense_clock_shift_residuals(flux)
+        assert max(residuals) <= 1e-12
+        assert dense_v == 0.0
+        assert np.allclose(residuals, [dense_u, dense_cocycle], rtol=0, atol=1e-15), flux
 
 
 # ---------------------------------------------------------------- canonical trace

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import hill_edge_misses, plane_wave_radius
+
 from blochspec import cli, fibering, harper, model
 from blochspec.cli import MAX_DIM, MAX_GRID, MAX_Q, build_parser, main, parse_potential
 from blochspec.harper import LAM_MAX, HarperParams, ids
@@ -76,6 +78,18 @@ def test_bands_regression_pinned(tmp_path):
     exp_gaps = np.array(fixture["gaps"])
     assert got_gaps.shape == exp_gaps.shape
     assert np.abs(got_gaps - exp_gaps).max() <= 1e-9
+
+
+def test_pinned_bands_fixture_edges_are_zeros_of_hill_parity_functions():
+    # the fixture was pinned from this program; its 8 edges are checked against
+    # the ODE oracle, which uses no plane-wave basis.  In ascending (Hill) order
+    # they come from the k = 0 and k = pi fibers as 0, pi, pi, 0, 0, pi, pi, 0
+    potential = parse_potential("1:1")
+    fixture = json.loads((DATA / "bands_cosine.json").read_text())
+    e = np.ravel(fixture["band_intervals"])
+    edges = np.array([e[[0, 3, 4, 7]], e[[1, 2, 5, 6]]])
+    missed, _ = hill_edge_misses(potential, edges, plane_wave_radius(potential, 32))
+    assert not missed.any()
 
 
 def test_ids_output(tmp_path):
@@ -592,7 +606,8 @@ class Reached(Exception):
 
 @pytest.fixture
 def no_builders(monkeypatch):
-    """Every dense builder a capped argument sizes raises instead of allocating."""
+    """Every builder a capped argument sizes raises instead of allocating: the
+    dense fibers and, for algebra-check, the clock's diagonal of length q."""
     def reached(*args, **kwargs):
         raise Reached
 

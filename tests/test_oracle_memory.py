@@ -1,4 +1,4 @@
-"""oracle-check's memory peak and record order.
+"""The memory peaks of oracle-check and algebra-check, and oracle-check's record order.
 
 The direct-space check counts eigenvalues by inertia and builds no matrix, so
 it should peak near the imported CLI alone and near counting its chain alone,
@@ -6,7 +6,8 @@ and the full check near its largest random check, ``union``, alone.  The
 children that run one check alone call it directly.  The
 randomized checks draw from Python's ``random.Random``, so the full check never
 loads ``numpy.random`` (about 5.6 MB resident) and peaks near the import alone
-as well.
+as well.  algebra-check holds the clock as its diagonal and the shift as a
+cyclic roll, so at the largest flux it too peaks near the import alone.
 """
 
 import json
@@ -49,6 +50,12 @@ import random
 from blochspec import cli
 check = cli._oracle_union(random.Random(0))
 assert check["pass"], check
+"""
+_ALGEBRA_CHECK = """
+import os
+from blochspec import cli
+code = cli.main(["algebra-check", "--flux", "1/2047", "--output", os.devnull])
+assert code == 0, code
 """
 _IMPORT_ONLY = """
 from blochspec import cli
@@ -102,6 +109,13 @@ def test_oracle_check_peaks_near_the_union_check_alone():
     full = _child_hwm_kb(_FULL_CHECK)
     union = _child_hwm_kb(_UNION_ONLY)
     assert full <= union + HWM_SLACK_KB, (full, union)
+
+
+@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
+def test_algebra_check_at_the_largest_flux_peaks_near_the_import_alone():
+    algebra = _child_hwm_kb(_ALGEBRA_CHECK)
+    imported = _child_hwm_kb(_IMPORT_ONLY)
+    assert algebra <= imported + HWM_SLACK_KB, (algebra, imported)
 
 
 SMALL = ["oracle-check", "--sites", "90", "--seed", "3"]

@@ -16,8 +16,8 @@ from oracles import (
     second_fiber_at_k2_zero,
 )
 
-from blochspec.assembly import lebesgue_measure
-from blochspec import cli, harper
+from blochspec.assembly import bands_from_edges, lebesgue_measure
+from blochspec import cli, harper, model
 from blochspec.harper import (
     HarperParams,
     farey_fractions,
@@ -152,8 +152,7 @@ BENCH_CALLS = [["--flux", "1/3", "--sites", "600"], ["--flux", "13/21", "--sites
 
 def shrunk_bands(params):
     """The true band edges with every band narrowed by 1e-4 at both ends, in
-    place of the edge-fiber eigenvalues, shape (2, q).  Both the spectrum and
-    the gap labels of ``harper.ids`` see them."""
+    place of the edge-fiber eigenvalues, shape (2, q)."""
     q = params.flux.q
     edges = np.sort(TRUE_EDGES(params), axis=None) + np.tile([1e-4, -1e-4], q)
     return edges.reshape(2, q)
@@ -179,3 +178,31 @@ def test_direct_space_check_fails_on_bands_too_narrow(monkeypatch, capsys, wrong
     assert checks["unitarity"]["pass"] and checks["union"]["pass"]
     check = checks["direct_space"]
     assert check["pass"] is False and check["max_count_excess"] > 0
+
+
+def test_direct_space_check_solves_the_edge_fibers_once(monkeypatch):
+    # the gap labels come from the spectrum's own gaps, not from a second solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return model.eigensolve(*args, **kwargs)
+
+    monkeypatch.setattr(harper, "eigensolve", counted)
+    check = cli._oracle_direct_space(params(13, 21), 1200)
+    assert check["pass"] and len(calls) == 1
+
+
+def spectrum_merging_gap_1(params):
+    """The true spectrum with gap 1 merged as well as the closed centre gap at even q."""
+    q = params.flux.q
+    closed = {1} | ({q // 2} if q % 2 == 0 else set())
+    return bands_from_edges(TRUE_EDGES(params), closed)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (13, 21), (3, 8)])
+def test_direct_space_check_fails_on_a_wrongly_merged_gap(monkeypatch, p, q):
+    # every gap above the merged one gets too low a label, which the counts see
+    monkeypatch.setattr(harper, "harper_spectrum", spectrum_merging_gap_1)
+    check = cli._oracle_direct_space(params(p, q), 600)
+    assert not check["pass"] and check["max_count_excess"] > 0, check
