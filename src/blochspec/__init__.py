@@ -8,10 +8,16 @@ trace-quantization mechanism behind band structure.
 
 __version__ = "0.1.0"
 
-from .assembly import (
+from .model import (
     BandSet,
+    EigensolverError,
+    FourierPotential,
+    RationalFlux,
+    clock_shift,
+    commutation_residual,
     interior_gaps,
     lebesgue_measure,
+    uniform_k_grid,
 )
 from .fibering import (
     DiscreteCell,
@@ -29,14 +35,6 @@ from .harper import (
     farey_fractions,
     harper_spectrum,
     ids,
-)
-from .model import (
-    EigensolverError,
-    FourierPotential,
-    RationalFlux,
-    clock_shift,
-    commutation_residual,
-    uniform_k_grid,
 )
 
 __all__ = [

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__ as VERSION
-from . import assembly, fibering, harper, model, svgplot
+from . import fibering, harper, model, svgplot
 from .model import EigensolverError, FourierPotential, RationalFlux, checked_int
 
 SCHEMA = 2
@@ -123,7 +123,7 @@ def _cmd_bands(ns: argparse.Namespace):
         "k": ks.tolist(),
         "band_energies": energies.T.tolist(),  # one row per band
         "band_intervals": bands.intervals,
-        "gaps": assembly.interior_gaps(bands),
+        "gaps": model.interior_gaps(bands),
     }
 
 
@@ -234,7 +234,7 @@ def _oracle_direct_space(params: harper.HarperParams, sites: int) -> dict:
     eta = ORACLE_ROUNDOFF * sites * (2.0 + 2.0 * params.lam)
     spectrum = harper.harper_spectrum(params)
     # gap j has j Bloch bands below it; the centre gap q/2 at even q is closed
-    labelled = zip([j for j in range(1, q) if 2 * j != q], assembly.interior_gaps(spectrum))
+    labelled = zip([j for j in range(1, q) if 2 * j != q], model.interior_gaps(spectrum))
     gaps = [(j, a, b) for j, (a, b) in labelled if b - a > 2 * eta]
     probes = ([(spectrum.intervals[0][0] - eta, 0)]
               + [(e, j) for j, a, b in gaps for e in (a + eta, b - eta)]

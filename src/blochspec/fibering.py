@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
-from .model import TWO_PI, FourierPotential, checked_int, eigensolve, tridiagonal, uniform_k_grid
+from .model import (TWO_PI, BandSet, FourierPotential, bands_from_edges, checked_int, eigensolve,
+                    tridiagonal, uniform_k_grid)
 
 DEFAULT_CUTOFF = 32
 DEFAULT_BANDS = 8
@@ -110,7 +110,7 @@ def band_sweep(potential: FourierPotential, cutoff: int,
 
 
 def band_structure(potential: FourierPotential, cutoff: int,
-                   bands: int = DEFAULT_BANDS) -> assembly.BandSet:
+                   bands: int = DEFAULT_BANDS) -> BandSet:
     """Lowest ``bands`` bands of the periodic operator, closed gaps merged.
 
     The band edges are the eigenvalues of the fibers at k = 0 and k = pi
@@ -122,7 +122,7 @@ def band_structure(potential: FourierPotential, cutoff: int,
     """
     edges = _fiber_eigenvalues(potential, cutoff, (0.0, math.pi), bands)
     g = math.gcd(*potential.coefficients)
-    return assembly.bands_from_edges(edges, {n for n in range(bands) if not g or n % g})
+    return bands_from_edges(edges, {n for n in range(bands) if not g or n % g})
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
-from .model import TWO_PI, RationalFlux, checked_energies, checked_int, eigensolve, tridiagonal
+from .model import (TWO_PI, BandSet, RationalFlux, bands_from_edges, checked_energies, checked_int,
+                    eigensolve, lebesgue_measure, tridiagonal)
 
 # largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
 # stay finite with room for eigensolver roundoff in the band edges
@@ -131,7 +131,7 @@ def ids(params: HarperParams, egrid=None, kgrid: int = IDS_DEFAULT_NODES,
     return egrid, values
 
 
-def harper_spectrum(params: HarperParams) -> assembly.BandSet:
+def harper_spectrum(params: HarperParams) -> BandSet:
     """Spectrum at rational flux: the band edges paired into bands.
 
     Every gap is open but the centre gap q/2 at even q (van Mouche, CMP 122, 1989;
@@ -139,7 +139,7 @@ def harper_spectrum(params: HarperParams) -> assembly.BandSet:
     merges.
     """
     q = params.flux.q
-    return assembly.bands_from_edges(_edge_fibers(params), () if q % 2 else (q // 2,))
+    return bands_from_edges(_edge_fibers(params), () if q % 2 else (q // 2,))
 
 
 def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
@@ -212,5 +212,5 @@ def cantor_proxy(approximants, lam: float = 1.0) -> list:
     out = []
     for flux in fluxes:
         bands = harper_spectrum(HarperParams(flux=flux, lam=lam))
-        out.append((flux, assembly.lebesgue_measure(bands)))
+        out.append((flux, lebesgue_measure(bands)))
     return out

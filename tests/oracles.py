@@ -4,9 +4,9 @@ their spectral projections, block-circulant synthesis, the eigenvalues of the
 open direct-space chain and of the closed ring, a misplaced second edge fiber
 to plant in place of the true ones, the lattice Chern number of the lowest
 bands, the distance from values to a band set, the Chambers discriminant
-in high-precision decimal arithmetic, Hill's half-period functions of a
-1d potential, integrated as an ODE with no plane-wave basis, and the dense
-clock and shift matrices with their residuals.
+in high-precision decimal arithmetic, Hill's half-period functions and
+full-period discriminant of a 1d potential, integrated as an ODE with no
+plane-wave basis, and the dense clock and shift matrices with their residuals.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
@@ -202,6 +202,37 @@ def plane_wave_radius(potential, cutoff: int) -> float:
     return 8 * n * np.finfo(float).eps * norm
 
 
+def _gauss_points(length: float, steps: int) -> np.ndarray:
+    """The two Gauss points of each of ``steps`` equal steps over [0, length], shape (steps, 2)."""
+    h = length / steps
+    return h * (np.arange(steps)[:, None] + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6)
+
+
+def _magnus_solutions(V, h: float, energies) -> np.ndarray:
+    """u1, u1', u2 and u2' after the steps of length h whose Gauss-point values
+    of V are the rows of ``V``, shape (4, len(energies)).
+
+    u1 and u2 start from (u, u') = (1, 0) and (0, 1).  Each step is a fourth-order
+    Magnus step with two Gauss points: y = (u, u') solves y' = A y,
+    A = [[0, 1], [V - E, 0]], and the step's exponent
+    h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] = [[c, h], [b, -c]] is traceless, so
+    its exponential is C + S times it, with C = cosh s and S = sinh(s)/s for
+    s^2 = c^2 + h b (cos s and sin(s)/s where s^2 <= 0).
+    """
+    c = (math.sqrt(3) / 12 * h * h * (V[:, 0] - V[:, 1]))[:, None]  # (step, energy)
+    b = (0.5 * h * (V[:, 0] + V[:, 1]))[:, None] - h * energies
+    s2 = c * c + h * b
+    s = np.sqrt(np.abs(s2))
+    osc = s2 <= 0
+    C = np.where(osc, np.cos(s), np.cosh(s))
+    S = np.where(osc, np.sinc(s / np.pi), np.divide(np.sinh(s), s, out=np.ones_like(s), where=~osc))
+    u = np.stack([np.ones_like(energies), np.zeros_like(energies)])  # u1, u2
+    du = np.stack([np.zeros_like(energies), np.ones_like(energies)])  # u1', u2'
+    for m11, m12, m21, m22 in zip(C + S * c, S * h, S * b, C - S * c):
+        u, du = m11 * u + m12 * du, m21 * u + m22 * du
+    return np.stack([u[0], du[0], u[1], du[1]])
+
+
 def hill_half_period(potential, energies, steps: int) -> np.ndarray:
     """u1, u1', u2 and u2' at x = 1/2 for -u'' + V u = E u, shape (4, len(energies)).
 
@@ -209,34 +240,30 @@ def hill_half_period(potential, energies, steps: int) -> np.ndarray:
     must be real, so that V(x) = sum_n v(n) cos(2 pi n x) is even; then Hill's
     discriminant splits at the half period, Delta - 2 = 4 u1'(1/2) u2(1/2) and
     Delta + 2 = 4 u1(1/2) u2'(1/2) (Magnus-Winkler, Hill's Equation, 1966).  A
-    complex coefficient makes V real but not even, and the split fails.
-
-    Each of the ``steps`` steps of length h over [0, 1/2] is a fourth-order Magnus
-    step with two Gauss points: y = (u, u') solves y' = A y, A = [[0, 1], [V - E, 0]],
-    and the step's exponent h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] = [[c, h], [b, -c]]
-    is traceless, so its exponential is C + S times it, with C = cosh s and
-    S = sinh(s)/s for s^2 = c^2 + h b (cos s and sin(s)/s where s^2 <= 0).
+    complex coefficient makes V real but not even, and the split fails
+    (``hill_discriminant`` takes the full period instead).  The ``steps``
+    steps over [0, 1/2] are those of ``_magnus_solutions``.
     """
     if any(v.imag for v in potential.coefficients.values()):
         raise ValueError("the half-period split needs an even potential: real coefficients")
-    energies = np.asarray(energies, dtype=float)
-    h = 0.5 / steps
-    x = h * (np.arange(steps)[:, None] + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6)
+    x = _gauss_points(0.5, steps)
     V = sum((v.real * np.cos(2 * np.pi * n * x) for n, v in potential.coefficients.items()),
             np.zeros_like(x))
-    u = np.stack([np.ones_like(energies), np.zeros_like(energies)])  # u1, u2
-    du = np.stack([np.zeros_like(energies), np.ones_like(energies)])  # u1', u2'
-    for v1, v2 in V:
-        c = math.sqrt(3) / 12 * h * h * (v1 - v2)
-        b = 0.5 * h * (v1 + v2) - h * energies
-        s2 = c * c + h * b
-        s = np.sqrt(np.abs(s2))
-        osc = s2 <= 0
-        C = np.where(osc, np.cos(s), np.cosh(s))
-        S = np.where(osc, np.sinc(s / np.pi),
-                     np.divide(np.sinh(s), s, out=np.ones_like(s), where=~osc))
-        u, du = (C + S * c) * u + (S * h) * du, (S * b) * u + (C - S * c) * du
-    return np.stack([u[0], du[0], u[1], du[1]])
+    return _magnus_solutions(V, 0.5 / steps, np.asarray(energies, dtype=float))
+
+
+def hill_discriminant(potential, energies, steps: int) -> np.ndarray:
+    """Hill's discriminant Delta(E) = u1(1) + u2'(1), the trace of the monodromy.
+
+    The ``steps`` steps of ``_magnus_solutions`` run over the full period [0, 1]
+    with V(x) = sum_n v(n) exp(2 pi i n x), which is real for every
+    ``FourierPotential``, even or not, so complex coefficients need no split.
+    """
+    x = _gauss_points(1.0, steps)
+    V = sum(((v * np.exp(2j * np.pi * n * x)).real for n, v in potential.coefficients.items()),
+            np.zeros_like(x))
+    u = _magnus_solutions(V, 1.0 / steps, np.asarray(energies, dtype=float))
+    return u[0] + u[3]
 
 
 # rows of ``hill_half_period`` that vanish at the periodic (k = 0) and the
@@ -244,32 +271,60 @@ def hill_half_period(potential, energies, steps: int) -> np.ndarray:
 HILL_PARITY = ((1, 2), (0, 3))
 
 
-def hill_edge_misses(potential, edges, radius, steps: int = 1600) -> tuple:
-    """Which 1d band edges no parity function of their fiber brackets.
+def _bracket_misses(functions, edges, radius, steps: int) -> tuple:
+    """Which band edges lie near no zero of their fiber's functions.
 
-    ``edges`` has shape (2, m): row 0 from the k = 0 fiber, row 1 from k = pi;
-    ``radius`` broadcasts against it.  Edge e passes when one of its fiber's two
-    functions f changes sign within r = radius + d / |f'| of e, where d, the
-    larger step-halving difference |f_steps - f_2steps| at e -/+ radius, is the
-    ODE's error.  Taking f linear on [e - radius, e + radius], that holds
-    exactly when f(e - radius) and f(e + radius) have opposite signs or one of
-    them lies within d of zero.  Returns (missed, r), each of the shape of
-    ``edges``, with r from the function of the two that gives the smaller.
+    ``functions(energies, n)`` gives, for energies of shape (end, fiber, edge),
+    the values at n ODE steps, shape (function, end, fiber, edge).  Edge e passes
+    when one of its fiber's functions f changes sign within r = radius + d / |f'|
+    of e, where d, the larger step-halving difference |f_steps - f_2steps| at
+    e -/+ radius, is the ODE's error.  Taking f linear on [e - radius, e + radius],
+    that holds exactly when f(e - radius) and f(e + radius) have opposite signs or
+    one of them lies within d of zero.  Returns (missed, r), each of the shape of
+    ``edges``, with r from the function that gives the smallest; r is inf where
+    every function takes one value at both ends, which leaves no slope to bound by.
     """
     edges = np.asarray(edges, dtype=float)
     radius = np.broadcast_to(radius, edges.shape)
     ends = edges + np.multiply.outer([-1.0, 1.0], radius)  # (end, fiber, edge)
-
-    def parity_values(n):  # (function, end, fiber, edge)
-        u = hill_half_period(potential, ends.ravel(), n).reshape((4,) + ends.shape)
-        return np.stack([u[list(rows), :, k] for k, rows in enumerate(HILL_PARITY)], axis=2)
-
-    coarse, fine = parity_values(steps), parity_values(2 * steps)
+    coarse, fine = functions(ends, steps), functions(ends, 2 * steps)
     err = np.abs(fine - coarse).max(axis=1)
     lo, hi = fine[:, 0], fine[:, 1]
     bracketed = np.abs(lo + hi) <= np.abs(lo - hi) + 2 * err
-    r = radius + np.min(2 * radius * err / np.abs(hi - lo), axis=0)
+    with np.errstate(divide="ignore"):
+        r = radius + np.min(2 * radius * err / np.abs(hi - lo), axis=0)
     return ~bracketed.any(axis=0), r
+
+
+def hill_edge_misses(potential, edges, radius, steps: int = 1600) -> tuple:
+    """Which 1d band edges no parity function of their fiber brackets.
+
+    ``edges`` has shape (2, m): row 0 from the k = 0 fiber, row 1 from k = pi;
+    ``radius`` broadcasts against it.  The functions are the two rows of
+    ``hill_half_period`` that ``HILL_PARITY`` names for the fiber, so the
+    coefficients must be real; the test is ``_bracket_misses``.
+    """
+    def parity_values(ends, n):  # (function, end, fiber, edge)
+        u = hill_half_period(potential, ends.ravel(), n).reshape((4,) + ends.shape)
+        return np.stack([u[list(rows), :, k] for k, rows in enumerate(HILL_PARITY)], axis=2)
+
+    return _bracket_misses(parity_values, edges, radius, steps)
+
+
+def hill_discriminant_misses(potential, edges, radius, steps: int = 3200) -> tuple:
+    """Which 1d band edges no zero of Delta - 2 (k = 0) or Delta + 2 (k = pi) brackets.
+
+    ``edges`` and ``radius`` are as in ``hill_edge_misses``, but the one function of
+    each fiber is ``hill_discriminant`` over the full period, so complex
+    coefficients are checked too; the test is ``_bracket_misses``.  At a gap much
+    narrower than sqrt(ODE error / |Delta''|) both zeros fall in the noise, and
+    the test cannot tell a moved edge from a true one.
+    """
+    def discriminant_values(ends, n):  # (1, end, fiber, edge)
+        delta = hill_discriminant(potential, ends.ravel(), n).reshape(ends.shape)
+        return (delta - np.array([2.0, -2.0])[:, None])[None]
+
+    return _bracket_misses(discriminant_values, edges, radius, steps)
 
 
 def _decimal_pi() -> Decimal:

@@ -15,14 +15,19 @@ from oracles import (
     spectral_projections,
 )
 
-from blochspec.assembly import interior_gaps
 from blochspec.harper import (
     HarperParams,
     farey_fractions,
     harper_spectrum,
     ids,
 )
-from blochspec.model import RationalFlux, clock_shift, commutation_residual, unitarity_residual
+from blochspec.model import (
+    RationalFlux,
+    clock_shift,
+    commutation_residual,
+    interior_gaps,
+    unitarity_residual,
+)
 
 
 def params(p, q, lam=1.0):

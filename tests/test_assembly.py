@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from oracles import branch_ranges, distance_to_bands
 
 from blochspec import harper
-from blochspec.assembly import (
+from blochspec.harper import HarperParams, cantor_proxy, ids
+from blochspec.model import (
     BandSet,
+    RationalFlux,
     bands_from_edges,
     interior_gaps,
     lebesgue_measure,
 )
-from blochspec.harper import HarperParams, cantor_proxy, ids
-from blochspec.model import RationalFlux
 
 
 # ---------------------------------------------------------------- band sets

@@ -13,11 +13,14 @@ from oracles import (
     block_circulant_from_fibers,
     branch_ranges,
     distance_to_bands,
+    hill_discriminant,
+    hill_discriminant_misses,
     hill_edge_misses,
+    hill_half_period,
     plane_wave_radius,
 )
 
-from blochspec import assembly
+from blochspec import fibering, model
 from blochspec.fibering import (
     DiscreteCell,
     _fiber_eigenvalues,
@@ -130,7 +133,7 @@ def test_monotone_convergence_in_cutoff():
 
 def test_free_band_structure_has_no_gaps_up_to_40():
     bands = band_structure(FourierPotential({}), 16, bands=8)
-    assert assembly.interior_gaps(bands) == []
+    assert model.interior_gaps(bands) == []
     # free bands [(b pi)^2, ((b+1) pi)^2] touch end to end: one interval
     assert len(bands.intervals) == 1
     assert bands.intervals[0][0] == 0.0
@@ -140,7 +143,7 @@ def test_free_band_structure_has_no_gaps_up_to_40():
 def test_cosine_band_edges_come_from_periodic_and_antiperiodic_fibers():
     bands = band_structure(COSINE, 32, bands=4)
     assert len(bands.intervals) == 4
-    first_gap = assembly.interior_gaps(bands)[0]
+    first_gap = model.interior_gaps(bands)[0]
     assert first_gap[1] - first_gap[0] == pytest.approx(2.0, abs=0.01)
     # the k-grid samples never leave the exact bands, even on odd grids
     for kpoints in (101, 400):
@@ -162,7 +165,7 @@ def test_half_period_potential_keeps_its_closed_gaps_merged(cutoff):
     # to 9.4e-9 at cutoff 256, while the narrowest open gap is 1.41e-8: the primitive
     # period closes them, and no tolerance could tell the two apart
     bands = band_structure(HALF_PERIOD, cutoff, 10)
-    gaps = sorted(b - a for a, b in assembly.interior_gaps(bands))
+    gaps = sorted(b - a for a, b in model.interior_gaps(bands))
     assert gaps[0] > 1e-9
     assert gaps[-3:] == pytest.approx([2.005e-5, 1.266e-2, 2.0], rel=0.01)
     assert len(bands.intervals) == 5
@@ -189,13 +192,13 @@ def test_gaps_closed_by_the_primitive_period_split_only_by_roundoff(monkeypatch,
     # the raw edges of every gap that band_structure passes as closed differ by at
     # most the eigensolver's error 8 n eps |H|
     seen = []
-    merge = assembly.bands_from_edges
+    merge = model.bands_from_edges
 
     def spy(edges, closed):
         seen.append((np.sort(edges, axis=None), closed))
         return merge(edges, closed)
 
-    monkeypatch.setattr(assembly, "bands_from_edges", spy)
+    monkeypatch.setattr(fibering, "bands_from_edges", spy)
     band_structure(potential, cutoff, 12)
     (e, closed), = seen
     for j in range(1, 12):
@@ -239,8 +242,8 @@ def test_shared_builder_matches_per_k_complex_oracle(potential, cutoff, bands):
     # gap n is closed unless the gcd g of the frequencies divides n (all closed at g = 0)
     g = math.gcd(*potential.coefficients)
     closed = {n for n in range(bands) if not g or n % g}
-    oracle = assembly.bands_from_edges(oracle_sweep(potential, cutoff, bands, (0.0, math.pi)),
-                                       closed)
+    oracle = model.bands_from_edges(oracle_sweep(potential, cutoff, bands, (0.0, math.pi)),
+                                    closed)
     assert len(bandset.intervals) == len(oracle.intervals)
     assert_close(bandset.intervals, oracle.intervals)
     # the samples never leave the band intervals built from the same arithmetic
@@ -292,6 +295,42 @@ def test_hill_oracle_flags_planted_faults(name):
     down, up, swapped = np.split(hill_edge_misses(potential, planted, radius)[0], 3, axis=1)
     assert down.all() and up.all()
     assert swapped.tolist() == [[False] * 17, [True] * 17]  # only the k = pi row is wrong
+
+
+def test_full_period_discriminant_matches_the_half_period_split():
+    # for an even V, Delta = u1(1) + u2'(1) = 2 (u1 u2' + u1' u2) at x = 1/2; the
+    # full period takes twice the steps, so both step with the same length
+    energies = np.linspace(-2.0, 700.0, 101)
+    for potential in (COSINE, CONTINUUM[0]):
+        u1, du1, u2, du2 = hill_half_period(potential, energies, 1600)
+        split = 2 * (u1 * du2 + du1 * u2)
+        full = hill_discriminant(potential, energies, 3200)
+        assert np.abs(full - split).max() <= 1e-13 * np.abs(split).max()
+
+
+# complex coefficients make V real but not even, so only the full period checks them
+COMPLEX_HILL = {"1c": FourierPotential({1: 1 + 0.5j}),
+                "1,2c": FourierPotential({1: 1, 2: 0.3 - 0.7j})}
+
+
+@pytest.mark.parametrize("name", COMPLEX_HILL)
+def test_complex_band_edges_are_zeros_of_the_full_period_discriminant(name):
+    # every k = 0 edge brackets a zero of Delta - 2, every k = pi edge one of Delta + 2
+    potential = COMPLEX_HILL[name]
+    radius = plane_wave_radius(potential, 32)
+    edges = _fiber_eigenvalues(potential, 32, (0.0, math.pi), 8)
+    missed, r = hill_discriminant_misses(potential, edges, radius)
+    assert not missed.any()
+    # each edge of a gap wider than 1e-3, moved up by 10 r, is flagged.  At a
+    # narrower gap both zeros of Delta -/+ 2 lie in the ODE's noise, where a moved
+    # edge cannot be told from a true one, so those edges are neither moved nor
+    # asserted.  The edge of rank i (1 = lowest) borders gap i // 2: gap 0, below
+    # the spectrum, is unbounded, and gap 8, above the top band, is not computed
+    e = np.sort(edges, axis=None)
+    widths = np.concatenate([[math.inf], np.diff(e)[1::2], [0.0]])
+    wide = widths[edge_ranks(edges) // 2] > 1e-3
+    planted = np.where(wide, edges + 10 * r, edges)
+    assert hill_discriminant_misses(potential, planted, radius)[0][wide].all()
 
 
 @pytest.mark.parametrize("potential", CONTINUUM, ids=["901", "902"])

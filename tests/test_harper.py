@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import bloch_matrices, chain_eigenvalues, distance_to_bands, eigenvalue_grid
 
-from blochspec import assembly, harper
+from blochspec import harper, model
 from blochspec.harper import (
     LAM_MAX,
     HarperParams,
@@ -111,7 +111,7 @@ def test_flux_half_bands_touch_at_zero():
     assert abs(lo + 2 * SQRT2) <= 1e-12 and abs(hi - 2 * SQRT2) <= 1e-12
     # branches touch at E = 0, so the merged set has no gap there
     assert distance_to_bands(bands, [0.0])[0] == 0.0
-    assert assembly.interior_gaps(bands) == []
+    assert model.interior_gaps(bands) == []
     # the two eigenvalue branches really do meet at zero
     evals = eigenvalue_grid(params(1, 2))
     assert abs(evals[:, :, 1].min()) <= 1e-6
@@ -162,7 +162,7 @@ def test_direct_space_bulk_filter_drops_edge_modes():
     # eigenvalues, and the check's slack of one state either way absorbs the
     # boundary modes: the chain at phase pi/3 has one in the upper gap
     bands = harper_spectrum(params(1, 3))
-    mid = [(a + b) / 2 for a, b in assembly.interior_gaps(bands)]
+    mid = [(a + b) / 2 for a, b in model.interior_gaps(bands)]
     excess = direct_space_count(params(1, 3), 600, mid) - [200, 400]
     assert excess.tolist() == [[0, 0], [0, 1]]
 
@@ -192,7 +192,7 @@ def test_mirror_chain_has_the_same_edge_states(row):
     # so every gap holds the same number of boundary states
     p, q, sites = 39, 59, 469
     mirror = -row * np.pi / q - 2 * np.pi * (sites - 1) * p / q
-    gaps = np.array(assembly.interior_gaps(harper_spectrum(params(p, q))))
+    gaps = np.array(model.interior_gaps(harper_spectrum(params(p, q))))
     e = np.concatenate([gaps.mean(axis=1), gaps[:, 0] + 1e-9, gaps[:, 1] - 1e-9])
     count = direct_space_count(params(p, q), sites, e)[row]
     w = chain_eigenvalues(params(p, q), sites, mirror)

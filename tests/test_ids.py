@@ -13,7 +13,6 @@ import pytest
 from oracles import decimal_discriminant, eigenvalue_grid, ring_eigenvalues
 
 from blochspec import harper
-from blochspec.assembly import interior_gaps
 from blochspec.cli import main
 from blochspec.harper import (
     HarperParams,
@@ -22,7 +21,7 @@ from blochspec.harper import (
     harper_spectrum,
     ids,
 )
-from blochspec.model import RationalFlux
+from blochspec.model import RationalFlux, interior_gaps
 
 
 def params(p, q, lam=1.0):

@@ -11,19 +11,17 @@ from blochspec import cli
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blochspec"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# ``assembly`` is interval algebra and ``model`` holds the shared types, the
-# clock/shift pair and the one LAPACK call; the operator modules sit on top of
-# both, and only the front ends (``cli``, ``__init__``) reach across the
-# package.  ``__init__`` stands for the package itself (``from . import
-# __version__``).
+# ``model`` holds the shared types and band sets, the clock/shift pair and the
+# one LAPACK call; the operator modules sit on top of it, and only the front
+# ends (``cli``, ``__init__``) reach across the package.  ``__init__`` stands
+# for the package itself (``from . import __version__``).
 EXPECTED = {
     "model": set(),
     "svgplot": set(),
-    "assembly": set(),
-    "fibering": {"assembly", "model"},
-    "harper": {"assembly", "model"},
-    "cli": {"__init__", "assembly", "fibering", "harper", "model", "svgplot"},
-    "__init__": {"assembly", "fibering", "harper", "model"},
+    "fibering": {"model"},
+    "harper": {"model"},
+    "cli": {"__init__", "fibering", "harper", "model", "svgplot"},
+    "__init__": {"fibering", "harper", "model"},
     "__main__": {"cli"},
 }
 
@@ -143,6 +141,17 @@ def test_every_cli_option_is_read_by_its_command():
                     for action in parser._actions
                     if action.dest != "help" and action.dest not in read[command])
     assert unread == []
+
+
+def test_band_sets_are_built_only_by_bands_from_edges():
+    # one path from eigenvalues to a BandSet: every other builder hands its
+    # edges to bands_from_edges instead of pairing them itself
+    callers = []
+    for module in sorted(MODULES):
+        for top in _tree(module).body:
+            callers += [f"{module}.{getattr(top, 'name', top.lineno)}" for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and _name(node.func) == "BandSet"]
+    assert callers == ["model.bands_from_edges"]
 
 
 def test_no_module_imports_inside_a_function():

@@ -167,6 +167,11 @@ def test_potential_rejects_broken_symmetry():
                    {0: 1j}):  # v0 must be real
         with pytest.raises(ValueError):
             FourierPotential(broken)
+    # the bound is |v(-n) - conj v(n)| <= 1e-14, and v(n >= 0) fixes the stored pair
+    near = FourierPotential({-1: 1.0 + 2.0 ** -47, 1: 1.0}).coefficients
+    assert near == {-1: 1.0, 1: 1.0}
+    with pytest.raises(ValueError, match="Hermitian"):
+        FourierPotential({-1: 1.0 + 2.0 ** -46, 1: 1.0})
 
 
 def test_rational_flux_validation():

@@ -16,14 +16,13 @@ from oracles import (
     second_fiber_at_k2_zero,
 )
 
-from blochspec.assembly import bands_from_edges, lebesgue_measure
 from blochspec import cli, harper, model
 from blochspec.harper import (
     HarperParams,
     farey_fractions,
     harper_spectrum,
 )
-from blochspec.model import RationalFlux
+from blochspec.model import RationalFlux, bands_from_edges, lebesgue_measure
 
 # q*|sigma| -> 32 G / pi along Fibonacci fractions at lam = 1 (Thouless,
 # PRB 28, 4272 (1983)); G is Catalan's constant.
