@@ -52,17 +52,23 @@ class DiscreteCell:
         return self.q * self.M
 
 
-def _fibers(potential: FourierPotential, cutoff: int, ks):
-    """Plane-wave fiber at each k in ``ks``, written into one reused array.
+def _fiber_eigenvalues(potential: FourierPotential, cutoff: int, ks, bands: int):
+    """Lowest ``bands`` eigenvalues of the plane-wave fiber at each k in ``ks``,
+    shape (len(ks), bands).
 
     Entry (m, n) = delta_mn (2*pi*m + k)^2 + v(m - n) for m, n in -N..N with
-    N = cutoff, so the fiber dimension is 2N+1.  The Toeplitz part v(m - n) is built once
-    and is real when every coefficient is; only the diagonal changes with k.
-    N must cover every stored potential frequency.  Entry (n, m) is
-    v(n - m) = conj v(m - n) exactly and v(0) is real (``FourierPotential``),
-    so every fiber is Hermitian.
+    N = cutoff, so the fiber dimension is 2N+1.  Both counts are integers, and N
+    covers every potential frequency (so it is not negative) before the band
+    count is checked against 2N+1 and anything is built.  The Toeplitz part
+    v(m - n) is built once and is real when every coefficient is; the one loop
+    over k rewrites the diagonal and solves.  Entry (n, m) is v(n - m) =
+    conj v(m - n) exactly and v(0) is real (``FourierPotential``), so every
+    fiber is Hermitian.
     """
-    N = cutoff
+    N = checked_int(cutoff, "cutoff", least=max(map(abs, potential.coefficients), default=0))
+    bands = checked_int(bands, "bands")
+    if bands > 2 * N + 1:
+        raise ValueError(f"requested {bands} bands from a {2 * N + 1}-dimensional fiber")
     # v-lookup table indexed by frequency difference m - n in [-2N, 2N]
     table = np.zeros(4 * N + 1, dtype=complex)
     for n, v in potential.coefficients.items():
@@ -71,23 +77,9 @@ def _fibers(potential: FourierPotential, cutoff: int, ks):
     freqs = TWO_PI * np.arange(-N, N + 1)
     idx = np.arange(2 * N + 1)
     fiber = table[idx[:, None] - idx[None, :] + 2 * N]
-    for kval in ks:
-        np.fill_diagonal(fiber, table[2 * N] + (freqs + kval) ** 2)
-        yield fiber
-
-
-def _fiber_eigenvalues(potential: FourierPotential, cutoff: int, ks, bands: int):
-    """Lowest ``bands`` fiber eigenvalues at each k in ``ks``, shape (len(ks), bands).
-
-    Both are integers, and the cutoff covers every potential frequency (so it is
-    not negative) before the band count is checked against 2*cutoff + 1.
-    """
-    cutoff = checked_int(cutoff, "cutoff", least=potential.max_frequency)
-    bands = checked_int(bands, "bands")
-    if bands > 2 * cutoff + 1:
-        raise ValueError(f"requested {bands} bands from a {2 * cutoff + 1}-dimensional fiber")
     energies = np.empty((len(ks), bands))
-    for i, (kval, fiber) in enumerate(zip(ks, _fibers(potential, cutoff, ks))):
+    for i, kval in enumerate(ks):
+        np.fill_diagonal(fiber, table[2 * N] + (freqs + kval) ** 2)
         energies[i] = eigensolve(fiber, k=float(kval))[:bands]
     return energies
 

@@ -132,12 +132,6 @@ class FourierPotential:
                 exact[-n], exact[n] = v.conjugate(), v
         object.__setattr__(self, "coefficients", exact)
 
-    @property
-    def max_frequency(self) -> int:
-        if not self.coefficients:
-            return 0
-        return max(abs(n) for n in self.coefficients)
-
 
 @dataclass(frozen=True)
 class RationalFlux:

@@ -3,14 +3,15 @@ Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
 their spectral projections, block-circulant synthesis, the eigenvalues of the
 open direct-space chain and of the closed ring, a misplaced second edge fiber
 to plant in place of the true ones, the lattice Chern number of the lowest
-bands, the distance from values to a band set, the Chambers discriminant
-in high-precision decimal arithmetic, Hill's half-period functions and
-full-period discriminant of a 1d potential, integrated as an ODE with no
-plane-wave basis, and the dense clock and shift matrices with their residuals.
+bands, the distance from values to a band set, the padded residual radius
+of a plane-wave eigenvalue, the Chambers discriminant in high-precision
+decimal arithmetic, Hill's half-period functions and full-period
+discriminant of a 1d potential, integrated as an ODE with no plane-wave
+basis, and the dense clock and shift matrices with their residuals.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
-``model.tridiagonal`` or ``model.clock_shift``.
+``fibering._fiber_eigenvalues``, ``model.tridiagonal`` or ``model.clock_shift``.
 """
 
 import decimal
@@ -202,6 +203,32 @@ def plane_wave_radius(potential, cutoff: int) -> float:
     return 8 * n * np.finfo(float).eps * norm
 
 
+def plane_wave_residual_radius(potential, cutoff: int, k: float, energies) -> np.ndarray:
+    """Radius about each of the lowest fiber eigenvalues ``energies`` at k, taken
+    on -cutoff..cutoff, within which the untruncated fiber H has an eigenvalue.
+
+    The window -N-M..N+M, N = cutoff and M = max |n| of the potential, is written
+    out here entry by entry.  The eigenvector x of each energy mu comes from
+    ``numpy.linalg.eigh`` on its middle -N..N and is zero outside it, so the
+    padded window holds every entry of H that x meets and H x is exact up to
+    rounding.  Some eigenvalue of H lies within
+    (||H x - mu x|| + (n + 2) eps || |H| |x| + |mu| |x| ||) / ||x|| of mu, with n
+    the padded dimension (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    """
+    mu = np.asarray(energies, dtype=float)
+    N, M = cutoff, max(map(abs, potential.coefficients), default=0)
+    freqs = np.arange(-N - M, N + M + 1)
+    H = np.array([[potential.coefficients.get(m - n, 0) for n in freqs] for m in freqs],
+                 dtype=complex) + np.diag((2 * np.pi * freqs + k) ** 2)
+    H = H if H.imag.any() else H.real
+    x = np.zeros((len(freqs), len(mu)), dtype=H.dtype)
+    x[M:M + 2 * N + 1] = np.linalg.eigh(H[M:M + 2 * N + 1, M:M + 2 * N + 1])[1][:, :len(mu)]
+    residual = np.linalg.norm(H @ x - mu * x, axis=0)
+    rounding = (len(freqs) + 2) * np.finfo(float).eps * np.linalg.norm(
+        np.abs(H) @ np.abs(x) + np.abs(mu) * np.abs(x), axis=0)
+    return (residual + rounding) / np.linalg.norm(x, axis=0)
+
+
 def _gauss_points(length: float, steps: int) -> np.ndarray:
     """The two Gauss points of each of ``steps`` equal steps over [0, length], shape (steps, 2)."""
     h = length / steps
@@ -325,6 +352,30 @@ def hill_discriminant_misses(potential, edges, radius, steps: int = 3200) -> tup
         return (delta - np.array([2.0, -2.0])[:, None])[None]
 
     return _bracket_misses(discriminant_values, edges, radius, steps)
+
+
+def hill_sample_misses(potential, ks, energies, radius, steps: int = 1600) -> tuple:
+    """Which band samples lie near no root of Delta(E) - 2 cos k.
+
+    ``energies`` has one row per k in ``ks``; ``radius`` broadcasts against it.
+    Take every k strictly inside (0, pi): there Delta is strictly monotone
+    in each band, so the root is simple, while at k = 0 and pi the roots are
+    near-double at tiny gaps (``hill_edge_misses`` checks those).  Delta is the
+    half-period split 2 (u1 u2' + u1' u2) of ``hill_half_period`` when every
+    coefficient is real, else ``hill_discriminant`` with twice the steps, so
+    both step with the same length; the test is ``_bracket_misses``.
+    """
+    even = not any(v.imag for v in potential.coefficients.values())
+
+    def discriminant_values(ends, n):  # (1, end, k, sample)
+        if even:
+            u1, du1, u2, du2 = hill_half_period(potential, ends.ravel(), n)
+            delta = 2 * (u1 * du2 + du1 * u2)
+        else:
+            delta = hill_discriminant(potential, ends.ravel(), 2 * n)
+        return (delta.reshape(ends.shape) - 2 * np.cos(np.asarray(ks))[:, None])[None]
+
+    return _bracket_misses(discriminant_values, energies, radius, steps)
 
 
 def _decimal_pi() -> Decimal:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import hill_edge_misses, plane_wave_radius
+from oracles import hill_edge_misses, plane_wave_residual_radius
 
 from blochspec import cli, fibering, harper, model
 from blochspec.cli import MAX_DIM, MAX_GRID, MAX_Q, build_parser, main, parse_potential
@@ -83,13 +83,19 @@ def test_bands_regression_pinned(tmp_path):
 def test_pinned_bands_fixture_edges_are_zeros_of_hill_parity_functions():
     # the fixture was pinned from this program; its 8 edges are checked against
     # the ODE oracle, which uses no plane-wave basis.  In ascending (Hill) order
-    # they come from the k = 0 and k = pi fibers as 0, pi, pi, 0, 0, pi, pi, 0
+    # they come from the k = 0 and k = pi fibers as 0, pi, pi, 0, 0, pi, pi, 0.
+    # Each edge's radius is its own padded residual (3.6e-12 to 2.4e-11), so the
+    # check sees a move of the fixture's 1e-9 tolerance
     potential = parse_potential("1:1")
     fixture = json.loads((DATA / "bands_cosine.json").read_text())
     e = np.ravel(fixture["band_intervals"])
     edges = np.array([e[[0, 3, 4, 7]], e[[1, 2, 5, 6]]])
-    missed, _ = hill_edge_misses(potential, edges, plane_wave_radius(potential, 32))
+    radius = np.array([plane_wave_residual_radius(potential, 32, k, row)
+                       for k, row in zip((0.0, math.pi), edges)])
+    missed, _ = hill_edge_misses(potential, edges, radius)
     assert not missed.any()
+    moved = np.concatenate([edges - 1e-9, edges + 1e-9], axis=1)
+    assert hill_edge_misses(potential, moved, np.tile(radius, 2))[0].all()
 
 
 def test_ids_output(tmp_path):
@@ -611,7 +617,7 @@ def no_builders(monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    for owner, name in ((fibering, "_fibers"), (harper, "tridiagonal"),
+    for owner, name in ((fibering, "_fiber_eigenvalues"), (harper, "tridiagonal"),
                         (model, "clock_shift")):
         monkeypatch.setattr(owner, name, reached)
 

@@ -17,6 +17,7 @@ from oracles import (
     hill_discriminant_misses,
     hill_edge_misses,
     hill_half_period,
+    hill_sample_misses,
     plane_wave_radius,
 )
 
@@ -24,7 +25,6 @@ from blochspec import fibering, model
 from blochspec.fibering import (
     DiscreteCell,
     _fiber_eigenvalues,
-    _fibers,
     band_structure,
     band_sweep,
     dense_periodic_matrix,
@@ -47,8 +47,12 @@ COSINE = FourierPotential({1: 1.0, -1: 1.0})
 
 
 def fiber(potential, k, cutoff):
-    """The plane-wave fiber at k from the shared builder."""
-    m, = _fibers(potential, cutoff, [k])
+    """The plane-wave fiber at k, as the builder hands it to the eigensolver."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fibering, "eigensolve", lambda mat, k: seen.append(mat.copy()) or [0.0])
+        _fiber_eigenvalues(potential, cutoff, [k], 1)
+    m, = seen
     return m
 
 
@@ -333,6 +337,43 @@ def test_complex_band_edges_are_zeros_of_the_full_period_discriminant(name):
     assert hill_discriminant_misses(potential, planted, radius)[0][wide].all()
 
 
+# k at indices 8, 17, 25, 33 and 42 of the 101-point grid, strictly inside (0, pi)
+INTERIOR_KS = uniform_k_grid(101)[[8, 17, 25, 33, 42]]
+
+# each potential with its cutoffs and the 0-based bands, of 17, whose every
+# interior sample the ODE flags at cutoff 8 (defect H).  A complex potential
+# needs the full period at twice the steps, so it runs at two cutoffs only
+SAMPLE_CASES = {"cosine": (COSINE, (8, 16, 32, 64), range(13, 17)),
+                "901": (CONTINUUM[0], (8, 16, 32, 64), range(9, 17)),
+                "902": (CONTINUUM[1], (8, 16, 32, 64), range(9, 17)),
+                "1c": (COMPLEX_HILL["1c"], (8, 32), range(13, 17)),
+                "1,2c": (COMPLEX_HILL["1,2c"], (8, 32), range(9, 17))}
+
+
+@pytest.mark.parametrize("name", SAMPLE_CASES)
+def test_interior_band_samples_are_roots_of_the_discriminant(name):
+    # at k strictly inside (0, pi) every sample E_b(k) is a simple root of
+    # Delta(E) - 2 cos k, and it lies in band b: between sorted edges 2b and 2b + 1
+    potential, cutoffs, truncated = SAMPLE_CASES[name]
+    solved = [_fiber_eigenvalues(potential, c, (0.0, math.pi, *INTERIOR_KS), 17)
+              for c in cutoffs]
+    radii = [plane_wave_radius(potential, c) for c in cutoffs]
+    for rows, rad in zip(solved, radii):
+        e = np.sort(rows[:2], axis=None)
+        assert np.all((rows[2:] >= e[0::2] - rad) & (rows[2:] <= e[1::2] + rad))
+    samples = np.concatenate([rows[2:] for rows in solved], axis=1)
+    missed, r = hill_sample_misses(potential, INTERIOR_KS, samples, np.repeat(radii, 17))
+    flagged = np.zeros_like(missed)
+    flagged[:, list(truncated)] = True  # the first 17 columns are cutoff 8
+    assert np.array_equal(missed, flagged)
+    # every sample at the second cutoff moved up by 10 r, and for the cosine down too
+    second = slice(17, 34)
+    signs = (1, -1) if name == "cosine" else (1,)
+    planted = np.concatenate([samples[:, second] + sign * 10 * r[:, second] for sign in signs],
+                             axis=1)
+    assert hill_sample_misses(potential, INTERIOR_KS, planted, radii[1])[0].all()
+
+
 @pytest.mark.parametrize("potential", CONTINUUM, ids=["901", "902"])
 def test_continuum_interval_count_does_not_depend_on_the_cutoff(potential):
     # gcd 1 closes no gap, so all 16 bands print at every cutoff, also where a
@@ -346,12 +387,12 @@ def test_fibers_are_real_exactly_when_every_coefficient_is():
     freqs = np.arange(-4, 5)
     for potential, dtype in ((COSINE, float), (CONTINUUM[0], float), (COMPLEX, complex),
                              (FourierPotential({}), float)):
-        fiber, = _fibers(potential, 4, [1.0])
-        assert fiber.dtype == dtype
-        assert np.array_equal(fiber, fiber.conj().T)  # Hermitian by construction
+        mat = fiber(potential, 1.0, 4)
+        assert mat.dtype == dtype
+        assert np.array_equal(mat, mat.conj().T)  # Hermitian by construction
         want = np.array([[potential.coefficients.get(m - n, 0) + (m == n) * (2 * np.pi * m + 1.0) ** 2
                           for n in freqs] for m in freqs])
-        assert np.abs(fiber - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_band_sweep_never_stacks_the_fibers():
