@@ -142,35 +142,31 @@ def harper_spectrum(params: HarperParams) -> BandSet:
     return bands_from_edges(_edge_fibers(params), () if q % 2 else (q // 2,))
 
 
-def _direct_space_diag(params: HarperParams, sites: int) -> np.ndarray:
-    """Onsite energies 2*lam*cos(2*pi*n*p/q + phase) for n < sites, shape (2, sites):
-    row 0 at phase 0, row 1 at phase pi/q."""
-    sites = checked_int(sites, "site count", least=params.flux.q)  # one magnetic cell
-    # the onsite term is written out here, not taken from ``_edge_fibers``, so the
-    # direct-space oracle stays an independent definition of the operator
-    n, phase = np.arange(sites), np.array([[0.0], [np.pi / params.flux.q]])
-    return 2.0 * params.lam * np.cos(TWO_PI * n * params.flux.p / params.flux.q + phase)
-
-
 def direct_space_count(params: HarperParams, sites: int, energies) -> np.ndarray:
     """Eigenvalues below each of P energies of the two open direct-space chains, shape (2, P).
 
-    Row r counts the sites x sites tridiagonal matrix with diagonal
-    ``_direct_space_diag`` row r and unit hopping: row 0 the chain at phase 0,
-    whose cells are the edge fiber H_0, and row 1 the chain at phase pi/q,
-    whose cells are H_pi.  By Sylvester's law of inertia the count below E is
-    the number of negative pivots of the LDL^T factorisation of the chain
-    minus E, d_n = (a_n - E) - 1/d_(n-1) (Kahan 1966; Demmel, Applied
-    Numerical Linear Algebra, sec. 5.3).  A zero pivot becomes -tiny.  One
-    pass over the sites carries the (2, P) pivots; no matrix is built.
-    ``energies`` must be 1-d with no NaN, checked before the pass; -inf and
-    +inf count 0 and ``sites``.
+    Row r counts the sites x sites tridiagonal matrix with onsite energies
+    2*lam*cos(2*pi*n*p/q + phase) for n < sites and unit hopping: row 0 the
+    chain at phase 0, whose cells are the edge fiber H_0, and row 1 the chain
+    at phase pi/q, whose cells are H_pi.  By Sylvester's law of inertia the
+    count below E is the number of negative pivots of the LDL^T factorisation
+    of the chain minus E, d_n = (a_n - E) - 1/d_(n-1) (Kahan 1966; Demmel,
+    Applied Numerical Linear Algebra, sec. 5.3).  A zero pivot becomes -tiny.
+    One pass over the sites carries the (2, P) pivots; no matrix is built.
+    ``energies`` must be 1-d with no NaN, checked before the site count and
+    the pass; -inf and +inf count 0 and ``sites``.
     """
     e = checked_energies(energies, "direct-space energies")
+    p, q = params.flux.p, params.flux.q
+    sites = checked_int(sites, "site count", least=q)  # one magnetic cell
+    # the onsite term is written out here, not taken from ``_edge_fibers``, so the
+    # direct-space oracle stays an independent definition of the operator
+    n, phase = np.arange(sites), np.array([[0.0], [np.pi / q]])
+    diag = 2.0 * params.lam * np.cos(TWO_PI * n * p / q + phase)
     tiny = np.finfo(float).tiny
     count = np.zeros((2, e.size), dtype=int)
     inv = np.zeros((2, e.size))
-    for a in _direct_space_diag(params, sites).T[:, :, None]:
+    for a in diag.T[:, :, None]:
         d = (a - e) - inv
         d[d == 0.0] = -tiny
         count += d < 0.0

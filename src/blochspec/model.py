@@ -114,22 +114,20 @@ class FourierPotential:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"coefficient v({n}) = {v} is not finite")
             clean[n] = v
-        for n in list(clean):
-            clean.setdefault(-n, clean[n].conjugate())
-        if 8 * sum(abs(v / 8) for v in clean.values()) > POTENTIAL_MAX:  # v / 8: abs stays finite
-            raise ValueError(f"coefficients sum |v(n)| above {POTENTIAL_MAX!r}: the fiber "
-                             f"eigenvalues would overflow")
-        for n, v in clean.items():
-            if not abs(clean[-n] - v.conjugate()) <= 1e-14:
-                raise ValueError(
-                    f"coefficients break Hermitian symmetry at n={n}: "
-                    f"v({-n}) != conj(v({n}))"
-                )
-        exact = {}
+        exact, total = {}, 0.0
         for n in sorted({abs(m) for m in clean}):
-            v = clean[n] if n else complex(clean[0].real)
+            v = clean[n] if n in clean else clean[-n].conjugate()
+            w = clean.get(-n, v.conjugate())
+            if not abs(w - v.conjugate()) <= 1e-14:
+                raise ValueError(f"coefficients break Hermitian symmetry at n={n}: "
+                                 f"v({-n}) != conj(v({n}))")
+            total += abs(v / 8) + (abs(w / 8) if n else 0.0)  # v / 8: abs stays finite
+            v = v if n else complex(v.real)
             if v != 0:
                 exact[-n], exact[n] = v.conjugate(), v
+        if 8 * total > POTENTIAL_MAX:
+            raise ValueError(f"coefficients sum |v(n)| above {POTENTIAL_MAX!r}: the fiber "
+                             f"eigenvalues would overflow")
         object.__setattr__(self, "coefficients", exact)
 
 
@@ -181,10 +179,10 @@ class BandSet:
             a, b = float(iv[0]), float(iv[1])
             if not -math.inf < a <= b < math.inf:  # a NaN edge fails too
                 raise ValueError(f"interval [{a}, {b}] is not finite and ordered")
+            if clean and not clean[-1][1] <= a:
+                a0, b0 = clean[-1]
+                raise ValueError(f"intervals [{a0}, {b0}] and [{a}, {b}] overlap")
             clean.append((a, b))
-        for (a0, b0), (a1, b1) in zip(clean, clean[1:]):
-            if not b0 <= a1:
-                raise ValueError(f"intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
         object.__setattr__(self, "intervals", tuple(clean))
 
 

@@ -4,10 +4,11 @@ their spectral projections, block-circulant synthesis, the eigenvalues of the
 open direct-space chain and of the closed ring, a misplaced second edge fiber
 to plant in place of the true ones, the lattice Chern number of the lowest
 bands, the distance from values to a band set, the padded residual radius
-of a plane-wave eigenvalue, the Chambers discriminant in high-precision
-decimal arithmetic, Hill's half-period functions and full-period
-discriminant of a 1d potential, integrated as an ODE with no plane-wave
-basis, and the dense clock and shift matrices with their residuals.
+of a plane-wave eigenvalue and its width bound, the Chambers discriminant in
+high-precision decimal arithmetic, Hill's half-period functions and
+full-period discriminant of a 1d potential, integrated as an ODE with no
+plane-wave basis, and the dense clock and shift matrices with their
+residuals.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
@@ -214,6 +215,11 @@ def plane_wave_residual_radius(potential, cutoff: int, k: float, energies) -> np
     rounding.  Some eigenvalue of H lies within
     (||H x - mu x|| + (n + 2) eps || |H| |x| + |mu| |x| ||) / ||x|| of mu, with n
     the padded dimension (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    The radius is taken at the value under test, so it bounds that value's own
+    error and grows with it: its bracket always encloses some eigenvalue, and
+    only its width says how accurate mu is.  So an accuracy check must bound
+    the width, not just the bracket (``plane_wave_residual_radii``), and an
+    error estimate must not be a radius taken at the printed values.
     """
     mu = np.asarray(energies, dtype=float)
     N, M = cutoff, max(map(abs, potential.coefficients), default=0)
@@ -227,6 +233,18 @@ def plane_wave_residual_radius(potential, cutoff: int, k: float, energies) -> np
     rounding = (len(freqs) + 2) * np.finfo(float).eps * np.linalg.norm(
         np.abs(H) @ np.abs(x) + np.abs(mu) * np.abs(x), axis=0)
     return (residual + rounding) / np.linalg.norm(x, axis=0)
+
+
+def plane_wave_residual_radii(potential, cutoff: int, ks, energies) -> tuple:
+    """(radius, wide): ``plane_wave_residual_radius`` of each row of ``energies``
+    at its k in ``ks``, and where that radius exceeds 16 eps (2 pi cutoff)^2,
+    a few rounding errors on the top kinetic term.  The radius is at least mu's
+    distance to the nearest eigenvalue of the padded window, so a value that
+    far off is ``wide`` even where its bracket encloses an eigenvalue.
+    """
+    radius = np.array([plane_wave_residual_radius(potential, cutoff, k, row)
+                       for k, row in zip(ks, energies)])
+    return radius, radius > 16 * np.finfo(float).eps * (2 * np.pi * cutoff) ** 2
 
 
 def _gauss_points(length: float, steps: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import hill_edge_misses, hill_sample_misses, plane_wave_radius
+from oracles import hill_edge_misses, hill_sample_misses, plane_wave_residual_radii
 
 from blochspec.cli import build_parser, main, parse_potential
 from blochspec.fibering import _fiber_eigenvalues
@@ -48,23 +48,33 @@ BANDS_CALLS = {key: argv for key, (argv, _) in CALLS.items() if argv[0] == "band
 
 @pytest.mark.parametrize("argv", list(BANDS_CALLS.values()), ids=list(BANDS_CALLS))
 def test_benchmark_band_edges_are_zeros_of_hill_parity_functions(argv):
-    # the edges the call prints, checked against the ODE oracle (real coefficients)
+    # the edges the call prints, checked against the ODE oracle (real
+    # coefficients) at each edge's own residual radius, whose width is bounded;
+    # every edge moved up by 1e-9, its radius recomputed there, fails
     ns = build_parser().parse_args(argv)
     potential = parse_potential(ns.potential)
-    edges = _fiber_eigenvalues(potential, ns.cutoff, (0.0, math.pi), ns.bands)
-    missed, _ = hill_edge_misses(potential, edges, plane_wave_radius(potential, ns.cutoff))
-    assert not missed.any()
+    ks = (0.0, math.pi)
+    edges = _fiber_eigenvalues(potential, ns.cutoff, ks, ns.bands)
+    radius, wide = plane_wave_residual_radii(potential, ns.cutoff, ks, edges)
+    missed, _ = hill_edge_misses(potential, edges, radius)
+    assert not (missed | wide).any()
+    radius, wide = plane_wave_residual_radii(potential, ns.cutoff, ks, edges + 1e-9)
+    assert (hill_edge_misses(potential, edges + 1e-9, radius)[0] | wide).all()
 
 
 @pytest.mark.parametrize("argv", list(BANDS_CALLS.values()), ids=list(BANDS_CALLS))
 def test_benchmark_interior_band_samples_are_roots_of_the_discriminant(argv):
     # the samples the call prints at five k strictly inside (0, pi) are roots of
-    # Delta(E) - 2 cos k; every one moved up by 10 r is flagged
+    # Delta(E) - 2 cos k within their own residual radius, whose width is
+    # bounded; every one moved up by 10 r at that radius is flagged, and every
+    # one moved up by 1e-9, its radius recomputed there, fails
     ns = build_parser().parse_args(argv)
     potential = parse_potential(ns.potential)
     ks = uniform_k_grid(ns.kpoints)[[80, 170, 250, 330, 420]]
     samples = _fiber_eigenvalues(potential, ns.cutoff, ks, ns.bands)
-    radius = plane_wave_radius(potential, ns.cutoff)
+    radius, wide = plane_wave_residual_radii(potential, ns.cutoff, ks, samples)
     missed, r = hill_sample_misses(potential, ks, samples, radius)
-    assert not missed.any()
+    assert not (missed | wide).any()
     assert hill_sample_misses(potential, ks, samples + 10 * r, radius)[0].all()
+    radius, wide = plane_wave_residual_radii(potential, ns.cutoff, ks, samples + 1e-9)
+    assert (hill_sample_misses(potential, ks, samples + 1e-9, radius)[0] | wide).all()

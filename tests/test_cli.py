@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import hill_edge_misses, plane_wave_residual_radius
+from oracles import hill_edge_misses, plane_wave_residual_radii
 
 from blochspec import cli, fibering, harper, model
 from blochspec.cli import MAX_DIM, MAX_GRID, MAX_Q, build_parser, main, parse_potential
@@ -84,18 +84,23 @@ def test_pinned_bands_fixture_edges_are_zeros_of_hill_parity_functions():
     # the fixture was pinned from this program; its 8 edges are checked against
     # the ODE oracle, which uses no plane-wave basis.  In ascending (Hill) order
     # they come from the k = 0 and k = pi fibers as 0, pi, pi, 0, 0, pi, pi, 0.
-    # Each edge's radius is its own padded residual (3.6e-12 to 2.4e-11), so the
-    # check sees a move of the fixture's 1e-9 tolerance
+    # Each edge's radius is its own padded residual (3.6e-12 to 2.4e-11), which
+    # grows with the edge's error, so its width is bounded too
     potential = parse_potential("1:1")
     fixture = json.loads((DATA / "bands_cosine.json").read_text())
     e = np.ravel(fixture["band_intervals"])
     edges = np.array([e[[0, 3, 4, 7]], e[[1, 2, 5, 6]]])
-    radius = np.array([plane_wave_residual_radius(potential, 32, k, row)
-                       for k, row in zip((0.0, math.pi), edges)])
+    ks = (0.0, math.pi)
+    radius, wide = plane_wave_residual_radii(potential, 32, ks, edges)
     missed, _ = hill_edge_misses(potential, edges, radius)
-    assert not missed.any()
+    assert not (missed | wide).any()
+    # a move of the fixture's 1e-9 tolerance is seen at the true edges' radii,
+    # and at radii recomputed at the moved edges
     moved = np.concatenate([edges - 1e-9, edges + 1e-9], axis=1)
     assert hill_edge_misses(potential, moved, np.tile(radius, 2))[0].all()
+    for shift in (-1e-9, 1e-9):
+        radius, wide = plane_wave_residual_radii(potential, 32, ks, edges + shift)
+        assert (hill_edge_misses(potential, edges + shift, radius)[0] | wide).all()
 
 
 def test_ids_output(tmp_path):
