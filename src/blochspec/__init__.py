@@ -16,7 +16,6 @@ from .model import (
     clock_shift,
     commutation_residual,
     interior_gaps,
-    lebesgue_measure,
     uniform_k_grid,
 )
 from .fibering import (
@@ -58,7 +57,6 @@ __all__ = [
     "harper_spectrum",
     "ids",
     "interior_gaps",
-    "lebesgue_measure",
     "periodic_truncation_spectrum",
     "uniform_k_grid",
 ]

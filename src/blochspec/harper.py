@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (TWO_PI, BandSet, RationalFlux, bands_from_edges, checked_energies, checked_int,
-                    eigensolve, lebesgue_measure, tridiagonal)
+                    eigensolve, tridiagonal)
 
 # largest coupling: the IDS energy grid spans 1.1 * (4 + 4 lam), which must
 # stay finite with room for eigensolver roundoff in the band edges
@@ -196,8 +196,8 @@ def butterfly(max_q: int, lam: float = 1.0) -> list:
 def cantor_proxy(approximants, lam: float = 1.0) -> list:
     """Total band measure along a sequence of rational flux approximants.
 
-    The approximants must come in order of increasing denominator; the
-    returned list pairs each flux with the Lebesgue measure of its spectrum.
+    The approximants must come in order of increasing denominator; each flux
+    is paired with the Lebesgue measure of its spectrum, its band widths summed.
     No monotonicity of the sequence is implied, only the overall shrinking
     that a measure-zero limiting spectrum would force.
     """
@@ -208,5 +208,5 @@ def cantor_proxy(approximants, lam: float = 1.0) -> list:
     out = []
     for flux in fluxes:
         bands = harper_spectrum(HarperParams(flux=flux, lam=lam))
-        out.append((flux, lebesgue_measure(bands)))
+        out.append((flux, sum(b - a for a, b in bands.intervals)))
     return out

@@ -1,8 +1,9 @@
 """Shared domain types, band sets, the tridiagonal fiber builder, the clock/shift
 pair and the eigensolver boundary.
 
-Everything downstream (fiber matrices, Harper band edges, the truncation
-oracles) reduces to diagonalizing dense Hermitian matrices.  The types that
+The spectra downstream (fiber matrices, Harper band edges, the truncation
+oracles) come from diagonalizing dense Hermitian matrices; the direct-space
+count in ``harper`` builds no matrix and counts LDL^T pivots.  The types that
 describe an operator make it self-adjoint (a real potential, real onsite
 energies, unit hopping), so every builder's matrices are Hermitian by
 construction, and ``eigensolve`` is the one place that calls LAPACK.  The
@@ -210,10 +211,6 @@ def interior_gaps(bands: BandSet) -> list:
     """Gaps between the first and last band: (b_i, a_i+1) for consecutive
     bands [a_i, b_i] and [a_i+1, b_i+1]; touching bands give width 0."""
     return [(b, a) for (_, b), (a, _) in zip(bands.intervals, bands.intervals[1:])]
-
-
-def lebesgue_measure(bands: BandSet) -> float:
-    return float(sum(b - a for a, b in bands.intervals))
 
 
 def clock_shift(flux: RationalFlux) -> tuple:

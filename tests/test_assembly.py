@@ -16,7 +16,6 @@ from blochspec.model import (
     RationalFlux,
     bands_from_edges,
     interior_gaps,
-    lebesgue_measure,
 )
 
 
@@ -111,11 +110,6 @@ def test_touching_bands_leave_a_gap_of_width_zero():
     assert bands.intervals == ((-2.0, 0.0), (0.0, 2.0))
     assert interior_gaps(bands) == [(0.0, 0.0)]
     assert interior_gaps(bands_from_edges([-2.0, 0.0, 0.0, 2.0], closed={1})) == []
-
-
-def test_lebesgue_measure():
-    assert lebesgue_measure(BandSet(((-4.0, 4.0),))) == 8.0
-    assert lebesgue_measure(BandSet(())) == 0.0
 
 
 def test_distance_to_bands():

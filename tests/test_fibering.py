@@ -19,6 +19,7 @@ from oracles import (
     hill_half_period,
     hill_sample_misses,
     plane_wave_radius,
+    plane_wave_residual_radii,
 )
 
 from blochspec import fibering, model
@@ -194,20 +195,29 @@ PERIOD_FIXTURES = [HALF_PERIOD, FourierPotential({3: 1.0, 6: 0.5}),
 def test_gaps_closed_by_the_primitive_period_split_only_by_roundoff(monkeypatch, potential,
                                                                     cutoff):
     # the raw edges of every gap that band_structure passes as closed differ by at
-    # most the eigensolver's error 8 n eps |H|
+    # most the eigensolver's error: at cutoff 64 the sum of the two edges' residual
+    # radii, neither of them wide; at cutoff 16, where those radii are wide on
+    # some edges of 3,6 and 2,4c, 8 n eps |H|
     seen = []
     merge = model.bands_from_edges
 
     def spy(edges, closed):
-        seen.append((np.sort(edges, axis=None), closed))
+        seen.append((edges, closed))
         return merge(edges, closed)
 
     monkeypatch.setattr(fibering, "bands_from_edges", spy)
     band_structure(potential, cutoff, 12)
-    (e, closed), = seen
-    for j in range(1, 12):
-        if j in closed:
-            assert abs(e[2 * j] - e[2 * j - 1]) <= plane_wave_radius(potential, cutoff), j
+    (edges, closed), = seen
+    order = np.argsort(edges, axis=None)
+    e = edges.ravel()[order]
+    splits = {j: abs(e[2 * j] - e[2 * j - 1]) for j in range(1, 12) if j in closed}
+    if cutoff == 16:
+        assert all(split <= plane_wave_radius(potential, cutoff) for split in splits.values())
+    else:
+        radius, wide = plane_wave_residual_radii(potential, cutoff, (0.0, math.pi), edges)
+        r, w = radius.ravel()[order], wide.ravel()[order]
+        for j, split in splits.items():
+            assert split <= r[2 * j] + r[2 * j - 1] and not (w[2 * j] or w[2 * j - 1]), j
 
 
 # ---------------------------------------------------------------- real fibers, one builder
@@ -265,10 +275,32 @@ HILL_CASES = {"cosine": (COSINE, list(range(27, 35))),
               "901": (CONTINUUM[0], list(range(19, 35))),
               "902": (CONTINUUM[1], list(range(19, 35)))}
 
+# the cutoffs whose values take their own residual radius; below them the
+# residual radius is wide on values the ODE shows accurate (the top cosine
+# edges at cutoff 16, every edge of 901 and 902 at cutoff 8)
+RESIDUAL_CUTOFFS = (32, 64)
+
 
 def edge_ranks(edges) -> np.ndarray:
     """Position of each edge in the sorted list of all of them, 1 = lowest."""
     return np.argsort(np.argsort(edges, axis=None)).reshape(np.shape(edges)) + 1
+
+
+def nudged(solved) -> list:
+    """(cutoff, values) for the values at each residual cutoff, moved down and up by 1e-9."""
+    return [(c, values + shift) for c, values in solved.items() if c in RESIDUAL_CUTOFFS
+            for shift in (-1e-9, 1e-9)]
+
+
+def block_radii(potential, ks, blocks) -> tuple:
+    """(radius, wide) of the values of (cutoff, values) blocks at their k, joined
+    along axis 1: each value's own residual radius at ``RESIDUAL_CUTOFFS``, else
+    8 n eps ||H||, which is never wide."""
+    pairs = [plane_wave_residual_radii(potential, c, ks, values) if c in RESIDUAL_CUTOFFS
+             else (np.full(values.shape, plane_wave_radius(potential, c)),
+                   np.zeros(values.shape, dtype=bool))
+             for c, values in blocks]
+    return tuple(np.concatenate(a, axis=1) for a in zip(*pairs))
 
 
 @pytest.mark.parametrize("name", HILL_CASES)
@@ -276,14 +308,18 @@ def test_band_edges_are_zeros_of_hill_parity_functions(name):
     # every k = 0 edge is a zero of u1'(1/2) or u2(1/2), every k = pi edge one of
     # u1(1/2) or u2'(1/2), found by an ODE with no plane-wave basis.  The split
     # needs V even, so every potential here has real coefficients; a complex
-    # one makes V real but not even
-    (potential, truncated), cutoffs = HILL_CASES[name], (8, 16, 32, 64)
-    edges = [_fiber_eigenvalues(potential, c, (0.0, math.pi), 17) for c in cutoffs]
-    radius = np.repeat([plane_wave_radius(potential, c) for c in cutoffs], 17)
-    missed, _ = hill_edge_misses(potential, np.concatenate(edges, axis=1), radius)
-    flagged = [sorted(edge_ranks(e)[m].tolist())
-               for e, m in zip(edges, np.split(missed, len(cutoffs), axis=1))]
-    assert flagged == [truncated, [], [], []]
+    # one makes V real but not even.  At cutoffs 32 and 64 no edge's radius is
+    # wide, and every edge moved by -/+1e-9, its radius recomputed there, is wide
+    (potential, truncated), ks = HILL_CASES[name], (0.0, math.pi)
+    solved = {c: _fiber_eigenvalues(potential, c, ks, 17) for c in (8, 16, 32, 64)}
+    radius, wide = block_radii(potential, ks, solved.items())
+    missed, _ = hill_edge_misses(potential, np.concatenate(list(solved.values()), axis=1), radius)
+    flagged = np.split(missed | wide, len(solved), axis=1)
+    assert [sorted(edge_ranks(e)[f].tolist()) for e, f in zip(solved.values(), flagged)] == \
+        [truncated, [], [], []]
+    # a radius taken at a moved edge still brackets an eigenvalue, so its width
+    # flags the move (7.8e-10 or more against 1.4e-10 and 5.7e-10)
+    assert block_radii(potential, ks, nudged(solved))[1].all()
 
 
 @pytest.mark.parametrize("name", HILL_CASES)
@@ -353,25 +389,32 @@ SAMPLE_CASES = {"cosine": (COSINE, (8, 16, 32, 64), range(13, 17)),
 @pytest.mark.parametrize("name", SAMPLE_CASES)
 def test_interior_band_samples_are_roots_of_the_discriminant(name):
     # at k strictly inside (0, pi) every sample E_b(k) is a simple root of
-    # Delta(E) - 2 cos k, and it lies in band b: between sorted edges 2b and 2b + 1
+    # Delta(E) - 2 cos k, and it lies in band b: between sorted edges 2b and 2b + 1.
+    # At cutoffs 32 and 64 no sample's radius is wide, and every sample moved by
+    # -/+1e-9, its radius recomputed there, is wide
     potential, cutoffs, truncated = SAMPLE_CASES[name]
-    solved = [_fiber_eigenvalues(potential, c, (0.0, math.pi, *INTERIOR_KS), 17)
-              for c in cutoffs]
-    radii = [plane_wave_radius(potential, c) for c in cutoffs]
-    for rows, rad in zip(solved, radii):
+    solved = {c: _fiber_eigenvalues(potential, c, (0.0, math.pi, *INTERIOR_KS), 17)
+              for c in cutoffs}
+    for c, rows in solved.items():
+        rad = plane_wave_radius(potential, c)
         e = np.sort(rows[:2], axis=None)
         assert np.all((rows[2:] >= e[0::2] - rad) & (rows[2:] <= e[1::2] + rad))
-    samples = np.concatenate([rows[2:] for rows in solved], axis=1)
-    missed, r = hill_sample_misses(potential, INTERIOR_KS, samples, np.repeat(radii, 17))
+    samples = {c: rows[2:] for c, rows in solved.items()}
+    values = np.concatenate(list(samples.values()), axis=1)
+    radius, wide = block_radii(potential, INTERIOR_KS, samples.items())
+    missed, r = hill_sample_misses(potential, INTERIOR_KS, values, radius)
     flagged = np.zeros_like(missed)
     flagged[:, list(truncated)] = True  # the first 17 columns are cutoff 8
-    assert np.array_equal(missed, flagged)
+    assert np.array_equal(missed | wide, flagged)
     # every sample at the second cutoff moved up by 10 r, and for the cosine down too
     second = slice(17, 34)
     signs = (1, -1) if name == "cosine" else (1,)
-    planted = np.concatenate([samples[:, second] + sign * 10 * r[:, second] for sign in signs],
+    planted = np.concatenate([values[:, second] + sign * 10 * r[:, second] for sign in signs],
                              axis=1)
-    assert hill_sample_misses(potential, INTERIOR_KS, planted, radii[1])[0].all()
+    assert hill_sample_misses(potential, INTERIOR_KS, planted,
+                              np.tile(radius[:, second], len(signs)))[0].all()
+    # as for the edges, the width of a radius taken at a moved sample flags it
+    assert block_radii(potential, INTERIOR_KS, nudged(samples))[1].all()
 
 
 @pytest.mark.parametrize("potential", CONTINUUM, ids=["901", "902"])

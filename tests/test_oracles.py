@@ -19,10 +19,11 @@ from oracles import (
 from blochspec import cli, harper, model
 from blochspec.harper import (
     HarperParams,
+    cantor_proxy,
     farey_fractions,
     harper_spectrum,
 )
-from blochspec.model import RationalFlux, bands_from_edges, lebesgue_measure
+from blochspec.model import RationalFlux, bands_from_edges
 
 # q*|sigma| -> 32 G / pi along Fibonacci fractions at lam = 1 (Thouless,
 # PRB 28, 4272 (1983)); G is Catalan's constant.
@@ -77,7 +78,7 @@ def test_aubry_duality_up_to_q_15():
 
 @pytest.mark.parametrize("p, q", [(233, 377), (377, 610)])
 def test_thouless_bandwidth_limit(p, q):
-    measure = lebesgue_measure(harper_spectrum(params(p, q)))
+    measure = cantor_proxy([RationalFlux(p, q)])[0][1]
     assert abs(q * measure - THOULESS_LIMIT) <= 1e-3
 
 
@@ -91,7 +92,7 @@ MEASURE_BOUND_LAMS = [0.5, 0.9, 1.1, 2.0]
 def fluxes_below_the_measure_bound(lam):
     bound = 4.0 * abs(1.0 - lam)
     return [flux for flux in farey_fractions(50)
-            if lebesgue_measure(harper_spectrum(HarperParams(flux=flux, lam=lam))) < bound]
+            if cantor_proxy([flux], lam)[0][1] < bound]
 
 
 @pytest.mark.parametrize("lam", MEASURE_BOUND_LAMS)
