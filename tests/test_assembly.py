@@ -182,6 +182,17 @@ def test_cantor_proxy_single_flux():
     assert rows[0][1] == pytest.approx(8.0, abs=1e-8)
 
 
+def test_cantor_proxy_sums_band_widths():
+    # the measure is the sum of the spectrum's band widths in band order,
+    # so every printed measure keeps its bytes
+    fluxes = [RationalFlux(1, 3), RationalFlux(2, 5), RationalFlux(3, 8)]
+    for lam in (0.5, 1.0, 2.0):
+        for flux, measure in cantor_proxy(fluxes, lam=lam):
+            intervals = harper.harper_spectrum(HarperParams(flux=flux, lam=lam)).intervals
+            assert len(intervals) > 1
+            assert measure == sum(b - a for a, b in intervals)
+
+
 def test_cantor_proxy_requires_increasing_q():
     with pytest.raises(ValueError):
         cantor_proxy([RationalFlux(1, 3), RationalFlux(1, 2)])
