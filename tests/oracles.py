@@ -1,14 +1,14 @@
-"""Test oracles that no production path calls: k-grid sweeps of the Harper
-Bloch matrices, per-branch ranges of such a sweep, the canonical trace of
-their spectral projections, block-circulant synthesis, the eigenvalues of the
-open direct-space chain and of the closed ring, a misplaced second edge fiber
-to plant in place of the true ones, the lattice Chern number of the lowest
-bands, the distance from values to a band set, the padded residual radius
-of a plane-wave eigenvalue and its width bound, the Chambers discriminant in
-high-precision decimal arithmetic, Hill's half-period functions and
-full-period discriminant of a 1d potential, integrated as an ODE with no
-plane-wave basis, and the dense clock and shift matrices with their
-residuals.
+"""Test oracles that no production path calls, and the Harper parameters they
+take: k-grid sweeps of the Harper Bloch matrices, per-branch ranges of such a
+sweep, the canonical trace of their spectral projections, block-circulant
+synthesis, the eigenvalues of the direct-space chain, open or closed into a
+ring, a misplaced second edge fiber to plant in place of the true ones, the
+lattice Chern number of the lowest bands, the distance from values to a band
+set, the padded residual radius of a plane-wave eigenvalue and its width
+bound, the Chambers discriminant in high-precision decimal arithmetic, Hill's
+half-period functions and full-period discriminant of a 1d potential,
+integrated as an ODE with no plane-wave basis, and the dense clock and shift
+matrices with their residuals.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
@@ -21,7 +21,15 @@ from decimal import Decimal
 
 import numpy as np
 
+from blochspec.harper import HarperParams
+from blochspec.model import RationalFlux
+
 DEFAULT_KGRID = (64, 64)
+
+
+def params(p, q, lam=1.0):
+    """Harper parameters at flux p/q and coupling lam."""
+    return HarperParams(flux=RationalFlux(p, q), lam=lam)
 
 
 def k_grid(n: int) -> np.ndarray:
@@ -59,16 +67,9 @@ def eigenvalue_grid(params, kgrid=DEFAULT_KGRID) -> np.ndarray:
 
 
 def canonical_trace(element) -> float:
-    """Normalized trace of a k-indexed family: (1/q) * k-average of tr.
-
-    Equals 1 on the identity family.  ``element`` is an array of shape
-    (..., q, q); ragged, empty and non-square input is rejected.
-    """
-    fam = np.asarray(element, dtype=complex)  # raises ValueError when ragged
-    if fam.size == 0:
-        raise ValueError("empty operator family")
-    if fam.ndim < 2 or fam.shape[-1] != fam.shape[-2]:
-        raise ValueError(f"expected matrices of shape (..., q, q), got {fam.shape}")
+    """Normalized trace of a k-indexed family of shape (..., q, q): (1/q) * k-average
+    of tr.  Equals 1 on the identity family."""
+    fam = np.asarray(element, dtype=complex)
     traces = np.trace(fam, axis1=-2, axis2=-1)
     return float(traces.mean().real) / fam.shape[-1]
 
@@ -87,11 +88,7 @@ def branch_ranges(energies) -> list:
     ``energies`` has branch index last; any leading axes enumerate the k-grid.
     """
     e = np.asarray(energies, dtype=float)
-    if e.ndim < 2:
-        raise ValueError("expected an array of eigenvalue branches over a k-grid")
     flat = e.reshape(-1, e.shape[-1])
-    if flat.shape[0] == 0:
-        raise ValueError("cannot assemble bands from an empty sweep")
     return list(zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist()))
 
 
@@ -110,30 +107,24 @@ def block_circulant_from_fibers(fibers: np.ndarray) -> np.ndarray:
     return big
 
 
-def chain_eigenvalues(params, sites, phase):
-    """Ascending eigenvalues of the open direct-space Harper chain with onsite
-    energies 2 lam cos(2 pi n p/q + phase), from ``numpy.linalg.eigvalsh`` on
-    the chain written out here."""
+def chain_eigenvalues(params, sites, phase, closed=False):
+    """Ascending eigenvalues of the direct-space Harper chain with onsite
+    energies 2 lam cos(2 pi n p/q + phase), open or ``closed`` into a ring by a
+    unit bond, from ``numpy.linalg.eigvalsh`` on the chain written out here."""
     p, q = params.flux.p, params.flux.q
     n = np.arange(sites)
     chain = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + phase))
     chain += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
+    if closed:
+        chain[0, sites - 1] += 1.0
+        chain[sites - 1, 0] += 1.0
     return np.linalg.eigvalsh(chain)
 
 
 def ring_eigenvalues(params, cells, phase):
-    """Ascending eigenvalues of the direct-space Harper ring of q * cells sites
-    with onsite energies 2 lam cos(2 pi n p/q + phase): the open chain of
-    ``chain_eigenvalues`` with a unit bond closing it, from
-    ``numpy.linalg.eigvalsh`` on the ring written out here."""
-    p, q = params.flux.p, params.flux.q
-    sites = q * cells
-    n = np.arange(sites)
-    ring = np.diag(2.0 * params.lam * np.cos(2 * np.pi * n * p / q + phase))
-    ring += np.diag(np.ones(sites - 1), 1) + np.diag(np.ones(sites - 1), -1)
-    ring[0, sites - 1] += 1.0
-    ring[sites - 1, 0] += 1.0
-    return np.linalg.eigvalsh(ring)
+    """Ascending eigenvalues of the direct-space Harper ring of q * cells sites:
+    the chain of ``chain_eigenvalues`` closed."""
+    return chain_eigenvalues(params, params.flux.q * cells, phase, closed=True)
 
 
 def second_fiber_at_k2_zero(params):
@@ -247,67 +238,67 @@ def plane_wave_residual_radii(potential, cutoff: int, ks, energies) -> tuple:
     return radius, radius > 16 * np.finfo(float).eps * (2 * np.pi * cutoff) ** 2
 
 
-def _gauss_points(length: float, steps: int) -> np.ndarray:
-    """The two Gauss points of each of ``steps`` equal steps over [0, length], shape (steps, 2)."""
-    h = length / steps
-    return h * (np.arange(steps)[:, None] + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6)
+# steps whose (step, energy) coefficients ``_magnus_solutions`` holds at once
+MAGNUS_BLOCK = 256
 
 
-def _magnus_solutions(V, h: float, energies) -> np.ndarray:
-    """u1, u1', u2 and u2' after the steps of length h whose Gauss-point values
-    of V are the rows of ``V``, shape (4, len(energies)).
+def _magnus_solutions(potential, length: float, energies, steps: int) -> np.ndarray:
+    """u1, u1', u2 and u2' at x = ``length`` for -u'' + V u = E u, shape
+    (4, len(energies)), with V(x) = sum_n (v(n) exp(2 pi i n x)).real, which is
+    real for every ``FourierPotential``, even or not.
 
-    u1 and u2 start from (u, u') = (1, 0) and (0, 1).  Each step is a fourth-order
-    Magnus step with two Gauss points: y = (u, u') solves y' = A y,
-    A = [[0, 1], [V - E, 0]], and the step's exponent
-    h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] = [[c, h], [b, -c]] is traceless, so
-    its exponential is C + S times it, with C = cosh s and S = sinh(s)/s for
-    s^2 = c^2 + h b (cos s and sin(s)/s where s^2 <= 0).
+    u1 and u2 start from (u, u') = (1, 0) and (0, 1) at x = 0.  Each of the
+    ``steps`` equal steps h is a fourth-order Magnus step with two Gauss points:
+    y = (u, u') solves y' = A y, A = [[0, 1], [V - E, 0]], and the step's
+    exponent h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1] = [[c, h], [b, -c]] is
+    traceless, so its exponential is C + S times it, with C = cosh s and
+    S = sinh(s)/s for s^2 = c^2 + h b (cos s and sin(s)/s where s^2 <= 0).  The
+    coefficients of ``MAGNUS_BLOCK`` steps at a time are formed and applied, so
+    the memory grows with the energies, not with steps times energies.
     """
-    c = (math.sqrt(3) / 12 * h * h * (V[:, 0] - V[:, 1]))[:, None]  # (step, energy)
-    b = (0.5 * h * (V[:, 0] + V[:, 1]))[:, None] - h * energies
-    s2 = c * c + h * b
-    s = np.sqrt(np.abs(s2))
-    osc = s2 <= 0
-    C = np.where(osc, np.cos(s), np.cosh(s))
-    S = np.where(osc, np.sinc(s / np.pi), np.divide(np.sinh(s), s, out=np.ones_like(s), where=~osc))
+    h = length / steps
+    x = h * (np.arange(steps)[:, None] + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6)
+    V = sum(((v * np.exp(2j * np.pi * n * x)).real for n, v in potential.coefficients.items()),
+            np.zeros_like(x))
+    energies = np.asarray(energies, dtype=float)
     u = np.stack([np.ones_like(energies), np.zeros_like(energies)])  # u1, u2
     du = np.stack([np.zeros_like(energies), np.ones_like(energies)])  # u1', u2'
-    for m11, m12, m21, m22 in zip(C + S * c, S * h, S * b, C - S * c):
-        u, du = m11 * u + m12 * du, m21 * u + m22 * du
+    for block in np.split(V, range(MAGNUS_BLOCK, steps, MAGNUS_BLOCK)):
+        c = (math.sqrt(3) / 12 * h * h * (block[:, 0] - block[:, 1]))[:, None]  # (step, energy)
+        b = (0.5 * h * (block[:, 0] + block[:, 1]))[:, None] - h * energies
+        s2 = c * c + h * b
+        s = np.sqrt(np.abs(s2))
+        osc = s2 <= 0
+        C = np.where(osc, np.cos(s), np.cosh(s))
+        S = np.where(osc, np.sinc(s / np.pi),
+                     np.divide(np.sinh(s), s, out=np.ones_like(s), where=~osc))
+        for m11, m12, m21, m22 in zip(C + S * c, S * h, S * b, C - S * c):
+            u, du = m11 * u + m12 * du, m21 * u + m22 * du
     return np.stack([u[0], du[0], u[1], du[1]])
 
 
 def hill_half_period(potential, energies, steps: int) -> np.ndarray:
-    """u1, u1', u2 and u2' at x = 1/2 for -u'' + V u = E u, shape (4, len(energies)).
+    """u1, u1', u2 and u2' at x = 1/2 of ``_magnus_solutions``, shape (4, len(energies)).
 
-    u1 and u2 start from (u, u') = (1, 0) and (0, 1) at x = 0.  The coefficients
-    must be real, so that V(x) = sum_n v(n) cos(2 pi n x) is even; then Hill's
-    discriminant splits at the half period, Delta - 2 = 4 u1'(1/2) u2(1/2) and
-    Delta + 2 = 4 u1(1/2) u2'(1/2) (Magnus-Winkler, Hill's Equation, 1966).  A
-    complex coefficient makes V real but not even, and the split fails
-    (``hill_discriminant`` takes the full period instead).  The ``steps``
-    steps over [0, 1/2] are those of ``_magnus_solutions``.
+    The coefficients must be real, so that V(x) = sum_n v(n) cos(2 pi n x) is
+    even; then Hill's discriminant splits at the half period,
+    Delta - 2 = 4 u1'(1/2) u2(1/2) and Delta + 2 = 4 u1(1/2) u2'(1/2)
+    (Magnus-Winkler, Hill's Equation, 1966).  A complex coefficient makes V real
+    but not even, and the split fails (``hill_discriminant`` takes the full
+    period instead).
     """
     if any(v.imag for v in potential.coefficients.values()):
         raise ValueError("the half-period split needs an even potential: real coefficients")
-    x = _gauss_points(0.5, steps)
-    V = sum((v.real * np.cos(2 * np.pi * n * x) for n, v in potential.coefficients.items()),
-            np.zeros_like(x))
-    return _magnus_solutions(V, 0.5 / steps, np.asarray(energies, dtype=float))
+    return _magnus_solutions(potential, 0.5, energies, steps)
 
 
 def hill_discriminant(potential, energies, steps: int) -> np.ndarray:
     """Hill's discriminant Delta(E) = u1(1) + u2'(1), the trace of the monodromy.
 
-    The ``steps`` steps of ``_magnus_solutions`` run over the full period [0, 1]
-    with V(x) = sum_n v(n) exp(2 pi i n x), which is real for every
-    ``FourierPotential``, even or not, so complex coefficients need no split.
+    ``_magnus_solutions`` runs over the full period [0, 1], so complex
+    coefficients need no split.
     """
-    x = _gauss_points(1.0, steps)
-    V = sum(((v * np.exp(2j * np.pi * n * x)).real for n, v in potential.coefficients.items()),
-            np.zeros_like(x))
-    u = _magnus_solutions(V, 1.0 / steps, np.asarray(energies, dtype=float))
+    u = _magnus_solutions(potential, 1.0, energies, steps)
     return u[0] + u[3]
 
 

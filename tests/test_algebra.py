@@ -12,15 +12,11 @@ from oracles import (
     canonical_trace,
     dense_clock_shift,
     dense_clock_shift_residuals,
+    params,
     spectral_projections,
 )
 
-from blochspec.harper import (
-    HarperParams,
-    farey_fractions,
-    harper_spectrum,
-    ids,
-)
+from blochspec.harper import farey_fractions, harper_spectrum, ids
 from blochspec.model import (
     RationalFlux,
     clock_shift,
@@ -28,10 +24,6 @@ from blochspec.model import (
     interior_gaps,
     unitarity_residual,
 )
-
-
-def params(p, q, lam=1.0):
-    return HarperParams(flux=RationalFlux(p, q), lam=lam)
 
 
 # ---------------------------------------------------------------- clock and shift
@@ -100,13 +92,6 @@ def test_trace_positive_on_nonzero_elements():
         assert canonical_trace(gram) > 0.0
     zero = np.zeros((4, 3, 3), dtype=complex)
     assert canonical_trace(np.einsum("kij,kil->kjl", zero.conj(), zero)) == 0.0
-
-
-def test_trace_rejects_mixed_dimensions_and_empty():
-    with pytest.raises(ValueError):
-        canonical_trace([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        canonical_trace([])
 
 
 # ---------------------------------------------------------------- projection traces

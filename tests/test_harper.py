@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bloch_matrices, chain_eigenvalues, distance_to_bands, eigenvalue_grid
+from oracles import (
+    bloch_matrices,
+    chain_eigenvalues,
+    distance_to_bands,
+    eigenvalue_grid,
+    params,
+)
 
 from blochspec import model
 from blochspec.harper import (
@@ -24,10 +30,6 @@ from blochspec.harper import (
 from blochspec.model import EigensolverError, RationalFlux
 
 SQRT2 = math.sqrt(2.0)
-
-
-def params(p, q, lam=1.0):
-    return HarperParams(flux=RationalFlux(p, q), lam=lam)
 
 
 def flux_half_eigenvalue(k1, k2, lam=1.0):
@@ -157,7 +159,7 @@ def test_direct_space_small_lambda_is_free_hopping():
     assert count.tolist() == [[0, 400], [0, 400]]
 
 
-def test_direct_space_bulk_filter_drops_edge_modes():
+def test_direct_space_gap_counts_are_bulk_plus_boundary_modes():
     # 600 sites are m = 200 cells of flux 1/3: below gap j the bulk holds j*m
     # eigenvalues, and the check's slack of one state either way absorbs the
     # boundary modes: the chain at phase pi/3 has one in the upper gap
@@ -214,7 +216,7 @@ def test_direct_space_count_at_the_largest_coupling():
         assert np.array_equal(count, np.searchsorted(w, e))
 
 
-def test_direct_space_bulk_never_forms_eigenvectors(monkeypatch):
+def test_direct_space_count_builds_no_matrix_and_calls_no_lapack(monkeypatch):
     # nor any matrix: the dense 1200-site chain would be 11.5 MB, and the
     # count holds a few rows of floats
     def boom(*args, **kwargs):
@@ -317,20 +319,3 @@ def test_butterfly_two_rows_closed_forms():
     half = data[1][1]
     assert abs(half.intervals[0][0] + 2 * SQRT2) <= 1e-12
     assert abs(half.intervals[-1][1] - 2 * SQRT2) <= 1e-12
-
-
-def test_butterfly_symmetries_moderate_q():
-    tol = 1e-9
-    data = butterfly(8)
-    by_flux = {(f.p, f.q): bands for f, bands in data}
-    for (p, q), bands in by_flux.items():
-        assert len(bands.intervals) == (q if q % 2 else q - 1)
-        # spectral symmetry under E -> -E at lambda = 1
-        flipped = sorted((-b, -a) for a, b in bands.intervals)
-        for (a, b), (fa, fb) in zip(bands.intervals, flipped):
-            assert abs(a - fa) <= tol and abs(b - fb) <= tol
-        # flux reflection p/q <-> (q-p)/q
-        partner = by_flux[((q - p) % q, q)]
-        assert len(partner.intervals) == len(bands.intervals)
-        for (a, b), (pa, pb) in zip(bands.intervals, partner.intervals):
-            assert abs(a - pa) <= tol and abs(b - pb) <= tol

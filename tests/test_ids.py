@@ -10,22 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import decimal_discriminant, eigenvalue_grid, ring_eigenvalues
+from oracles import decimal_discriminant, eigenvalue_grid, params, ring_eigenvalues
 
 from blochspec import harper
 from blochspec.cli import main
-from blochspec.harper import (
-    HarperParams,
-    _torus_fraction,
-    farey_fractions,
-    harper_spectrum,
-    ids,
-)
-from blochspec.model import RationalFlux, interior_gaps
-
-
-def params(p, q, lam=1.0):
-    return HarperParams(flux=RationalFlux(p, q), lam=lam)
+from blochspec.harper import _torus_fraction, farey_fractions, harper_spectrum, ids
+from blochspec.model import interior_gaps
 
 
 def padded_grid(prm, points=257):

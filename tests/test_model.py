@@ -195,7 +195,7 @@ def test_rational_flux_parse():
             RationalFlux.parse(bad)
 
 
-def test_hermitian_matrix_invariant():
+def test_potential_pairs_and_cyclic_fibers_are_hermitian_bit_for_bit():
     # Hermiticity is a property of the types, not a check on each matrix: the
     # potential stores exact conjugate pairs, and the builder's corner terms are
     # conjugates, so every fiber equals its conjugate transpose bit for bit

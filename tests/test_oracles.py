@@ -1,9 +1,11 @@
 """Independent oracles for the exact band edges: band counts, Aubry duality,
-Thouless' bandwidth limit, the k-grid sweep, random quasimomenta, and the
+Thouless' bandwidth limit, the pinned band measures refined by Chambers'
+discriminant in decimal, the k-grid sweep, random quasimomenta, and the
 direct-space inertia counts of ``oracle-check``."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ import pytest
 from oracles import (
     bloch_matrices,
     branch_ranges,
+    decimal_discriminant,
     distance_to_bands,
     eigenvalue_grid,
+    params,
     second_fiber_at_k2_zero,
 )
 
@@ -29,10 +33,7 @@ from blochspec.model import RationalFlux, bands_from_edges
 # PRB 28, 4272 (1983)); G is Catalan's constant.
 CATALAN = 0.915965594177219015054603514932384110774
 THOULESS_LIMIT = 32.0 * CATALAN / math.pi
-
-
-def params(p, q, lam=1.0):
-    return HarperParams(flux=RationalFlux(p, q), lam=lam)
+DATA = Path(__file__).parent / "data"
 
 
 def expected_bands(q):
@@ -80,6 +81,34 @@ def test_aubry_duality_up_to_q_15():
 def test_thouless_bandwidth_limit(p, q):
     measure = cantor_proxy([RationalFlux(p, q)])[0][1]
     assert abs(q * measure - THOULESS_LIMIT) <= 1e-3
+
+
+def test_pinned_band_measures_are_refined_zeros_of_the_decimal_discriminant():
+    # the fixture was pinned from this program.  Each of its band edges is
+    # bracketed by +-1e-9, where D = Delta / 2 in decimal must cross its edge
+    # value, and bisected; the refined band widths must sum to the row.  D is +2
+    # at the top edge, and the edge values alternate in pairs below it: D
+    # crosses each band from one of -+2 to the other and returns to that value
+    # across each gap.  The closed centre gap at even q is a double zero of
+    # D -+ 2, with no sign change, and its two edges cancel in the sum.
+    fixture = json.loads((DATA / "cantor_measures.json").read_text())
+    assert fixture["lam"] == 1.0  # so the edges are where D = +-2
+    for p, q, measure in fixture["rows"]:
+        i = np.arange(2 * q)
+        keep = (q % 2 == 1) | ((i != q - 1) & (i != q))
+        edges = np.sort(harper._edge_fibers(params(p, q)), axis=None)[keep]
+        lo, hi = edges - 1e-9, edges + 1e-9
+        target = 2 * (-1.0) ** (q + (i[keep] + 1) // 2)
+        f_lo = decimal_discriminant(p, q, 1.0, lo) - target
+        assert np.all(f_lo * (decimal_discriminant(p, q, 1.0, hi) - target) < 0), (p, q)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            f_mid = decimal_discriminant(p, q, 1.0, mid) - target
+            above = f_mid * f_lo > 0  # the zero lies above mid
+            lo, f_lo = np.where(above, mid, lo), np.where(above, f_mid, f_lo)
+            hi = np.where(above, hi, mid)
+        refined = (lo + hi) / 2
+        assert abs((refined[1::2] - refined[0::2]).sum() - measure) <= 1e-13, (p, q)
 
 
 # Avron-van Mouche-Simon (CMP 132, 1990): at rational flux the spectrum of the
