@@ -206,6 +206,7 @@ def test_main_writes_the_output_file_without_echoing_its_path(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["q"] == 3
     assert "output" not in doc["config"]  # path excluded from the echo
+    assert main(["nonsense"]) == 2
 
 
 def test_empty_output_path_is_usage_error(capsys):
@@ -308,6 +309,15 @@ def test_payloads_and_rows_hold_only_builtins(argv):
     walk([list(row) for row in rows])
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _ in ECHOES], ids=[a[0] for a, _ in ECHOES])
+def test_csv_cells_hold_no_numpy_scalar_repr(capsys, argv):
+    # repr of a numpy scalar, e.g. np.complex128(...).real, reads np.float64(...)
+    assert main(argv + ["--format", "csv"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith("#"):
+            assert not any(cell.startswith("np.") for cell in line.split(",")), line
+
+
 # ---------------------------------------------------------------- formats
 
 def test_csv_and_json_carry_identical_numbers(tmp_path):
@@ -349,6 +359,14 @@ def test_svg_rejected_where_undefined(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- determinism
+
+def test_reruns_are_byte_identical(tmp_path):
+    for fmt in ("json", "csv"):
+        args = ["butterfly", "--max-q", "3", "--format", fmt]
+        _, first = run_cli(args, tmp_path, f"a.{fmt}")
+        _, second = run_cli(args, tmp_path, f"b.{fmt}")
+        assert first == second
+
 
 # the benchmark calls with the largest dense matrices: 129-row plane-wave fibers,
 # 55-row edge fibers and a 1200-site chain, all below the size (201-301 rows) where
