@@ -30,7 +30,6 @@ from .harper import (
     HarperParams,
     butterfly,
     cantor_proxy,
-    direct_space_count,
     farey_fractions,
     harper_spectrum,
     ids,
@@ -50,7 +49,6 @@ __all__ = [
     "cantor_proxy",
     "clock_shift",
     "commutation_residual",
-    "direct_space_count",
     "discrete_bloch_transform",
     "farey_fractions",
     "fiber_union_spectrum",

@@ -8,7 +8,8 @@ set, the padded residual radius of a plane-wave eigenvalue and its width
 bound, the Chambers discriminant in high-precision decimal arithmetic, Hill's
 half-period functions and full-period discriminant of a 1d potential,
 integrated as an ODE with no plane-wave basis, and the dense clock and shift
-matrices with their residuals.
+matrices with their residuals.  ``run_python`` starts the one kind of child
+process the tests use: Python importing the package from ``src/``.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
@@ -17,7 +18,11 @@ with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
 
 import decimal
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +30,17 @@ from blochspec.harper import HarperParams
 from blochspec.model import RationalFlux
 
 DEFAULT_KGRID = (64, 64)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a child that imports the package from ``src/``, with
+    ``env`` over the inherited environment; stdout and stderr are captured as
+    text unless ``kwargs``, which go to ``subprocess.run``, say otherwise."""
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
+               "timeout": 120, **kwargs}
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **(env or {})), **options)
 
 
 def params(p, q, lam=1.0):

@@ -34,7 +34,6 @@ from blochspec.fibering import (
     periodic_truncation_spectrum,
 )
 from blochspec.model import (
-    EigensolverError,
     FourierPotential,
     tridiagonal,
     uniform_k_grid,
@@ -461,16 +460,6 @@ def test_band_sweep_never_stacks_the_fibers():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-
-
-def test_fiber_lapack_failure_carries_k(monkeypatch):
-    def boom(a):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    with pytest.raises(EigensolverError) as info:
-        band_sweep(COSINE, 4, bands=2, kpoints=4)
-    assert info.value.k == uniform_k_grid(4)[0]
 
 
 @pytest.mark.parametrize("potential", [COSINE, CONTINUUM[0], COMPLEX, FourierPotential({})],

@@ -1,5 +1,5 @@
 """Harper operators at rational flux: Bloch matrices, exact band sets,
-the direct-space oracle, and butterflies."""
+the direct-space oracle, butterflies, and the Cantor proxy."""
 
 import math
 import tracemalloc
@@ -17,17 +17,18 @@ from oracles import (
     params,
 )
 
-from blochspec import model
+from blochspec import harper, model
 from blochspec.harper import (
     LAM_MAX,
     HarperParams,
     _edge_fibers,
     butterfly,
+    cantor_proxy,
     direct_space_count,
     farey_fractions,
     harper_spectrum,
 )
-from blochspec.model import EigensolverError, RationalFlux
+from blochspec.model import RationalFlux
 
 SQRT2 = math.sqrt(2.0)
 
@@ -86,16 +87,6 @@ def test_lambda_is_capped_where_the_band_hull_stays_finite():
     for lam in (np.nextafter(LAM_MAX, np.inf), 1e308):
         with pytest.raises(ValueError):
             params(1, 3, lam=lam)
-
-
-def test_lapack_failure_carries_the_flux(monkeypatch):
-    def boom(a):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    with pytest.raises(EigensolverError) as info:
-        harper_spectrum(params(2, 5))
-    assert info.value.flux == RationalFlux(2, 5)
 
 
 # ---------------------------------------------------------------- exact spectra
@@ -336,3 +327,35 @@ def test_butterfly_symmetries_moderate_q():
         assert len(partner.intervals) == len(bands.intervals)
         for (a, b), (pa, pb) in zip(bands.intervals, partner.intervals):
             assert abs(a - pa) <= tol and abs(b - pb) <= tol
+
+
+# ---------------------------------------------------------------- cantor proxy
+
+def test_cantor_proxy_single_flux():
+    rows = cantor_proxy([RationalFlux(0, 1)])
+    assert rows[0][1] == pytest.approx(8.0, abs=1e-8)
+
+
+def test_cantor_proxy_sums_band_widths():
+    # the measure is the sum of the spectrum's band widths in band order,
+    # so every printed measure keeps its bytes
+    fluxes = [RationalFlux(1, 3), RationalFlux(2, 5), RationalFlux(3, 8)]
+    for lam in (0.5, 1.0, 2.0):
+        for flux, measure in cantor_proxy(fluxes, lam=lam):
+            intervals = harper.harper_spectrum(HarperParams(flux=flux, lam=lam)).intervals
+            assert len(intervals) > 1
+            assert measure == sum(b - a for a, b in intervals)
+
+
+def test_cantor_proxy_requires_increasing_q():
+    with pytest.raises(ValueError):
+        cantor_proxy([RationalFlux(1, 3), RationalFlux(1, 2)])
+
+
+def test_larger_coupling_widens_flux_half_spectrum():
+    rows = cantor_proxy([RationalFlux(1, 2)], lam=1.0)
+    rows2 = cantor_proxy([RationalFlux(1, 2)], lam=2.0)
+    m1, m2 = rows[0][1], rows2[0][1]
+    assert m1 == pytest.approx(4 * math.sqrt(2.0), abs=1e-12)
+    assert m2 == pytest.approx(4 * math.sqrt(5.0), abs=1e-12)
+    assert m2 > m1

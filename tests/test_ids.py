@@ -1,6 +1,8 @@
-"""Independent oracles for the Chambers IDS: k-grid eigenvalue counts, convergence
-in the quadrature, Aubry duality, exact gap labels, a high-precision discriminant,
-monotonicity, and large q."""
+"""The Chambers IDS: its input checks and closed-form values, and independent
+oracles: k-grid eigenvalue counts, convergence in the quadrature, Aubry duality,
+exact gap labels, a high-precision discriminant, monotonicity, large q, and the
+canonical trace of spectral projections (trace quantization: the IDS in a gap
+equals the canonical trace of the spectral projection there)."""
 
 import json
 import math
@@ -10,13 +12,87 @@ import time
 import numpy as np
 import pytest
 
-from oracles import decimal_discriminant, eigenvalue_grid, params, ring_eigenvalues
+from oracles import (
+    bloch_matrix_family,
+    canonical_trace,
+    decimal_discriminant,
+    eigenvalue_grid,
+    params,
+    ring_eigenvalues,
+    spectral_projections,
+)
 
 from blochspec import harper
 from blochspec.cli import main
-from blochspec.harper import _torus_fraction, farey_fractions, harper_spectrum, ids
-from blochspec.model import interior_gaps
+from blochspec.harper import (
+    HarperParams,
+    _torus_fraction,
+    farey_fractions,
+    harper_spectrum,
+    ids,
+)
+from blochspec.model import RationalFlux, interior_gaps
 
+
+# ---------------------------------------------------------------- input checks and closed forms
+
+@pytest.mark.parametrize("egrid, message", [
+    ([1.0, 0.0], "ascending"),
+    ([0.0, np.nan], "NaN"),
+    ([[0.0, 1.0], [2.0, 3.0]], "one-dimensional"),
+    (0.5, re.escape("one-dimensional, got shape ()")),  # inside the middle band of flux 1/3
+    (1.5, re.escape("one-dimensional, got shape ()")),  # in the upper gap of flux 1/3
+    ([[-1.0, 0.0], [1.0, 2.5]], re.escape("one-dimensional, got shape (2, 2)")),
+], ids=["descending", "nan", "2d", "scalar-in-band", "scalar-in-gap", "2d-grid"])
+def test_ids_checks_its_grid_before_solving(monkeypatch, egrid, message):
+    def no_edges(_params):
+        raise AssertionError("the edge fibers were solved before the grid was checked")
+
+    monkeypatch.setattr(harper, "_edge_fibers", no_edges)
+    with pytest.raises(ValueError, match=message):
+        ids(HarperParams(flux=RationalFlux(1, 3)), egrid=egrid)
+
+
+def test_ids_above_and_below_spectrum():
+    params = HarperParams(flux=RationalFlux(0, 1))
+    _, values = ids(params, egrid=np.array([-4.5, 4.0 + 1e-6]), kgrid=32)
+    assert values.tolist() == [0.0, 1.0]
+
+
+def test_ids_rejects_nan_energy_and_takes_infinities():
+    params = HarperParams(flux=RationalFlux(1, 3))
+    with pytest.raises(ValueError):
+        ids(params, egrid=np.array([0.0, np.nan]))
+    _, values = ids(params, egrid=np.array([-np.inf, np.inf]))
+    assert values.tolist() == [0.0, 1.0]
+
+
+def test_ids_half_filling_at_flux_half_touching_point():
+    # the two bands touch at 0 (up to a roundoff-sized gap), where symmetry pins
+    # the value whichever side of that gap 0 falls on
+    params = HarperParams(flux=RationalFlux(1, 2))
+    _, values = ids(params, egrid=np.array([0.0]), kgrid=63)
+    assert abs(values[0] - 0.5) <= 1e-6
+
+
+def test_ids_default_grid_spans_padded_hull():
+    params = HarperParams(flux=RationalFlux(1, 2))
+    energies, values = ids(params, kgrid=16, points=128)
+    assert energies.size == 128
+    assert values[0] == 0.0 and values[-1] == 1.0
+    assert np.all(np.diff(values) >= 0)
+
+
+def test_ids_constant_across_gap():
+    params = HarperParams(flux=RationalFlux(1, 3))
+    # lowest gap of the flux-1/3 spectrum is (-2, 1 - sqrt(3))
+    lo, hi = -2.0, 1.0 - math.sqrt(3.0)
+    probes = np.array([lo + 0.05, 0.5 * (lo + hi), hi - 0.05])
+    _, values = ids(params, egrid=probes, kgrid=32)
+    assert values.tolist() == [1.0 / 3.0] * 3
+
+
+# ---------------------------------------------------------------- independent oracles
 
 def padded_grid(prm, points=257):
     e = np.sort(harper._edge_fibers(prm), axis=None)
@@ -92,20 +168,6 @@ def test_ids_rejects_nan_and_takes_infinities(lam):
             egrid[where] = np.nan
             with pytest.raises(ValueError, match="NaN"):
                 ids(prm, egrid=egrid)
-
-
-@pytest.mark.parametrize("egrid, shape", [
-    (0.5, "()"),                       # inside the middle band of flux 1/3
-    (1.5, "()"),                       # in the upper gap of flux 1/3
-    ([[-1.0, 0.0], [1.0, 2.5]], "(2, 2)"),
-], ids=["scalar-in-band", "scalar-in-gap", "2d-grid"])
-def test_ids_rejects_a_grid_that_is_not_one_dimensional(monkeypatch, egrid, shape):
-    def no_edges(_params):
-        raise AssertionError("the edge fibers were solved before the grid was checked")
-
-    monkeypatch.setattr(harper, "_edge_fibers", no_edges)
-    with pytest.raises(ValueError, match=f"one-dimensional, got shape {re.escape(shape)}"):
-        ids(params(1, 3), egrid=egrid)
 
 
 @pytest.mark.parametrize("sizes", [{"kgrid": 2.5}, {"points": 2.5}], ids=["kgrid", "points"])
@@ -235,3 +297,84 @@ def test_ids_at_q_987_runs_in_under_two_seconds(tmp_path, capsys):
     v = np.array(json.loads(out.read_text())["values"])
     assert v[0] == 0.0 and v[-1] == 1.0 and np.all(np.diff(v) >= 0.0)
     assert elapsed < 2.0
+
+
+# ---------------------------------------------------------------- canonical trace
+
+def test_trace_of_identity_family_is_one():
+    fam = np.broadcast_to(np.eye(3, dtype=complex), (10, 3, 3))
+    assert canonical_trace(fam) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_trace_of_harper_family_vanishes():
+    for p, q in ((0, 1), (1, 2), (1, 3), (2, 5)):
+        fam = bloch_matrix_family(params(p, q), (16, 16))
+        assert abs(canonical_trace(fam)) <= 1e-13
+
+
+def test_trace_of_squared_flux_half_family():
+    # closed-form double integral of E+^2 + E-^2 over the zone gives 4
+    fam = bloch_matrix_family(params(1, 2), (64, 64))
+    squared = np.einsum("abij,abjk->abik", fam, fam)
+    assert canonical_trace(squared) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_trace_positive_on_nonzero_elements():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        q = int(rng.integers(1, 6))
+        fam = rng.normal(size=(7, q, q)) + 1j * rng.normal(size=(7, q, q))
+        gram = np.einsum("kij,kil->kjl", fam.conj(), fam)  # a* a per k, Hermitian PSD
+        assert canonical_trace(gram) > 0.0
+    zero = np.zeros((4, 3, 3), dtype=complex)
+    assert canonical_trace(np.einsum("kij,kil->kjl", zero.conj(), zero)) == 0.0
+
+
+# ---------------------------------------------------------------- projection traces
+
+def projection_traces(prm, energies):
+    """Canonical traces of the spectral projections below each energy on an 8 x 8 k-grid."""
+    return [canonical_trace(proj) for proj in spectral_projections(prm, energies, (8, 8))]
+
+
+def test_projection_trace_in_lowest_flux_third_gap():
+    e_in_gap = 0.5 * (-2.0 + (1.0 - math.sqrt(3.0)))
+    assert ids(params(1, 3), egrid=[e_in_gap])[1].tolist() == [1.0 / 3.0]
+    assert projection_traces(params(1, 3), [e_in_gap]) == pytest.approx([1.0 / 3.0], abs=1e-14)
+
+
+def test_projection_trace_above_and_below_spectrum():
+    assert ids(params(0, 1), egrid=[5.0])[1].tolist() == [1.0]
+    assert ids(params(1, 2), egrid=[-3.0])[1].tolist() == [0.0]
+    assert projection_traces(params(0, 1), [5.0]) == pytest.approx([1.0], abs=1e-14)
+    assert projection_traces(params(1, 2), [-3.0]) == [0.0]
+
+
+def test_projection_trace_serves_an_array_of_energies():
+    s3 = math.sqrt(3.0)
+    energies = np.array([-5.0, 0.5 * (-2.0 + 1.0 - s3), 0.5 * (s3 - 1.0 + 2.0), 5.0])
+    _, values = ids(params(1, 3), egrid=energies)
+    assert np.array_equal(values, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    assert np.allclose(projection_traces(params(1, 3), energies), values, rtol=0, atol=1e-14)
+
+
+def test_quantization_on_every_detected_gap_q_up_to_12():
+    # every exact interior gap: the IDS is exactly j/q and the canonical trace of
+    # the spectral projection on an 8 x 8 grid agrees, since in a gap every fiber
+    # has the same number of eigenvalues below
+    start = time.perf_counter()
+    checked = 0
+    for flux in farey_fractions(12):
+        p, q = flux.p, flux.q
+        bands = harper_spectrum(params(p, q))
+        assert len(bands.intervals) == (q if q % 2 else q - 1)
+        mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
+        if not mids.size:
+            continue
+        _, values = ids(params(p, q), egrid=mids)
+        labels = [j for j in range(1, q) if 2 * j != q]  # the even-q centre gap is closed
+        assert np.array_equal(values, np.array(labels) / q)
+        assert np.allclose(projection_traces(params(p, q), mids), values, rtol=0, atol=1e-13)
+        checked += mids.size
+    assert checked == 312
+    assert time.perf_counter() - start < 1.0

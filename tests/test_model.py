@@ -1,5 +1,7 @@
-"""Domain types, the tridiagonal builder and the eigensolver boundary."""
+"""Domain types, band sets and their gaps, the clock/shift pair, the
+tridiagonal builder and the eigensolver boundary."""
 
+import math
 import pickle
 
 import numpy as np
@@ -7,23 +9,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_clock_shift, dense_clock_shift_residuals, distance_to_bands
+
 from blochspec import (
     DiscreteCell,
     HarperParams,
     band_structure,
     band_sweep,
-    direct_space_count,
     farey_fractions,
+    harper_spectrum,
     ids,
 )
+from blochspec.harper import direct_space_count
 from blochspec.model import (
     POTENTIAL_MAX,
+    BandSet,
     EigensolverError,
     FourierPotential,
     RationalFlux,
+    bands_from_edges,
+    clock_shift,
+    commutation_residual,
     eigensolve,
+    interior_gaps,
     tridiagonal,
     uniform_k_grid,
+    unitarity_residual,
 )
 
 # eigenvalue agreement relative to the spectral norm
@@ -53,15 +64,25 @@ def test_eig_two_by_two_closed_form():
     assert np.allclose(w, [-1.0, 1.0], rtol=0, atol=1e-14)
 
 
-def test_eigensolve_failure_carries_flux_and_k(monkeypatch):
-    def boom(a):
-        raise np.linalg.LinAlgError("no convergence")
+# every library path to LAPACK, and what its EigensolverError names: the message,
+# the flux and the k of the failing matrices
+LAPACK_FAILURES = {
+    "eigensolve": (lambda: eigensolve(np.eye(3), flux=RationalFlux(2, 5), k=0.5),
+                   "3x3 matrices at flux 2/5 at k 0.5", RationalFlux(2, 5), 0.5),
+    "harper_spectrum": (lambda: harper_spectrum(HarperParams(flux=RationalFlux(2, 5))),
+                        "at flux 2/5", RationalFlux(2, 5), None),
+    "band_sweep": (lambda: band_sweep(FourierPotential({1: 1.0}), 4, bands=2, kpoints=4),
+                   f"at k {uniform_k_grid(4)[0]}", None, uniform_k_grid(4)[0]),
+}
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    flux = RationalFlux(2, 5)
-    with pytest.raises(EigensolverError, match="3x3 matrices at flux 2/5 at k 0.5") as info:
-        eigensolve(np.eye(3), flux=flux, k=0.5)
-    assert info.value.flux == flux and info.value.k == 0.5
+
+@pytest.mark.parametrize("call, message, flux, k", LAPACK_FAILURES.values(),
+                         ids=LAPACK_FAILURES.keys())
+def test_lapack_failure_carries_the_flux_or_k(lapack_fails, call, message, flux, k):
+    lapack_fails()
+    with pytest.raises(EigensolverError, match=message) as info:
+        call()
+    assert (info.value.flux, info.value.k) == (flux, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,6 +149,142 @@ def test_tridiagonal_phase_broadcasts_against_batch_axes():
         for b in range(5):
             assert np.array_equal(mats[a, b], tridiagonal(diag[b], phases[a, 0]))
     assert tridiagonal(diag[0], np.ones(7)).shape == (7, 3, 3)
+
+
+# ---------------------------------------------------------------- band sets
+
+def test_bandset_invariants():
+    BandSet(((0.0, 1.0), (2.0, 3.0)))
+    BandSet(((0.0, 1.0), (1.0, 2.0)))  # neighbours may touch
+    with pytest.raises(ValueError):
+        BandSet(((0.0, 1.0), (0.5, 2.0)))  # but not overlap
+    with pytest.raises(ValueError):
+        BandSet(((1.0, 0.0),))
+
+
+@pytest.mark.parametrize("intervals", [
+    ((0.0, 1.0), (2.0, math.nan)),
+    ((0.0, 1.0), (math.nan, 3.0)),
+    ((math.nan, math.nan),),
+    ((0.0, math.inf),),
+    ((-math.inf, 0.0), (1.0, 2.0)),
+], ids=["nan-top", "nan-bottom", "nan-both", "inf-top", "inf-bottom"])
+def test_bandset_rejects_a_non_finite_edge(intervals):
+    # a NaN edge fails every comparison, so it once passed the order and overlap checks
+    with pytest.raises(ValueError, match="not finite"):
+        BandSet(intervals)
+
+
+def test_merge_rejects_empty_and_ragged():
+    with pytest.raises(ValueError):
+        bands_from_edges([])
+    with pytest.raises(ValueError):
+        bands_from_edges([0.0, 1.0, 2.0])  # an odd number of edges cannot pair
+
+
+def test_edges_pair_in_sorted_order():
+    # edges arrive fiber by fiber; band b is [e_2b, e_2b+1] of the sorted list
+    bands = bands_from_edges([[-3.0, 0.5, 2.0], [-1.0, 1.0, 3.0]])
+    assert bands.intervals == ((-3.0, -1.0), (0.5, 1.0), (2.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-50, 50), st.floats(0, 10)).map(lambda t: (t[0], t[0] + t[1])),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_edges_of_a_band_set_pair_back_into_it(raw):
+    # the edges of a band set pair back into the same band set
+    merged = bands_from_edges([x for iv in raw for x in iv])
+    again = bands_from_edges([x for iv in merged.intervals for x in iv])
+    assert again.intervals == merged.intervals
+    # nothing merges unless named closed, so a tie is a gap of width 0
+    assert len(merged.intervals) == len(raw)
+    for (_, b0), (a1, _) in zip(merged.intervals, merged.intervals[1:]):
+        assert a1 - b0 >= 0
+
+
+def test_closed_gap_merges_even_with_its_edges_the_wrong_way_round():
+    # roundoff may put the upper band's bottom edge below the lower band's top edge
+    assert bands_from_edges([-1.0, 1e-16, -1e-16, 1.0], closed={1}).intervals == ((-1.0, 1.0),)
+    assert len(bands_from_edges([-1.0, 1e-16, -1e-16, 1.0]).intervals) == 2
+
+
+def test_exact_tie_stays_a_gap_of_width_zero():
+    bands = bands_from_edges([-1.0, 0.5, 0.5, 1.0])
+    assert bands.intervals == ((-1.0, 0.5), (0.5, 1.0))
+    assert interior_gaps(bands) == [(0.5, 0.5)]
+
+
+def test_gap_one_ulp_wide_stays_open():
+    top = np.nextafter(0.5, 1.0)
+    assert bands_from_edges([-1.0, 0.5, top, 1.0]).intervals == ((-1.0, 0.5), (top, 1.0))
+
+
+# ---------------------------------------------------------------- gaps
+
+def test_gap_between_two_bands():
+    bands = BandSet(((0.0, 1.0), (2.0, 3.0)))
+    assert interior_gaps(bands) == [(1.0, 2.0)]
+    # a point band still bounds its gaps
+    assert interior_gaps(BandSet(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)))) == [(0.0, 1.0), (2.0, 3.0)]
+    assert interior_gaps(BandSet(((-4.0, 4.0),))) == interior_gaps(BandSet(())) == []
+
+
+def test_touching_bands_leave_a_gap_of_width_zero():
+    # two bands meeting at 0 stay two unless the gap is named closed
+    bands = bands_from_edges([-2.0, 0.0, 0.0, 2.0])
+    assert bands.intervals == ((-2.0, 0.0), (0.0, 2.0))
+    assert interior_gaps(bands) == [(0.0, 0.0)]
+    assert interior_gaps(bands_from_edges([-2.0, 0.0, 0.0, 2.0], closed={1})) == []
+
+
+def test_distance_to_bands():
+    # the test oracle that the band-set checks of the other modules measure with
+    bands = BandSet(((0.0, 1.0), (3.0, 4.0)))
+    d = distance_to_bands(bands, [0.5, 2.0, 5.0])
+    assert np.allclose(d, [0.0, 1.0, 1.0])
+    assert distance_to_bands(BandSet(()), [0.0, 1.0]).tolist() == [math.inf, math.inf]
+
+
+# ---------------------------------------------------------------- clock and shift
+
+def test_commutative_case():
+    u, omega = clock_shift(RationalFlux(0, 1))
+    assert u.tolist() == [1.0]
+    assert omega == 1.0 + 0.0j
+
+
+def test_flux_half_is_the_pauli_pair():
+    u, _ = clock_shift(RationalFlux(1, 2))
+    U, V, _ = dense_clock_shift(RationalFlux(1, 2))
+    assert np.allclose(np.diag(u), U)
+    assert np.allclose(U, np.diag([1.0, -1.0]))
+    assert np.allclose(V, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(U @ V, -V @ U)
+
+
+def test_flux_two_fifths_residual():
+    u, omega = clock_shift(RationalFlux(2, 5))
+    assert commutation_residual(u, omega) <= 1e-14
+    # the wrong root of unity breaks every one of the q entries
+    assert commutation_residual(u, omega.conjugate()) > 1.0
+
+
+def test_cocycle_relation_all_q_up_to_64():
+    # the O(q) residuals hold the relation and agree with the dense q x q reference,
+    # whose shift is exactly unitary, as algebra-check prints it
+    for flux in farey_fractions(64):
+        u, omega = clock_shift(flux)
+        assert type(omega) is complex
+        residuals = [unitarity_residual(u), commutation_residual(u, omega)]
+        dense_u, dense_v, dense_cocycle = dense_clock_shift_residuals(flux)
+        assert max(residuals) <= 1e-12
+        assert dense_v == 0.0
+        assert np.allclose(residuals, [dense_u, dense_cocycle], rtol=0, atol=1e-15), flux
 
 
 # ---------------------------------------------------------------- domain types

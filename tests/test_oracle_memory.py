@@ -1,26 +1,23 @@
-"""The memory peaks of oracle-check and algebra-check, and oracle-check's record order.
+"""The memory peaks of oracle-check and algebra-check.
 
 The direct-space check counts eigenvalues by inertia and builds no matrix, so
 it should peak near the imported CLI alone and near counting its chain alone,
 and the full check near its largest random check, ``union``, alone.  The
-children that run one check alone call it directly.  The
+children that run one check alone call it directly, and each child runs once
+per session, so the tests that share a child share its peak.  The
 randomized checks draw from Python's ``random.Random``, so the full check never
 loads ``numpy.random`` (about 5.6 MB resident) and peaks near the import alone
 as well.  algebra-check holds the clock as its diagonal and the shift as a
 cyclic roll, so at the largest flux it too peaks near the import alone.
 """
 
-import json
-import os
-import subprocess
-import sys
+import functools
 from pathlib import Path
 
 import pytest
 
-from blochspec.cli import main
+from oracles import run_python
 
-SRC = Path(__file__).parent.parent / "src"
 STATUS = Path("/proc/self/status")
 HWM_SLACK_KB = 4 * 1024
 
@@ -34,10 +31,12 @@ for line in open("/proc/self/status"):
 """
 _FULL_CHECK = """
 import os
+import sys
 from blochspec import cli
 code = cli.main(["oracle-check", "--flux", "13/21", "--sites", "1200",
                  "--output", os.devnull])
 assert code == 0, code
+assert "numpy.random" not in sys.modules, "oracle-check loaded numpy.random"
 """
 _DIRECT_ONLY = """
 from blochspec import cli, harper
@@ -60,10 +59,6 @@ assert code == 0, code
 _IMPORT_ONLY = """
 from blochspec import cli
 """
-_NO_NUMPY_RANDOM = """
-import sys
-assert "numpy.random" not in sys.modules, "oracle-check loaded numpy.random"
-"""
 _CHAIN_ONLY = """
 import numpy as np
 from blochspec import harper
@@ -73,61 +68,31 @@ harper.direct_space_count(harper.HarperParams(flux=RationalFlux(13, 21)), 1200,
 """
 
 
+@functools.cache
 def _child_hwm_kb(code: str) -> int:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code + _PRINT_HWM], capture_output=True,
-                          text=True, env=env, timeout=120)
+    """The VmHWM of one child running ``code``, measured once per session."""
+    proc = run_python(["-c", code + _PRINT_HWM])
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1])
 
 
-@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
-def test_direct_space_check_peaks_near_the_import_alone():
-    direct = _child_hwm_kb(_DIRECT_ONLY)
-    imported = _child_hwm_kb(_IMPORT_ONLY)
-    assert direct <= imported + HWM_SLACK_KB, (direct, imported)
-
-
-@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
-def test_oracle_check_peaks_near_the_direct_space_chain_alone():
+# each child's peak against the peak of the child it should stay near, named
+# after the claim
+PEAKS = {
+    "direct_space_check_peaks_near_the_import_alone": (_DIRECT_ONLY, _IMPORT_ONLY),
     # the band edges, gap probes and second phase of the direct-space check
     # add nothing resident to counting its 1200-site chain
-    direct = _child_hwm_kb(_DIRECT_ONLY)
-    chain = _child_hwm_kb(_CHAIN_ONLY)
-    assert direct <= chain + HWM_SLACK_KB, (direct, chain)
+    "oracle_check_peaks_near_the_direct_space_chain_alone": (_DIRECT_ONLY, _CHAIN_ONLY),
+    "oracle_check_loads_no_numpy_random_and_peaks_near_the_import_alone":
+        (_FULL_CHECK, _IMPORT_ONLY),
+    "oracle_check_peaks_near_the_union_check_alone": (_FULL_CHECK, _UNION_ONLY),
+    "algebra_check_at_the_largest_flux_peaks_near_the_import_alone":
+        (_ALGEBRA_CHECK, _IMPORT_ONLY),
+}
 
 
 @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
-def test_oracle_check_loads_no_numpy_random_and_peaks_near_the_import_alone():
-    full = _child_hwm_kb(_FULL_CHECK + _NO_NUMPY_RANDOM)
-    imported = _child_hwm_kb(_IMPORT_ONLY)
-    assert full <= imported + HWM_SLACK_KB, (full, imported)
-
-
-@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
-def test_oracle_check_peaks_near_the_union_check_alone():
-    full = _child_hwm_kb(_FULL_CHECK)
-    union = _child_hwm_kb(_UNION_ONLY)
-    assert full <= union + HWM_SLACK_KB, (full, union)
-
-
-@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
-def test_algebra_check_at_the_largest_flux_peaks_near_the_import_alone():
-    algebra = _child_hwm_kb(_ALGEBRA_CHECK)
-    imported = _child_hwm_kb(_IMPORT_ONLY)
-    assert algebra <= imported + HWM_SLACK_KB, (algebra, imported)
-
-
-SMALL = ["oracle-check", "--sites", "90", "--seed", "3"]
-
-
-def test_records_keep_their_order(tmp_path):
-    out = tmp_path / "o.json"
-    assert main(SMALL + ["--output", str(out)]) == 0
-    assert list(json.loads(out.read_text())["checks"]) == ["unitarity", "union", "direct_space"]
-    out = tmp_path / "o.csv"
-    assert main(SMALL + ["--format", "csv", "--output", str(out)]) == 0
-    rows = out.read_text().splitlines()[4:]
-    names = list(dict.fromkeys(row.split(",")[0] for row in rows))
-    assert names == ["unitarity", "union", "direct_space", "overall"]
-
+@pytest.mark.parametrize("code, near", PEAKS.values(), ids=PEAKS.keys())
+def test_peak_stays_near_its_reference(code, near):
+    peak, reference = _child_hwm_kb(code), _child_hwm_kb(near)
+    assert peak <= reference + HWM_SLACK_KB, (peak, reference)
