@@ -1,19 +1,9 @@
-"""Test-session setup for the whole suite (tests/ and bench/).
+"""Test-session setup for the whole suite (tests/ and bench/): ``blochspec`` is imported
+before numpy, so its one-BLAS-thread default holds here and in every child process."""
 
-OpenBLAS runs at one thread here, as in CI and the benchmark runs.  Output
-bytes depend on the BLAS thread count once a dense matrix has about 300 rows
-(ROADMAP defect I), and the tests compare report bytes between runs, also in
-child processes, which inherit the setting.  OpenBLAS reads this variable
-when numpy loads it, so it is set here, before any test module imports numpy;
-an explicit setting in the environment wins.
-"""
-
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402  (after the thread setting, which numpy reads on import)
-import pytest  # noqa: E402
+import blochspec  # noqa: F401  (before numpy: it sets the BLAS thread count)
+import numpy as np
+import pytest
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 oracle checks, and the band-measure sweep along rational approximants.
 
 Every output file starts with a metadata header (schema, tool version, config
-echo) and is byte-identical across re-runs of one config at one BLAS thread count.
+echo) and is byte-identical across re-runs of one config on any core count.
 Exit codes: 0 success, 1 failed verification check, 2 invalid usage,
 3 eigensolver failure (offending flux/k in the error record on stderr).
 """

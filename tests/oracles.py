@@ -9,7 +9,8 @@ bound, the Chambers discriminant in high-precision decimal arithmetic, Hill's
 half-period functions and full-period discriminant of a 1d potential,
 integrated as an ODE with no plane-wave basis, and the dense clock and shift
 matrices with their residuals.  ``run_python`` starts the one kind of child
-process the tests use: Python importing the package from ``src/``.
+process the tests use: Python importing the package from ``src/``;
+``traced_peak`` is the one in-process peak-memory harness.
 
 The matrices are written here entry by entry, so these oracles share no code
 with ``harper._edge_fibers``, ``harper.direct_space_count``, ``harper.ids``,
@@ -21,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -34,13 +36,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_python(args, env=None, **kwargs) -> subprocess.CompletedProcess:
-    """``python *args`` in a child that imports the package from ``src/``, with
-    ``env`` over the inherited environment; stdout and stderr are captured as
-    text unless ``kwargs``, which go to ``subprocess.run``, say otherwise."""
+    """``python *args`` in a child that imports the package from ``src/``, with ``env``
+    over the inherited environment (None removes a variable); stdout and stderr are
+    captured as text unless ``kwargs``, which go to ``subprocess.run``, say otherwise."""
     options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
                "timeout": 120, **kwargs}
+    child = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ, PYTHONPATH=str(SRC), **(env or {})), **options)
+                          env={k: v for k, v in child.items() if v is not None}, **options)
+
+
+def traced_peak(fn, *args, **kwargs) -> tuple:
+    """(fn(*args, **kwargs), the peak bytes ``tracemalloc`` traced during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def params(p, q, lam=1.0):

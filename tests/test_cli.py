@@ -362,6 +362,14 @@ def test_reruns_are_byte_identical(tmp_path):
         assert first == second
 
 
+def _stdout(argv, threads) -> bytes:
+    """stdout of ``python -m blochspec *argv`` at OPENBLAS_NUM_THREADS=threads (None: unset)."""
+    proc = run_python(["-m", "blochspec", *argv], text=False,
+                      env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 # the benchmark calls with the largest dense matrices: 129-row plane-wave fibers,
 # 55-row edge fibers and a 1200-site chain, all below the size (201-301 rows) where
 # OpenBLAS threading starts to move the printed bytes
@@ -372,13 +380,18 @@ def test_reruns_are_byte_identical(tmp_path):
     ["oracle-check", "--flux", "13/21", "--sites", "1200"],
 ], ids=["bands-cutoff-64", "ids-34/55", "oracle-1200-sites"])
 def test_bench_sized_outputs_do_not_depend_on_the_blas_thread_count(argv):
-    outputs = []
-    for threads in ("1", "2"):
-        proc = run_python(["-m", "blochspec", *argv], env={"OPENBLAS_NUM_THREADS": threads},
-                          text=False)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert _stdout(argv, "1") == _stdout(argv, "2")
+
+
+# a 377-row edge fiber and 301-row plane-wave fibers move the bytes (ROADMAP defect I); unset,
+# the package's own default must print the one-thread bytes whatever the core count
+@pytest.mark.parametrize("argv", [
+    ["ids", "--flux", "233/377"],
+    ["bands", "--potential", "0:0.3,1:1,2:0.5", "--cutoff", "150", "--kpoints", "11",
+     "--bands", "16"],
+], ids=["ids-233/377", "bands-cutoff-150"])
+def test_an_unset_thread_count_prints_the_one_thread_bytes(argv):
+    assert _stdout(argv, None) == _stdout(argv, "1")
 
 
 def test_svg_is_rendered_only_on_request(tmp_path, monkeypatch):
@@ -532,33 +545,14 @@ def test_eigensolver_failure_maps_to_exit_3(capsys, lapack_fails, argv, above, s
     assert (record.get("flux"), record.get("k")) == (flux, k)
 
 
-ORACLE_CHECKS = ["_oracle_unitarity", "_oracle_union", "_oracle_direct_space"]
-
-
+@pytest.fixture
 def no_check_runs(monkeypatch):
     """Make each of the three oracle checks raise if it is reached."""
     def ran(*args):
         raise AssertionError("a check ran before the arguments were validated")
 
-    for name in ORACLE_CHECKS:
+    for name in ("_oracle_unitarity", "_oracle_union", "_oracle_direct_space"):
         monkeypatch.setattr(cli, name, ran)
-
-
-def test_oracle_check_rejects_a_bad_flux_it_would_not_use(monkeypatch, capsys):
-    # the flux is echoed in every header, so it is validated before the
-    # randomized checks, which do not use it, run
-    no_check_runs(monkeypatch)
-    error_record(capsys, ["oracle-check", "--flux", "2/4"], 2, "usage")
-
-
-@pytest.mark.parametrize("flags", [["--lambda", "-1"], ["--sites", "2", "--flux", "1/3"],
-                                   ["--sites", "20", "--flux", "13/21"]])
-def test_oracle_check_rejects_bad_harper_parameters_it_would_not_use(monkeypatch, capsys,
-                                                                     flags):
-    # lam and the chain length are echoed in every header, like the flux, so
-    # they are checked before any check runs, the randomized ones included
-    no_check_runs(monkeypatch)
-    error_record(capsys, ["oracle-check"] + flags, 2, "usage")
 
 
 class Reached(Exception):
@@ -577,12 +571,14 @@ def no_builders(monkeypatch):
         monkeypatch.setattr(owner, name, reached)
 
 
-def test_negative_oracle_seed_is_usage_error_before_any_check(monkeypatch, capsys,
-                                                              no_builders):
-    # the seed is echoed in the header, so it is checked with the other
-    # parameters before any of the three checks runs and the chain is built
-    no_check_runs(monkeypatch)
-    error_record(capsys, ["oracle-check", "--seed", "-1"], 2, "usage")
+# the flux, lam, chain length and seed are echoed in every header, so each is validated
+# before any check runs, the randomized ones that do not use it included, and the chain is built
+@pytest.mark.parametrize("flags", [["--flux", "2/4"], ["--lambda", "-1"], ["--seed", "-1"],
+                                   ["--sites", "2", "--flux", "1/3"],
+                                   ["--sites", "20", "--flux", "13/21"]], ids=shlex.join)
+def test_oracle_check_rejects_what_it_echoes_before_any_check(capsys, no_check_runs,
+                                                              no_builders, flags):
+    error_record(capsys, ["oracle-check"] + flags, 2, "usage")
 
 
 @pytest.mark.parametrize("argv, largest, over", [

@@ -2,7 +2,6 @@
 and the periodic-truncation (union of fibers) oracle."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from oracles import (
     hill_sample_misses,
     plane_wave_radius,
     plane_wave_residual_radii,
+    traced_peak,
 )
 
 from blochspec import fibering, model
@@ -356,12 +356,7 @@ def test_discriminant_memory_grows_with_the_energies_not_the_steps():
     # the ODE forms its (step, energy) coefficients a block of steps at a time;
     # all 6400 steps at once held about 176 MB for these 340 energies
     energies = np.linspace(-2.0, 700.0, 340)
-    tracemalloc.start()
-    try:
-        hill_discriminant(COMPLEX_HILL["1c"], energies, 6400)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(hill_discriminant, COMPLEX_HILL["1c"], energies, 6400)
     assert peak < 16e6, peak
 
 
@@ -453,12 +448,7 @@ def test_fibers_are_real_exactly_when_every_coefficient_is():
 def test_band_sweep_never_stacks_the_fibers():
     # one (1001, 129, 129) float stack is 133 MB; the per-k loop needs a few
     band_sweep(CONTINUUM[0], 64, 16, kpoints=3)  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        band_sweep(CONTINUUM[0], 64, 16, kpoints=1001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(band_sweep, CONTINUUM[0], 64, 16, kpoints=1001)
     assert peak <= 8e6
 
 

@@ -2,7 +2,6 @@
 the direct-space oracle, butterflies, and the Cantor proxy."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from oracles import (
     distance_to_bands,
     eigenvalue_grid,
     params,
+    traced_peak,
 )
 
 from blochspec import harper, model
@@ -217,12 +217,7 @@ def test_direct_space_count_builds_no_matrix_and_calls_no_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", boom)
     e = np.linspace(-4.0, 4.0, 64)
     direct_space_count(params(13, 21), 60, e)  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        count = direct_space_count(params(13, 21), 1200, e)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    count, peak = traced_peak(direct_space_count, params(13, 21), 1200, e)
     assert count[:, -1].tolist() == [1200, 1200]
     assert peak < 200 * 1024
 

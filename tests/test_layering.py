@@ -55,6 +55,15 @@ def test_package_imports_follow_the_layers():
     assert actual == EXPECTED
 
 
+def test_the_thread_count_is_set_before_numpy_loads():
+    # OpenBLAS reads its thread count as numpy loads, which the first relative import does
+    body = _tree("__init__").body
+    first = next(node.lineno for node in body if isinstance(node, ast.ImportFrom) and node.level)
+    pins = {node.value.args[0].value: node.lineno for node in body if isinstance(node, ast.Expr)
+            and _name(getattr(node.value, "func", None)) == "setdefault"}
+    assert set(pins) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} and max(pins.values()) < first
+
+
 def test_svgplot_imports_only_the_standard_library():
     # the SVG encoders draw the payload's builtin lists, the numbers JSON and
     # CSV print, so they need neither numpy nor the rest of the package
