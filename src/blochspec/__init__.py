@@ -12,7 +12,6 @@ import os
 
 # OpenBLAS reads its thread count as numpy loads; 300-row solves print other bytes at other counts
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .model import (
     BandSet,

@@ -365,7 +365,7 @@ def test_reruns_are_byte_identical(tmp_path):
 def _stdout(argv, threads) -> bytes:
     """stdout of ``python -m blochspec *argv`` at OPENBLAS_NUM_THREADS=threads (None: unset)."""
     proc = run_python(["-m", "blochspec", *argv], text=False,
-                      env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None})
+                      env={"OPENBLAS_NUM_THREADS": threads})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -61,7 +61,7 @@ def test_the_thread_count_is_set_before_numpy_loads():
     first = next(node.lineno for node in body if isinstance(node, ast.ImportFrom) and node.level)
     pins = {node.value.args[0].value: node.lineno for node in body if isinstance(node, ast.Expr)
             and _name(getattr(node.value, "func", None)) == "setdefault"}
-    assert set(pins) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} and max(pins.values()) < first
+    assert set(pins) == {"OPENBLAS_NUM_THREADS"} and max(pins.values()) < first
 
 
 def test_svgplot_imports_only_the_standard_library():
