@@ -5,13 +5,13 @@ Bloch matrix over the magnetic Brillouin zone.  The spectrum is exactly q
 bands, q - 1 for even q where the centre pair touches (van Mouche, CMP 122,
 1989; Choi-Elliott-Yui, Invent. Math. 1990).  By the Chambers relation their
 edges are the eigenvalues of two real Bloch matrices, the edge fibers H_0 and
-H_pi, and det(E - H_0) + det(E - H_pi) = 2 Delta(E) gives the IDS from the same
-eigenvalues through the discriminant Delta (``ids``); ``cantor_proxy``
-follows the band measure along rational approximants.  An independent
-oracle for both is the pair of long open direct-space chains at the phases 0
-and pi/q, those of the two edge fibers: ``direct_space_count`` counts the
-eigenvalues of both below any energy by Sylvester's law of inertia, and in
-gap j a chain of m cells has j*m of them up to a fixed boundary slack.
+H_pi, which also give the IDS through the discriminant Delta (``ids``);
+``cantor_proxy`` follows the band measure along rational approximants.  Each
+spectrum is exactly symmetric under E -> -E, and p/q and (q - p)/q share their
+fibers, so H_0 alone is solved at odd q and ``butterfly`` solves each mirror
+pair once (Hofstadter, PRB 14, 2239, 1976; ``_edge_fibers``).  The independent
+oracle ``direct_space_count`` counts the eigenvalues of the open chains at the
+phases 0 and pi/q below any energy by Sylvester's law of inertia.
 No path here diagonalises a k-grid or the chain, or forms an eigenvector.
 """
 
@@ -54,14 +54,24 @@ def _edge_fibers(params: HarperParams) -> np.ndarray:
     hopping, and corner phases +1 and -1.  Chambers (Phys. Rev. 140, A135,
     1965): det(E - H(k)) = Delta(E) - c(k), where c(k) = 2 cos k1 + 2 lam^q
     cos(q k2) up to a sign, so every band edge solves Delta(E) = c at an
-    extremum of c.  The extrema c = +-(2 + 2 lam^q) are these two fibers, so
-    det(E - H_0) + det(E - H_pi) = 2 Delta(E); each fiber contributes one
-    edge per band, and all 2q values sorted are the band edges.
+    extremum c = +-(2 + 2 lam^q), which are these two fibers: each contributes
+    one edge per band, and all 2q values sorted are the band edges.
+
+    Both symmetries are exact.  cos 2*pi*(q - p)*j/q = cos 2*pi*p*j/q, so the
+    flux is solved as min(p, q - p)/q.  With S = diag((-1)^j), S H(theta) S =
+    -H(theta + pi); a translation by c with p*c = (q - 1)/2 (mod q) takes theta
+    = pi to pi/q, and at odd q S also flips the corner phase, so spec(H_pi) =
+    -spec(H_0) and H_0 alone is solved.  At even q each fiber is symmetric and
+    its row is its lower half and that half negated (an average would round
+    more bands to [a, a]), sorted as roundoff can lift the half's top above 0.
     """
-    p, q = params.flux.p, params.flux.q
-    k2 = np.array([[0.0], [math.pi / q]])
+    q = params.flux.q
+    p, n = min(params.flux.p, q - params.flux.p), 2 - q % 2  # n fibers solved
+    k2 = np.array([[0.0], [math.pi / q]])[:n]
     diag = 2.0 * params.lam * np.cos(k2 + TWO_PI * p * np.arange(q) / q)
-    return eigensolve(tridiagonal(diag, [1.0, -1.0]), flux=params.flux)
+    e = eigensolve(tridiagonal(diag, [1.0, -1.0][:n]), flux=params.flux)
+    half = e if q % 2 else e[:, :q // 2]  # * -1.0: exact, and reuses the multiply loop
+    return np.sort(np.concatenate([half, half[:, ::-1] * -1.0], axis=1).reshape(2, q))
 
 
 def _torus_fraction(y, rho: float, nodes: int) -> np.ndarray:
@@ -189,8 +199,10 @@ def farey_fractions(max_q: int) -> list:
 def butterfly(max_q: int, lam: float = 1.0) -> list:
     """Hofstadter butterfly: one (flux, BandSet) row per reduced flux q <= max_q,
     in increasing flux order (``farey_fractions``)."""
-    return [(flux, harper_spectrum(HarperParams(flux=flux, lam=lam)))
-            for flux in farey_fractions(max_q)]
+    fluxes = farey_fractions(max_q)
+    spectra = {(f.p, f.q): harper_spectrum(HarperParams(flux=f, lam=lam))
+               for f in fluxes if 2 * f.p <= f.q}
+    return [(f, spectra[min(f.p, f.q - f.p), f.q]) for f in fluxes]
 
 
 def cantor_proxy(approximants, lam: float = 1.0) -> list:

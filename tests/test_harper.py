@@ -308,20 +308,15 @@ def test_butterfly_two_rows_closed_forms():
 
 
 def test_butterfly_symmetries_moderate_q():
-    tol = 1e-9
     data = butterfly(8)
     by_flux = {(f.p, f.q): bands for f, bands in data}
     for (p, q), bands in by_flux.items():
         assert len(bands.intervals) == (q if q % 2 else q - 1)
-        # spectral symmetry under E -> -E at lambda = 1
+        # spectral symmetry under E -> -E at lambda = 1, exact by construction
         flipped = sorted((-b, -a) for a, b in bands.intervals)
-        for (a, b), (fa, fb) in zip(bands.intervals, flipped):
-            assert abs(a - fa) <= tol and abs(b - fb) <= tol
-        # flux reflection p/q <-> (q-p)/q
-        partner = by_flux[((q - p) % q, q)]
-        assert len(partner.intervals) == len(bands.intervals)
-        for (a, b), (pa, pb) in zip(bands.intervals, partner.intervals):
-            assert abs(a - pa) <= tol and abs(b - pb) <= tol
+        assert list(bands.intervals) == flipped
+        # flux reflection p/q <-> (q-p)/q, exact by construction
+        assert by_flux[((q - p) % q, q)] == bands
 
 
 # ---------------------------------------------------------------- cantor proxy

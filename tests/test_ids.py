@@ -59,12 +59,14 @@ def test_ids_above_and_below_spectrum():
     assert values.tolist() == [0.0, 1.0]
 
 
-def test_ids_rejects_nan_energy_and_takes_infinities():
-    params = HarperParams(flux=RationalFlux(1, 3))
-    with pytest.raises(ValueError):
-        ids(params, egrid=np.array([0.0, np.nan]))
-    _, values = ids(params, egrid=np.array([-np.inf, np.inf]))
-    assert values.tolist() == [0.0, 1.0]
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_ids_of_mirror_fluxes_is_byte_identical(lam):
+    # p/q and (q - p)/q have the same edge fibers, solved once as min(p, q - p)/q
+    for p, q in [(1, 3), (2, 5), (3, 8), (5, 13), (13, 21), (21, 34), (34, 55), (233, 377)]:
+        energies, values = ids(params(p, q, lam))
+        mirror_energies, mirror_values = ids(params(q - p, q, lam))
+        assert energies.tobytes() == mirror_energies.tobytes(), (p, q)
+        assert values.tobytes() == mirror_values.tobytes(), (p, q)
 
 
 def test_ids_half_filling_at_flux_half_touching_point():

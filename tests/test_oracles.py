@@ -54,15 +54,14 @@ def test_band_count_is_exact_up_to_q_50(lam):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_mirror_rows_print_one_spectrum_up_to_q_50(lam):
     # p/q and (q - p)/q share one spectrum (n -> -n), and it is symmetric
-    # under E -> -E (theta -> theta + pi with the gauge (-1)^n), so the two
-    # butterfly rows and the row's own mirror image agree band by band
+    # under E -> -E (theta -> theta + pi with the gauge (-1)^n); both hold by
+    # construction, so the two butterfly rows and the row's own mirror image
+    # are equal double for double
     rows = {(flux.p, flux.q): np.array(bands.intervals)
             for flux, bands in harper.butterfly(50, lam)}
     for (p, q), bands in rows.items():
-        mirror = rows[(q - p) % q, q]  # 1/1 is the flux 0/1
-        assert len(bands) == len(mirror), f"{p}/{q}"
-        assert np.abs(bands - mirror).max() <= 1e-13 * (4 + 4 * lam), f"{p}/{q}"
-        assert np.abs(bands + bands[::-1, ::-1]).max() <= 1e-13 * (4 + 4 * lam), f"{p}/{q}"
+        assert np.array_equal(bands, rows[(q - p) % q, q]), f"{p}/{q}"  # 1/1 is 0/1
+        assert np.array_equal(bands, -bands[::-1, ::-1]), f"{p}/{q}"
 
 
 def test_aubry_duality_up_to_q_15():
@@ -209,17 +208,49 @@ def test_direct_space_check_fails_on_bands_too_narrow(monkeypatch, capsys, wrong
     assert check["pass"] is False and check["max_count_excess"] > 0
 
 
-def test_direct_space_check_solves_the_edge_fibers_once(monkeypatch):
+@pytest.fixture
+def solved_stacks(monkeypatch):
+    """The shapes of the matrix stacks that ``harper`` hands to ``eigensolve``, in order."""
+    shapes = []
+
+    def spy(mats, **kwargs):
+        shapes.append(np.shape(mats))
+        return model.eigensolve(mats, **kwargs)
+
+    monkeypatch.setattr(harper, "eigensolve", spy)
+    return shapes
+
+
+def test_direct_space_check_solves_the_edge_fibers_once(solved_stacks):
     # the gap labels come from the spectrum's own gaps, not from a second solve
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return model.eigensolve(*args, **kwargs)
-
-    monkeypatch.setattr(harper, "eigensolve", counted)
     check = cli._oracle_direct_space(params(13, 21), 1200)
-    assert check["pass"] and len(calls) == 1
+    assert check["pass"] and solved_stacks == [(1, 21, 21)]
+
+
+@pytest.mark.parametrize("p, q, stack", [(0, 1, (1, 1, 1)), (1, 2, (2, 2, 2)), (2, 5, (1, 5, 5)),
+                                         (3, 8, (2, 8, 8)), (13, 21, (1, 21, 21))])
+def test_edge_fibers_solve_h0_alone_at_odd_q_and_both_at_even_q(solved_stacks, p, q, stack):
+    # spec(H_pi) = -spec(H_0) at odd q; at even q each row is exactly antisymmetric
+    rows = harper._edge_fibers(params(p, q))
+    assert solved_stacks == [stack] and np.all(np.diff(rows) >= 0)
+    assert np.array_equal(rows, -rows[::-1, ::-1] if q % 2 else -rows[:, ::-1])
+
+
+def test_largest_oracle_check_solves_one_matrix(solved_stacks, capsys):
+    assert cli.main(["oracle-check", "--flux", "1/2047", "--sites", "2048"]) == 0
+    assert solved_stacks == [(1, 2047, 2047)]
+
+
+def test_butterfly_solves_each_mirror_pair_once(monkeypatch):
+    solved = []
+
+    def spy(params):
+        solved.append(params.flux)
+        return harper_spectrum(params)
+
+    monkeypatch.setattr(harper, "harper_spectrum", spy)
+    rows = harper.butterfly(12)
+    assert solved == [flux for flux, _ in rows if 2 * flux.p <= flux.q]
 
 
 def spectrum_merging_gap_1(params):
