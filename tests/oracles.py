@@ -3,12 +3,13 @@ take: k-grid sweeps of the Harper Bloch matrices, per-branch ranges of such a
 sweep, the canonical trace of their spectral projections, block-circulant
 synthesis, the eigenvalues of the direct-space chain, open or closed into a
 ring, a misplaced second edge fiber to plant in place of the true ones, the
-lattice Chern number of the lowest bands, the distance from values to a band
-set, the padded residual radius of a plane-wave eigenvalue and its width
-bound, the Chambers discriminant in high-precision decimal arithmetic, Hill's
-half-period functions and full-period discriminant of a 1d potential,
-integrated as an ODE with no plane-wave basis, and the dense clock and shift
-matrices with their residuals.  ``run_python`` starts the one kind of child
+lattice Chern number of the lowest bands, the exact Harper band count, the
+distance from values to a band set, the padded residual radius of a
+plane-wave eigenvalue and its width bound, the Chambers discriminant in
+high-precision decimal arithmetic, Hill's half-period functions and
+full-period discriminant of a 1d potential, integrated as an ODE with no
+plane-wave basis, and the dense clock and shift matrices with their
+residuals.  ``run_python`` starts the one kind of child
 process the tests use: Python importing the package from ``src/``;
 ``traced_peak`` is the one in-process peak-memory harness.
 
@@ -58,6 +59,12 @@ def traced_peak(fn, *args, **kwargs) -> tuple:
 def params(p, q, lam=1.0):
     """Harper parameters at flux p/q and coupling lam."""
     return HarperParams(flux=RationalFlux(p, q), lam=lam)
+
+
+def expected_bands(q):
+    """q bands for odd q, q - 1 for even q where the centre pair touches
+    (van Mouche, CMP 1989; Choi-Elliott-Yui, Invent. Math. 1990)."""
+    return q if q % 2 else q - 1
 
 
 def k_grid(n: int) -> np.ndarray:

@@ -236,6 +236,30 @@ def test_stdout_that_cannot_take_the_report_is_usage_error(monkeypatch):
     assert "cannot write the report" in record["message"]
 
 
+class _CountingStream(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["butterfly", "--max-q", "20"],
+    ["bands", "--potential", "1:1", "--cutoff", "8", "--kpoints", "21", "--bands", "3",
+     "--format", "csv"],
+    ["butterfly", "--max-q", "3", "--format", "svg"],
+], ids=["json", "csv", "svg"])
+def test_the_report_reaches_stdout_in_one_write(monkeypatch, argv):
+    # an unbuffered stdout makes every write a system call, so a report that
+    # streams in small pieces costs one call per piece; a streamed writer must
+    # write in large blocks and raise this bound to its block count
+    stdout = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.writes == 1 and stdout.getvalue()
+
+
 # a report of about 300 B stays in a buffered stdout until interpreter exit; one of
 # about 25 kB is written at once; --output fails on its own file.  An empty
 # PYTHONUNBUFFERED counts as unset.

@@ -13,6 +13,7 @@ from oracles import (
     chain_eigenvalues,
     distance_to_bands,
     eigenvalue_grid,
+    expected_bands,
     params,
     traced_peak,
 )
@@ -311,7 +312,7 @@ def test_butterfly_symmetries_moderate_q():
     data = butterfly(8)
     by_flux = {(f.p, f.q): bands for f, bands in data}
     for (p, q), bands in by_flux.items():
-        assert len(bands.intervals) == (q if q % 2 else q - 1)
+        assert len(bands.intervals) == expected_bands(q)
         # spectral symmetry under E -> -E at lambda = 1, exact by construction
         flipped = sorted((-b, -a) for a, b in bands.intervals)
         assert list(bands.intervals) == flipped

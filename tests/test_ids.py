@@ -17,6 +17,7 @@ from oracles import (
     canonical_trace,
     decimal_discriminant,
     eigenvalue_grid,
+    expected_bands,
     params,
     ring_eigenvalues,
     spectral_projections,
@@ -149,7 +150,7 @@ def test_gap_plateaus_are_exact_labels(lam):
     for flux in farey_fractions(12):
         q = flux.q
         bands = harper_spectrum(params(flux.p, q, lam))
-        assert len(bands.intervals) == (q if q % 2 else q - 1)
+        assert len(bands.intervals) == expected_bands(q)
         lo, hi = bands.intervals[0][0], bands.intervals[-1][1]
         windows = [(lo - 1.0, lo)] + interior_gaps(bands) + [(hi, hi + 1.0)]
         labels = [0] + [j for j in range(1, q) if 2 * j != q] + [q]
@@ -369,7 +370,7 @@ def test_quantization_on_every_detected_gap_q_up_to_12():
     for flux in farey_fractions(12):
         p, q = flux.p, flux.q
         bands = harper_spectrum(params(p, q))
-        assert len(bands.intervals) == (q if q % 2 else q - 1)
+        assert len(bands.intervals) == expected_bands(q)
         mids = np.array([0.5 * (lo + hi) for lo, hi in interior_gaps(bands)])
         if not mids.size:
             continue
